@@ -117,6 +117,9 @@ echo "ci: campaign-service kill-and-recover smoke test passed" \
 # (report-only — throughput numbers are not gated) and require its
 # JSON schema (the sorted key set) to match the committed
 # BENCH_perf.json, so the benchmark trajectory cannot silently drift.
+# Throughput is gated by perfbench's interleaved parent-vs-change
+# comparison on one host (perfbench/README.md), not by a committed
+# absolute number from another host.
 "$BUILD_DIR/bench/bench_perf" --smoke --out "$SMOKE_DIR/BENCH_perf.json" \
     > "$SMOKE_DIR/bench_perf.txt"
 json_keys() { grep -o '"[A-Za-z0-9_]*":' "$1" | sort -u; }
@@ -132,12 +135,14 @@ echo "ci: bench_perf smoke + schema check passed"
 # the threaded batch runner too. HotpathDiff enumerates every
 # registered organization (including uniDoppBdi/gdish/approxDedup);
 # NewOrgs adds the factory-organization registration, counter and
-# ref-vs-opt pins alongside it.
+# ref-vs-opt pins alongside it. HierarchyDiff holds the optimized
+# MemorySystem to the frozen reference hierarchy (DESIGN.md §18), and
+# MemArena holds the page-arena MainMemory to a block-map model.
 DOPP_JOBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j "$(nproc)" -R 'HotpathDiff|TagPool|NewOrgs'
+    -j "$(nproc)" -R 'HotpathDiff|TagPool|NewOrgs|HierarchyDiff|MemArena'
 DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j "$(nproc)" -R 'HotpathDiff|TagPool|NewOrgs'
-echo "ci: differential hot-path suite passed (jobs=1 and jobs=4)"
+    -j "$(nproc)" -R 'HotpathDiff|TagPool|NewOrgs|HierarchyDiff|MemArena'
+echo "ci: differential hot-path suites passed (jobs=1 and jobs=4)"
 
 # Reference-vs-optimized stdout diff on a real figure bench: flip the
 # whole process to the reference engine via DOPP_REFERENCE_IMPL and
@@ -155,68 +160,6 @@ diff "$SMOKE_DIR/fig12_ref.txt" "$SMOKE_DIR/fig12_opt.txt" || {
     exit 1
 }
 echo "ci: reference-vs-optimized bench stdout diff passed"
-
-# Throughput gate: a full (non-smoke) bench_perf run's
-# split-doppelganger accesses/sec must not regress more than
-# DOPP_PERF_GATE_PCT percent (default 10) below the committed
-# BENCH_perf.json. DOPP_PERF_GATE=0 skips the gate (e.g. on heavily
-# loaded or throttled machines where wall-clock throughput is noise).
-PERF_GATE="${DOPP_PERF_GATE:-1}"
-PERF_GATE_PCT="${DOPP_PERF_GATE_PCT:-10}"
-if [ "$PERF_GATE" != "0" ]; then
-    "$BUILD_DIR/bench/bench_perf" \
-        --out "$SMOKE_DIR/BENCH_perf_gate.json" > /dev/null
-    org_rate() {
-        grep -o "\"organization\": \"$2\"[^}]*" "$1" |
-            grep -o '"accessesPerSec": [0-9.eE+-]*' | head -1 |
-            awk '{print $2}'
-    }
-    # Gate every organization whose throughput the roadmap tracks: the
-    # paper's split organization plus the three factory additions.
-    for GATED_ORG in split-doppelganger uniDoppBdi gdish approxDedup; do
-        COMMITTED_RATE="$(org_rate BENCH_perf.json "$GATED_ORG")"
-        CURRENT_RATE="$(org_rate "$SMOKE_DIR/BENCH_perf_gate.json" \
-                                 "$GATED_ORG")"
-        awk -v cur="$CURRENT_RATE" -v base="$COMMITTED_RATE" \
-            -v pct="$PERF_GATE_PCT" -v org="$GATED_ORG" 'BEGIN {
-            lim = base * (1 - pct / 100.0);
-            if (cur + 0 < lim) {
-                printf "ci: %s accessesPerSec %.4g is " \
-                       "more than %s%% below the committed %.4g\n",
-                       org, cur, pct, base;
-                exit 1;
-            }
-            printf "ci: perf gate passed (%s): %.4g accesses/s >= " \
-                   "%.4g (committed %.4g - %s%%)\n",
-                   org, cur, lim, base, pct;
-        }'
-    done
-    # Same regression bound on the sliced replay series (the
-    # "4-slice serial" row: serial replay is deterministic wall-clock;
-    # the concurrent row depends on host parallelism and is
-    # report-only).
-    sliced_rate() {
-        grep -o '"config": "4-slice serial"[^}]*' "$1" |
-            grep -o '"accessesPerSec": [0-9.eE+-]*' | head -1 |
-            awk '{print $2}'
-    }
-    COMMITTED_SLICED="$(sliced_rate BENCH_perf.json)"
-    CURRENT_SLICED="$(sliced_rate "$SMOKE_DIR/BENCH_perf_gate.json")"
-    awk -v cur="$CURRENT_SLICED" -v base="$COMMITTED_SLICED" \
-        -v pct="$PERF_GATE_PCT" 'BEGIN {
-        lim = base * (1 - pct / 100.0);
-        if (cur + 0 < lim) {
-            printf "ci: sliced replay accessesPerSec %.4g is more " \
-                   "than %s%% below the committed %.4g\n",
-                   cur, pct, base;
-            exit 1;
-        }
-        printf "ci: sliced perf gate passed: %.4g accesses/s >= " \
-               "%.4g (committed %.4g - %s%%)\n", cur, lim, base, pct;
-    }'
-else
-    echo "ci: perf gate skipped (DOPP_PERF_GATE=0)"
-fi
 
 # Sliced-LLC identity gates (DESIGN.md §15). Two byte-identical diffs:
 #  - unsliced vs DOPP_SLICES=1: a single-slice SlicedLlc front end

@@ -69,8 +69,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 # raw arena indexing on every access, and the fault-injection paths
 # flip pointer bits on purpose — exactly where an out-of-bounds index
 # or a stale-link dereference would hide from the unsanitized suite.
+# The hierarchy oracle and the page-arena suite ride along: slot-indexed
+# private caches, backward-shift directory deletion and the page map's
+# growth are the same kind of raw indexing (DESIGN.md §18).
 DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j "$(nproc)" -R 'HotpathDiff|TagPool|SetAssocDir' "$@"
+    -j "$(nproc)" \
+    -R 'HotpathDiff|TagPool|SetAssocDir|HierarchyDiff|HierarchyInvariants|MemArena' \
+    "$@"
 
 # Re-run the B∆I round-trip fuzzer and the dedup/new-organization
 # invariant suites explicitly: the fuzzer sweeps adversarial extreme
@@ -104,8 +109,9 @@ echo "sanitize_check: all tests passed under ASan+UBSan"
 
 # Separate TSan pass (thread sanitizer cannot combine with ASan) over
 # the threaded surfaces only: the sliced-LLC suite with worker
-# threads, plus the batch runner and resilience suites that share the
-# 4-wide pool machinery.
+# threads (its concurrent replay mutates MainMemory's page map and
+# last-page memo under setConcurrentAccess's lock), plus the batch
+# runner and resilience suites that share the 4-wide pool machinery.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DDOPP_SANITIZE="thread" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo

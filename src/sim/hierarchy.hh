@@ -15,18 +15,24 @@
  * sharers per block (full-map vector); requests for a block modified in
  * a remote private cache first write that copy back to the LLC (which,
  * for Doppelgänger, re-runs map generation per Sec 3.4).
+ *
+ * The data-structure layout of this hot path (SoA private caches, a
+ * flat open-addressing directory, the L1 "owned" bit) is described in
+ * DESIGN.md §18.
  */
 
 #ifndef DOPP_SIM_HIERARCHY_HH
 #define DOPP_SIM_HIERARCHY_HH
 
+#include <cstring>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "sim/llc.hh"
 #include "sim/memory.hh"
 #include "sim/private_cache.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace dopp
@@ -96,6 +102,96 @@ struct HierCounters
 };
 
 /**
+ * The MSI directory: block address -> (sharer bit vector, owner), in a
+ * flat open-addressing table with linear probing and backward-shift
+ * deletion (no tombstones, so probe runs stay short under the constant
+ * insert/erase churn of private-cache fills and evictions).
+ *
+ * Erasing shifts later entries of the same probe run back by one slot,
+ * and inserting may grow the table, so an Entry pointer is valid only
+ * until the next insert or erase — in particular not across any LLC
+ * call, whose back-invalidations erase entries.
+ */
+class CoherenceDirectory
+{
+  public:
+    struct Entry
+    {
+        Addr addr;       ///< block address; emptyKey marks a free slot
+        u8 sharers;      ///< bit per core
+        i8 owner;        ///< core with M, or -1
+    };
+
+    CoherenceDirectory();
+
+    /** @return the entry for @p addr, or nullptr. */
+    Entry *
+    find(Addr addr)
+    {
+        for (size_t i = home(addr);; i = (i + 1) & mask) {
+            Entry &e = slots[i];
+            if (e.addr == addr)
+                return &e;
+            if (e.addr == emptyKey)
+                return nullptr;
+        }
+    }
+
+    const Entry *
+    find(Addr addr) const
+    {
+        return const_cast<CoherenceDirectory *>(this)->find(addr);
+    }
+
+    /** @return the entry for @p addr, inserting an empty one (no
+     * sharers, no owner) if absent. */
+    Entry &findOrInsert(Addr addr);
+
+    /** Erase @p e (from find/findOrInsert); invalidates Entry pointers. */
+    void erase(Entry *e);
+
+    /** Erase @p addr's entry if present. */
+    void
+    erase(Addr addr)
+    {
+        if (Entry *e = find(addr))
+            erase(e);
+    }
+
+    /** Erase every entry (capacity is kept). */
+    void clear();
+
+    /** Visit every live entry (no mutation during the walk). */
+    template <typename Visit>
+    void
+    forEach(Visit &&visit) const
+    {
+        for (const Entry &e : slots) {
+            if (e.addr != emptyKey)
+                visit(e);
+        }
+    }
+
+  private:
+    /** Never a block address (block addresses have clear low bits). */
+    static constexpr Addr emptyKey = ~static_cast<Addr>(0);
+
+    size_t
+    home(Addr addr) const
+    {
+        return static_cast<size_t>(
+            ((addr >> blockOffsetBits) * 0x9E3779B97F4A7C15ULL) >> shift);
+    }
+
+    void grow();
+
+    std::vector<Entry> slots;
+    size_t mask = 0;
+    unsigned shift = 0;
+    size_t used = 0;
+};
+
+/**
  * The memory system: cores call access(); the harness wires an LLC and
  * a MainMemory in.
  */
@@ -105,7 +201,8 @@ class MemorySystem
     /**
      * @param config private-level geometry and latencies
      * @param llc the shared LLC organization (not owned)
-     * @param memory backing store (not owned)
+     * @param memory backing store behind @p llc; the hierarchy reaches
+     *        it only through the LLC
      * @param stat_registry per-run registry the hierarchy registers
      *        its counters into; nullptr keeps a private registry
      * @param stat_group dotted group path for hierarchy counters
@@ -124,11 +221,43 @@ class MemorySystem
      * (possibly a doppelgänger approximation); for stores, @p data
      * supplies the bytes written.
      *
+     * Inline fast path: an L1 load hit, or a store hit on a line this
+     * core already owns, is one L1 probe and a copy; everything else
+     * goes through accessSlow().
+     *
      * @pre the access does not straddle a 64 B block boundary.
      * @return the number of cycles the core stalls for this access.
      */
-    Tick access(CoreId core, Addr addr, bool is_write, unsigned size,
-                void *data);
+    Tick
+    access(CoreId core, Addr addr, bool is_write, unsigned size,
+           void *data)
+    {
+        DOPP_ASSERT(core < cfg.numCores);
+        DOPP_ASSERT(size > 0 && size <= blockBytes);
+        DOPP_ASSERT(blockAlign(addr) == blockAlign(addr + size - 1));
+
+        ++ctr->accesses;
+        ++(is_write ? ctr->stores : ctr->loads);
+
+        const Addr baddr = blockAlign(addr);
+        const unsigned off = blockOffset(addr);
+        PrivateCache &c1 = l1[core];
+        ++c1.accesses;
+        const PrivateCache::Slot s = c1.lookup(baddr);
+        if (s >= 0) {
+            ++ctr->l1Hits;
+            if (!is_write) {
+                std::memcpy(data, c1.data(s) + off, size);
+                return cfg.l1Latency;
+            }
+            if (c1.owned(s)) {
+                std::memcpy(c1.data(s) + off, data, size);
+                c1.setDirty(s, true);
+                return cfg.l1Latency;
+            }
+        }
+        return accessSlow(core, baddr, off, is_write, size, data, s);
+    }
 
     /**
      * Write back every dirty private and LLC block to memory and
@@ -137,6 +266,18 @@ class MemorySystem
      * (dirty tags write their *shared* data entry back).
      */
     void drain();
+
+    /**
+     * Check the coherence and inclusion invariants: at most one owner
+     * per block, and an owner is the block's only sharer; directory
+     * sharers are exactly the cores whose L2 holds the block; a dirty
+     * private line belongs to the directory owner; an L1 owned bit
+     * implies that core is the owner; L1 ⊆ L2 per core and every L2
+     * block is in the LLC (LastLevelCache::contains). O(private lines).
+     * @param why receives the first violation, when non-null.
+     * @return whether every invariant holds.
+     */
+    bool checkInvariants(std::string *why = nullptr) const;
 
     /** Per-run statistics (compatibility view of the registry). */
     const HierarchyStats &
@@ -156,50 +297,60 @@ class MemorySystem
     /** Underlying LLC, e.g. for snapshots. */
     LastLevelCache &llc() { return llcRef; }
 
-    /** Private-cache introspection (tests, inclusion checks). */
-    const PrivateCache &l1Cache(CoreId core) const { return *l1[core]; }
-    const PrivateCache &l2Cache(CoreId core) const { return *l2[core]; }
-    PrivateCache &l1Cache(CoreId core) { return *l1[core]; }
-    PrivateCache &l2Cache(CoreId core) { return *l2[core]; }
-
     u32 numCores() const { return cfg.numCores; }
 
   private:
-    /** Directory entry: which cores hold the block, who owns it in M. */
-    struct DirEntry
-    {
-        u8 sharers = 0;  ///< bit per core
-        int owner = -1;  ///< core with M, or -1
-    };
+    using Slot = PrivateCache::Slot;
+    using DirEntry = CoherenceDirectory::Entry;
 
-    /** Invalidate private copies of @p addr in all cores but @p except;
-     * dirty data (if any) is merged into @p merged. @return dirty? */
-    bool invalidateOthers(Addr addr, int except, u8 *merged);
+    /** Everything but the inline fast path: L1 miss (L2 hit or LLC
+     * fetch) and the store ownership check. @p l1_slot is the L1 probe
+     * result (noSlot on a miss). */
+    Tick accessSlow(CoreId core, Addr baddr, unsigned off, bool is_write,
+                    unsigned size, void *data, Slot l1_slot);
+
+    /** Store slow path: make @p core the directory owner of @p baddr
+     * (an upgrade when it is not yet), then set the L1 owned bit.
+     * @return the extra latency. */
+    Tick acquireOwnership(CoreId core, Addr baddr, Slot l1_slot);
+
+    /** Invalidate the private copies of @p de's block in every sharer
+     * but @p except, clearing their sharer bits and ownership; dirty
+     * data (if any) is merged into @p merged. Does not erase @p de.
+     * @return whether a dirty copy was merged. */
+    bool invalidateOthers(DirEntry &de, CoreId except, u8 *merged);
 
     /** The LLC's inclusive back-invalidation hook. */
     bool backInvalidate(Addr addr, u8 *data);
 
     /** L2 victim handler: maintains L2⊇L1 inclusion and writebacks. */
-    void evictFromL2(CoreId core, Addr addr,
-                     const PrivateCache::Line &line);
+    void evictFromL2(CoreId core, Addr addr, Slot l2_slot);
 
-    /** Fill @p addr into core @p core's L2 and L1, with @p bytes. */
-    PrivateCache::Line &fillPrivate(CoreId core, Addr addr,
-                                    const u8 *bytes);
+    /** L1 victim handler: folds dirty data into the L2 copy. */
+    void evictFromL1(CoreId core, Addr addr, Slot l1_slot);
+
+    /** Install @p addr with @p bytes in core @p core's L1; the L2 already
+     * holds it. @return the L1 slot. */
+    Slot fillL1(CoreId core, Addr addr, const u8 *bytes);
+
+    /** Install @p addr with @p bytes in core @p core's L2 and L1 (L2
+     * first, so inclusion holds when L1 is filled). @return the L1
+     * slot. */
+    Slot fillPrivate(CoreId core, Addr addr, const u8 *bytes);
 
     /** Fetch @p addr into core's hierarchy from LLC, resolving any
-     * remote M copy. @return extra latency. */
-    Tick fetchIntoPrivate(CoreId core, Addr addr, bool for_write);
+     * remote M copy. @p l1_slot receives the filled L1 line.
+     * @return extra latency. */
+    Tick fetchIntoPrivate(CoreId core, Addr addr, bool for_write,
+                          Slot &l1_slot);
 
-    DirEntry &dirEntry(Addr addr) { return directory[addr]; }
-    void dirMaybeErase(Addr addr);
+    static u8 coreBit(CoreId core) { return static_cast<u8>(1u << core); }
 
     HierarchyConfig cfg;
     LastLevelCache &llcRef;
-    MainMemory &mem;
-    std::vector<std::unique_ptr<PrivateCache>> l1;
-    std::vector<std::unique_ptr<PrivateCache>> l2;
-    std::unordered_map<Addr, DirEntry> directory;
+    std::vector<PrivateCache> l1;
+    std::vector<PrivateCache> l2;
+    CoherenceDirectory directory;
     std::unique_ptr<StatRegistry> ownedStats; ///< when none is passed
     std::unique_ptr<HierCounters> ctr;
     mutable HierarchyStats statsView; ///< storage behind stats()

@@ -4,11 +4,15 @@
  * optionally partitioned into a tiered precise/approximate/NVM main
  * memory (sim/mem_tier.hh, DESIGN.md §13).
  *
- * Blocks are materialized on first touch (zero-filled, as an OS would
- * hand out zeroed pages). Demand reads and writebacks are counted so the
- * harness can report off-chip traffic (paper Fig 12); poke/peek provide
- * traffic-free functional access for workload input setup and output
- * collection (the paper's inputs arrive via I/O, not the LLC).
+ * Storage is page-granular (DESIGN.md §18): 4 KiB pages of 64 stored
+ * blocks are materialized on first touch (zero-filled, as an OS would
+ * hand out zeroed pages) in a page arena, found through a flat
+ * open-addressing page map that also carries each page's tier route,
+ * with a memo of the last page touched in front of it. Demand reads
+ * and writebacks are counted so the harness can report off-chip
+ * traffic (paper Fig 12); poke/peek provide traffic-free functional
+ * access for workload input setup and output collection (the paper's
+ * inputs arrive via I/O, not the LLC).
  *
  * Tiered mode (constructed from a non-empty MemTierConfig) adds:
  *  - page-granular routing: annotated approximate regions route
@@ -43,7 +47,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_injector.hh"
@@ -114,8 +117,8 @@ class MainMemory
     {
         if (approxParts.empty())
             return precisePart;
-        const auto it = pageRoute.find(pageOf(addr));
-        return it == pageRoute.end() ? precisePart : it->second;
+        const PageEntry *e = findPage(pageOf(addr));
+        return e ? routeOf(*e) : precisePart;
     }
 
     const MemPartitionProfile &
@@ -142,11 +145,11 @@ class MainMemory
         const Addr firstPage = pageOf(base);
         const Addr lastPage = pageOf(base + size - 1);
         for (Addr p = firstPage; p <= lastPage; ++p)
-            pageRoute[p] = part;
+            pageEntry(p).route = part;
         approxSpans.push_back({firstPage, lastPage, part});
         if (migratedNow) // late annotation while migrated: stay precise
             for (Addr p = firstPage; p <= lastPage; ++p)
-                pageRoute[p] = precisePart;
+                pageEntry(p).route = precisePart;
     }
 
     /**
@@ -164,10 +167,9 @@ class MainMemory
         u64 moved = 0;
         for (const RouteSpan &s : approxSpans) {
             for (Addr p = s.firstPage; p <= s.lastPage; ++p) {
-                auto it = pageRoute.find(p);
-                if (it != pageRoute.end() &&
-                    it->second != precisePart) {
-                    it->second = precisePart;
+                PageEntry *e = findPage(p);
+                if (e && e->route != noRoute && e->route != precisePart) {
+                    e->route = precisePart;
                     ++moved;
                 }
             }
@@ -186,7 +188,7 @@ class MainMemory
         migratedNow = false;
         for (const RouteSpan &s : approxSpans)
             for (Addr p = s.firstPage; p <= s.lastPage; ++p)
-                pageRoute[p] = s.partition;
+                pageEntry(p).route = s.partition;
     }
 
     /** Whether approx routes are currently pinned precise. */
@@ -218,9 +220,10 @@ class MainMemory
      * Serialize readBlock/writeBlock behind an internal mutex. The
      * sliced LLC's concurrent replay (sim/sliced_llc.hh) drives
      * independent slices from worker threads against this one shared
-     * functional store; the lock makes the map inserts and traffic
-     * counters safe, and because every counter is a commutative sum
-     * the totals stay bit-identical to a serial replay. Off (the
+     * functional store; the lock makes the page-map inserts, the
+     * last-page memo and the traffic counters safe, and because every
+     * counter is a commutative sum the totals stay bit-identical to a
+     * serial replay. Off (the
      * default), accesses pay only a predicted branch. The lock is
      * heap-held so the memory stays movable while disabled; do not
      * move a MainMemory with concurrent access enabled.
@@ -244,10 +247,11 @@ class MainMemory
         const auto guard = lockIfConcurrent();
         ++demandReads;
         const Addr aligned = blockAlign(addr);
-        PartitionState &p = parts[partitionOf(aligned)];
+        PageEntry &page = pageAt(aligned);
+        PartitionState &p = parts[routeOf(page)];
         ++p.reads;
         ++p.accesses;
-        StoredBlock &b = blockAt(aligned);
+        StoredBlock &b = blockIn(page, aligned);
 
         injectReadFaults(p, aligned, b);
         if (faultHook)
@@ -279,10 +283,11 @@ class MainMemory
         const auto guard = lockIfConcurrent();
         ++writebacks;
         const Addr aligned = blockAlign(addr);
-        PartitionState &p = parts[partitionOf(aligned)];
+        PageEntry &page = pageAt(aligned);
+        PartitionState &p = parts[routeOf(page)];
         ++p.writes;
         ++p.accesses;
-        StoredBlock &b = blockAt(aligned);
+        StoredBlock &b = blockIn(page, aligned);
         std::memcpy(b.bytes.data(), data, blockBytes);
         b.epoch = currentEpoch(p); // a write rewrites (refreshes) the cells
 
@@ -311,7 +316,8 @@ class MainMemory
         Addr a = addr;
         u64 left = len;
         while (left > 0) {
-            StoredBlock &b = blockAt(blockAlign(a));
+            const Addr aligned = blockAlign(a);
+            StoredBlock &b = blockIn(pageAt(aligned), aligned);
             const unsigned off = blockOffset(a);
             const u64 chunk = std::min<u64>(left, blockBytes - off);
             std::memcpy(b.bytes.data() + off, p, chunk);
@@ -321,7 +327,8 @@ class MainMemory
         }
     }
 
-    /** Functional read without traffic accounting (output collection). */
+    /** Functional read without traffic accounting (output collection).
+     * Never-touched blocks read as zeros and stay unmaterialized. */
     void
     peek(Addr addr, void *dst, u64 len) const
     {
@@ -330,9 +337,11 @@ class MainMemory
         u64 left = len;
         static const BlockData zeros = {};
         while (left > 0) {
-            auto it = store.find(blockAlign(a));
-            const BlockData &b =
-                it == store.end() ? zeros : it->second.bytes;
+            const Addr aligned = blockAlign(a);
+            const PageEntry *e = findPage(pageOf(aligned));
+            const BlockData &b = e && e->data
+                ? e->data->blocks[blockInPage(aligned)].bytes
+                : zeros;
             const unsigned off = blockOffset(a);
             const u64 chunk = std::min<u64>(left, blockBytes - off);
             std::memcpy(p, b.data() + off, chunk);
@@ -370,6 +379,9 @@ class MainMemory
 
     /** Total off-chip block transfers. */
     u64 traffic() const { return demandReads + writebacks; }
+
+    /** Pages materialized so far (4 KiB of stored blocks each). */
+    u64 pagesResident() const { return arena.size(); }
 
     /** Per-partition counters (index < partitionCount()). */
     struct PartitionCounters
@@ -505,9 +517,47 @@ class MainMemory
         u32 wbufOccupancy = 0; ///< buffered writes outstanding
     };
 
-    /** Page number of @p addr (4 KiB pages, matching the runtime's
-     * page-aligned allocator). */
-    static Addr pageOf(Addr addr) { return addr >> 12; }
+    /** 4 KiB pages, matching the runtime's page-aligned allocator. */
+    static constexpr unsigned pageBits = 12;
+    static constexpr u32 blocksPerPage = 1u << (pageBits - blockOffsetBits);
+
+    /** Page number of @p addr. */
+    static Addr pageOf(Addr addr) { return addr >> pageBits; }
+
+    /** Index of block-aligned @p aligned within its page. */
+    static u32
+    blockInPage(Addr aligned)
+    {
+        return static_cast<u32>(aligned >> blockOffsetBits) &
+            (blocksPerPage - 1);
+    }
+
+    /** One arena page: the stored blocks of a 4 KiB page. */
+    struct Page
+    {
+        StoredBlock blocks[blocksPerPage];
+    };
+
+    /** Page-map slot: page number, its arena page (nullptr until a
+     * block of it is touched) and its tier route. */
+    struct PageEntry
+    {
+        Addr page;
+        Page *data;
+        u32 route;
+    };
+
+    /** Free page-map slot (no page number reaches it). */
+    static constexpr Addr noPage = ~static_cast<Addr>(0);
+    /** Route of a page no approximate region claimed. */
+    static constexpr u32 noRoute = ~0u;
+
+    u32
+    routeOf(const PageEntry &e) const
+    {
+        return approxParts.empty() || e.route == noRoute ? precisePart
+                                                         : e.route;
+    }
 
     static u64
     currentEpoch(const PartitionState &p)
@@ -566,10 +616,97 @@ class MainMemory
             onBitFlip(aligned, b.bytes.data(), bit, part_idx);
     }
 
-    StoredBlock &
-    blockAt(Addr aligned)
+    size_t
+    pageHome(Addr page) const
     {
-        return store[aligned]; // zero-fills on first touch
+        return static_cast<size_t>((page * 0x9E3779B97F4A7C15ULL) >>
+                                   pageShift);
+    }
+
+    /** Page-map entry of page number @p page, or nullptr. */
+    const PageEntry *
+    findPage(Addr page) const
+    {
+        for (size_t i = pageHome(page);; i = (i + 1) & pageMask) {
+            const PageEntry &e = pageTable[i];
+            if (e.page == page)
+                return &e;
+            if (e.page == noPage)
+                return nullptr;
+        }
+    }
+
+    PageEntry *
+    findPage(Addr page)
+    {
+        return const_cast<PageEntry *>(
+            static_cast<const MainMemory *>(this)->findPage(page));
+    }
+
+    /** Page-map entry of page number @p page, inserted (unrouted, not
+     * materialized) if absent. Entries are never erased, so only a
+     * growth moves them; growth drops the memo. */
+    PageEntry &
+    pageEntry(Addr page)
+    {
+        for (size_t i = pageHome(page);; i = (i + 1) & pageMask) {
+            PageEntry &e = pageTable[i];
+            if (e.page == page)
+                return e;
+            if (e.page != noPage)
+                continue;
+            if (2 * (pageUsed + 1) > pageTable.size()) {
+                growPageTable();
+                return pageEntry(page);
+            }
+            e = PageEntry{page, nullptr, noRoute};
+            ++pageUsed;
+            return e;
+        }
+    }
+
+    /** The materialized page holding block-aligned @p aligned, through
+     * the last-page memo. */
+    PageEntry &
+    pageAt(Addr aligned)
+    {
+        const Addr page = pageOf(aligned);
+        if (page != memoPage) {
+            PageEntry &e = pageEntry(page);
+            memoPage = page;
+            memoSlot = static_cast<size_t>(&e - pageTable.data());
+        }
+        PageEntry &e = pageTable[memoSlot];
+        if (!e.data) {
+            arena.push_back(std::make_unique<Page>()); // zero-filled
+            e.data = arena.back().get();
+        }
+        return e;
+    }
+
+    static StoredBlock &
+    blockIn(PageEntry &e, Addr aligned)
+    {
+        return e.data->blocks[blockInPage(aligned)];
+    }
+
+    void
+    growPageTable()
+    {
+        std::vector<PageEntry> old(pageTable.size() * 2,
+                                   PageEntry{noPage, nullptr, noRoute});
+        old.swap(pageTable);
+        pageMask = pageTable.size() - 1;
+        --pageShift;
+        for (const PageEntry &e : old) {
+            if (e.page == noPage)
+                continue;
+            size_t i = pageHome(e.page);
+            while (pageTable[i].page != noPage)
+                i = (i + 1) & pageMask;
+            pageTable[i] = e;
+        }
+        memoPage = noPage;
     }
 
     /** Hold the access lock for the caller's scope when concurrent
@@ -589,9 +726,18 @@ class MainMemory
         u32 partition;
     };
 
-    std::unordered_map<Addr, StoredBlock> store;
+    std::vector<std::unique_ptr<Page>> arena;
+    /** Initial page-map capacity (slots); doubles at half load. */
+    static constexpr unsigned initialPageBits = 6;
+    /** Open addressing, linear probing. */
+    std::vector<PageEntry> pageTable = std::vector<PageEntry>(
+        size_t{1} << initialPageBits, PageEntry{noPage, nullptr, noRoute});
+    size_t pageMask = (size_t{1} << initialPageBits) - 1;
+    unsigned pageShift = 64 - initialPageBits;
+    size_t pageUsed = 0;
+    Addr memoPage = noPage; ///< page number of the last pageAt()
+    size_t memoSlot = 0;    ///< its pageTable index
     std::vector<PartitionState> parts;
-    std::unordered_map<Addr, u32> pageRoute;
     std::vector<RouteSpan> approxSpans;
     std::vector<u32> approxParts;
     u32 precisePart = 0;

@@ -21,24 +21,13 @@ namespace dopp
 namespace
 {
 
-/** Assert L2 ⊇ L1 and LLC ⊇ L2 for every core. */
+/** Assert the hierarchy's coherence and inclusion invariants (L2 ⊇ L1
+ * and LLC ⊇ L2 per core, directory exactness, single writer). */
 void
-expectInclusion(MemorySystem &sys, LastLevelCache &llc)
+expectInvariants(const MemorySystem &sys)
 {
-    for (CoreId c = 0; c < sys.numCores(); ++c) {
-        sys.l1Cache(c).forEachLine(
-            [&](Addr addr, PrivateCache::Line &) {
-                EXPECT_NE(sys.l2Cache(c).find(addr), nullptr)
-                    << "L1 line 0x" << std::hex << addr
-                    << " missing from L2 of core " << std::dec << c;
-            });
-        sys.l2Cache(c).forEachLine(
-            [&](Addr addr, PrivateCache::Line &) {
-                EXPECT_TRUE(llc.contains(addr))
-                    << "L2 line 0x" << std::hex << addr
-                    << " missing from the inclusive LLC";
-            });
-    }
+    std::string why;
+    EXPECT_TRUE(sys.checkInvariants(&why)) << why;
 }
 
 } // namespace
@@ -51,7 +40,7 @@ TEST(Coherence, InclusionAfterSequentialFill)
     u32 v = 0;
     for (u32 i = 0; i < 4000; ++i)
         sys.access(i % 4, i * 64, false, 4, &v);
-    expectInclusion(sys, llc);
+    expectInvariants(sys);
 }
 
 TEST(Coherence, InclusionUnderRandomChurnConventional)
@@ -65,7 +54,7 @@ TEST(Coherence, InclusionUnderRandomChurnConventional)
         sys.access(static_cast<CoreId>(rng.below(4)),
                    rng.below(4096) * 64, rng.below(2) == 0, 4, &v);
     }
-    expectInclusion(sys, llc);
+    expectInvariants(sys);
 }
 
 TEST(Coherence, InclusionUnderRandomChurnSplitDopp)
@@ -97,7 +86,7 @@ TEST(Coherence, InclusionUnderRandomChurnSplitDopp)
         sys.access(static_cast<CoreId>(rng.below(4)),
                    rng.below(2048) * 64, rng.below(2) == 0, 4, &v);
     }
-    expectInclusion(sys, llc);
+    expectInvariants(sys);
     std::string why;
     EXPECT_TRUE(llc.doppelganger().checkInvariants(&why)) << why;
 }
@@ -152,6 +141,7 @@ TEST(Coherence, PreciseDataExactUnderSplitDoppChurn)
             }
         }
     }
+    expectInvariants(sys);
 }
 
 TEST(Coherence, WritebackOrderingAcrossCores)
@@ -186,6 +176,7 @@ TEST(Coherence, FalseSharingWithinOneBlock)
             sys.access(c, 0x7000 + c * 4, true, 4, &v);
         }
     }
+    expectInvariants(sys);
     for (CoreId c = 0; c < 4; ++c) {
         u32 got = 0;
         sys.access((c + 1) % 4, 0x7000 + c * 4, false, 4, &got);
@@ -206,7 +197,9 @@ TEST(Coherence, DrainPreservesEveryDirtyWord)
         sys.access(static_cast<CoreId>(rng.below(4)), a, true, 4, &v);
         reference[a] = v;
     }
+    expectInvariants(sys);
     sys.drain();
+    expectInvariants(sys);
     for (const auto &[a, expect] : reference) {
         u32 v = 0;
         mem.peek(a, &v, 4);

@@ -200,15 +200,28 @@ TEST_F(ConventionalLlcTest, EntriesReported)
 // PrivateCache
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** Eviction handler for allocations that expect no valid victim. */
+void
+noVictim(Addr, PrivateCache::Slot)
+{
+}
+
+} // namespace
+
 TEST(PrivateCache, FindMissThenInsert)
 {
     PrivateCache pc(16 * 1024, 4);
-    EXPECT_EQ(pc.find(0x1000), nullptr);
-    PrivateCache::Line &line =
-        pc.allocate(0x1000, nullptr);
-    EXPECT_TRUE(line.valid);
-    EXPECT_NE(pc.find(0x1000), nullptr);
-    EXPECT_EQ(pc.find(0x1040), nullptr); // next block
+    EXPECT_EQ(pc.find(0x1000), PrivateCache::noSlot);
+    const PrivateCache::Slot s = pc.allocate(0x1000, noVictim);
+    EXPECT_TRUE(pc.valid(s));
+    EXPECT_FALSE(pc.dirty(s));
+    EXPECT_FALSE(pc.owned(s));
+    EXPECT_EQ(pc.addrOf(s), 0x1000u);
+    EXPECT_EQ(pc.find(0x1000), s);
+    EXPECT_EQ(pc.find(0x1040), PrivateCache::noSlot); // next block
 }
 
 TEST(PrivateCache, EvictCallbackSeesVictim)
@@ -216,19 +229,22 @@ TEST(PrivateCache, EvictCallbackSeesVictim)
     PrivateCache pc(16 * 1024, 4); // 64 sets
     const Addr stride = 64 * blockBytes;
     for (unsigned k = 0; k < 4; ++k) {
-        auto &line = pc.allocate(k * stride, nullptr);
-        line.data[0] = static_cast<u8>(k);
+        const PrivateCache::Slot s = pc.allocate(k * stride, noVictim);
+        pc.data(s)[0] = static_cast<u8>(k);
+        pc.setDirty(s, k == 0);
     }
     Addr victimAddr = 0;
     u8 victimByte = 0xFF;
-    pc.allocate(4 * stride,
-                [&](Addr a, const PrivateCache::Line &v) {
-                    victimAddr = a;
-                    victimByte = v.data[0];
-                });
+    bool victimDirty = false;
+    pc.allocate(4 * stride, [&](Addr a, PrivateCache::Slot v) {
+        victimAddr = a;
+        victimByte = pc.data(v)[0];
+        victimDirty = pc.dirty(v);
+    });
     EXPECT_EQ(victimAddr, 0u); // LRU
     EXPECT_EQ(victimByte, 0u);
-    EXPECT_EQ(pc.find(0), nullptr);
+    EXPECT_TRUE(victimDirty); // handler runs before the flags reset
+    EXPECT_EQ(pc.find(0), PrivateCache::noSlot);
 }
 
 TEST(PrivateCache, TouchChangesVictim)
@@ -236,35 +252,61 @@ TEST(PrivateCache, TouchChangesVictim)
     PrivateCache pc(16 * 1024, 4);
     const Addr stride = 64 * blockBytes;
     for (unsigned k = 0; k < 4; ++k)
-        pc.allocate(k * stride, nullptr);
-    pc.touch(0); // refresh address 0
+        pc.allocate(k * stride, noVictim);
+    EXPECT_NE(pc.lookup(0), PrivateCache::noSlot); // refresh address 0
     Addr victimAddr = 0xDEAD;
     pc.allocate(4 * stride,
-                [&](Addr a, const PrivateCache::Line &) {
-                    victimAddr = a;
-                });
+                [&](Addr a, PrivateCache::Slot) { victimAddr = a; });
     EXPECT_EQ(victimAddr, stride); // now the LRU
+}
+
+TEST(PrivateCache, FindDoesNotTouch)
+{
+    PrivateCache pc(16 * 1024, 4);
+    const Addr stride = 64 * blockBytes;
+    for (unsigned k = 0; k < 4; ++k)
+        pc.allocate(k * stride, noVictim);
+    EXPECT_NE(pc.find(0), PrivateCache::noSlot); // a probe, not a use
+    Addr victimAddr = 0xDEAD;
+    pc.allocate(4 * stride,
+                [&](Addr a, PrivateCache::Slot) { victimAddr = a; });
+    EXPECT_EQ(victimAddr, 0u);
+}
+
+TEST(PrivateCache, AllocateClearsDirtyAndOwned)
+{
+    PrivateCache pc(16 * 1024, 1); // direct-mapped: the slot is reused
+    const Addr stride = 256 * blockBytes;
+    const PrivateCache::Slot s = pc.allocate(0, noVictim);
+    pc.setDirty(s, true);
+    pc.setOwned(s, true);
+    const PrivateCache::Slot t =
+        pc.allocate(stride, [](Addr, PrivateCache::Slot) {});
+    EXPECT_EQ(s, t);
+    EXPECT_FALSE(pc.dirty(t));
+    EXPECT_FALSE(pc.owned(t));
 }
 
 TEST(PrivateCache, Invalidate)
 {
     PrivateCache pc(16 * 1024, 4);
-    pc.allocate(0x1000, nullptr);
+    pc.allocate(0x1000, noVictim);
     EXPECT_TRUE(pc.invalidate(0x1000));
-    EXPECT_EQ(pc.find(0x1000), nullptr);
+    EXPECT_EQ(pc.find(0x1000), PrivateCache::noSlot);
     EXPECT_FALSE(pc.invalidate(0x1000));
 }
 
 TEST(PrivateCache, ForEachLine)
 {
     PrivateCache pc(16 * 1024, 4);
-    pc.allocate(0x1000, nullptr).dirty = true;
-    pc.allocate(0x2000, nullptr);
+    pc.setDirty(pc.allocate(0x1000, noVictim), true);
+    pc.allocate(0x2000, noVictim);
     unsigned total = 0;
     unsigned dirty = 0;
-    pc.forEachLine([&](Addr, PrivateCache::Line &line) {
+    pc.forEachLine([&](Addr addr, PrivateCache::Slot s) {
+        EXPECT_EQ(pc.addrOf(s), addr);
         ++total;
-        if (line.dirty)
+        if (pc.dirty(s))
             ++dirty;
     });
     EXPECT_EQ(total, 2u);
