@@ -571,11 +571,14 @@ TEST_F(UniDoppTest, PreciseDirtyEvictionWritesExactData)
 namespace
 {
 
+// googletest names each instance after the raw bytes of its parameter,
+// so the struct must have no padding: a bool here would leave three
+// indeterminate bytes in every test name. hashedIndex is 0 or 1.
 struct ChurnParams
 {
     u32 tagEntries;
     u32 dataEntries;
-    bool hashedIndex;
+    u32 hashedIndex;
     unsigned mapBits;
 };
 
@@ -595,7 +598,7 @@ TEST_P(DoppChurnTest, InvariantsHoldUnderRandomChurn)
     cfg.dataEntries = param.dataEntries;
     cfg.dataWays = 4;
     cfg.mapBits = param.mapBits;
-    cfg.hashDataSetIndex = param.hashedIndex;
+    cfg.hashDataSetIndex = param.hashedIndex != 0;
     DoppelgangerCache cache(mem, cfg, nullptr);
 
     Rng rng(param.tagEntries * 31 + param.mapBits);
@@ -628,12 +631,12 @@ TEST_P(DoppChurnTest, InvariantsHoldUnderRandomChurn)
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, DoppChurnTest,
-    ::testing::Values(ChurnParams{64, 16, true, 14},
-                      ChurnParams{64, 16, false, 14},
-                      ChurnParams{128, 32, true, 12},
-                      ChurnParams{128, 32, false, 12},
-                      ChurnParams{64, 48, true, 8},
-                      ChurnParams{256, 64, true, 16}));
+    ::testing::Values(ChurnParams{64, 16, 1, 14},
+                      ChurnParams{64, 16, 0, 14},
+                      ChurnParams{128, 32, 1, 12},
+                      ChurnParams{128, 32, 0, 12},
+                      ChurnParams{64, 48, 1, 8},
+                      ChurnParams{256, 64, 1, 16}));
 
 // ---------------------------------------------------------------------
 // The defining property: two resident blocks share one data entry
