@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulator-throughput harness seeding the repository's benchmark
- * trajectory. Two sections:
+ * trajectory. Three sections:
  *
  *  1. *Map kernels*: maps/sec per element type for the monomorphized
  *     kernel path (computeMapComponents) and the generic per-element
@@ -14,15 +14,9 @@
  *     model vs tiered configurations (per-partition routing, fault
  *     draws, write buffer), guarding the tier against hot-path
  *     regressions. Throughput numbers are report-only.
- *  4. *Sliced LLC*: direct-drive replay throughput of the sliced
- *     split-Doppelgänger front end (sim/sliced_llc.hh) — single
- *     slice serial, 4 slices serial, and 4 slices with one worker
- *     per slice — with the speedup over the single-slice run. On a
- *     single-CPU host the concurrent figure measures dispatch
- *     overhead, not speedup; the series is recorded either way.
  *
  * Results print as text tables and are written to BENCH_perf.json
- * (schema "dopp-bench-perf-v3") via the crash-safe atomicWriteFile.
+ * (schema "dopp-bench-perf-v4") via the crash-safe atomicWriteFile.
  * Each organization row carries a per-phase hot-path breakdown
  * (tag probe / MTag probe / list maintenance / data array, in ns)
  * from a second instrumented pass with a HotPathProfile attached;
@@ -39,14 +33,12 @@
 #include <chrono>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/map_function.hh"
 #include "harness/experiment.hh"
 #include "harness/llc_factory.hh"
 #include "harness/report.hh"
-#include "sim/sliced_llc.hh"
 #include "util/env.hh"
 #include "util/fileio.hh"
 #include "util/logging.hh"
@@ -236,61 +228,6 @@ benchOrg(const std::string &name, u64 accesses)
     return r;
 }
 
-struct SlicedResult
-{
-    std::string label;
-    u32 slices;
-    u32 threads;
-    double accessesPerSec;
-};
-
-/**
- * Direct-drive replay throughput of the sliced split-Doppelgänger
- * front end: the same deterministic op stream replayed through a
- * buildLlc-composed sliced organization, serially or with one worker
- * per slice (SlicedLlc::replay; results are bit-identical either way
- * by the determinism contract — only wall clock differs).
- */
-SlicedResult
-benchSliced(const std::string &label, u32 slices, u32 threads,
-            bool concurrent, u64 accesses)
-{
-    MainMemory mem;
-    ApproxRegistry registry;
-    Rng rng = seedPerfRegion(mem, registry);
-
-    RunConfig cfg;
-    cfg.workloadName = "perf-synthetic";
-    cfg.sliceCount = slices;
-    cfg.sliceThreads = threads;
-    StatRegistry stats;
-    LlcBuilt built =
-        buildLlc("split-doppelganger", mem, registry, cfg, stats);
-    auto *sliced = dynamic_cast<SlicedLlc *>(built.llc.get());
-    if (!sliced)
-        fatal("bench_perf: sliced build did not produce a SlicedLlc");
-
-    std::vector<SlicedLlc::SliceOp> ops;
-    ops.reserve(accesses);
-    for (u64 n = 0; n < accesses; ++n) {
-        SlicedLlc::SliceOp op;
-        op.addr = rng.below(footprintBlocks) * blockBytes;
-        op.isWrite = n % 4 == 3;
-        ops.push_back(op);
-    }
-
-    const auto start = Clock::now();
-    sliced->replay(ops, concurrent);
-    const double elapsed = std::max(secondsSince(start), 1e-9);
-
-    SlicedResult r;
-    r.label = label;
-    r.slices = slices;
-    r.threads = threads;
-    r.accessesPerSec = static_cast<double>(accesses) / elapsed;
-    return r;
-}
-
 struct MemResult
 {
     std::string name;
@@ -380,21 +317,6 @@ main(int argc, char **argv)
                                 defaultMemTier(1e-4, 1e-4),
                                 memAccesses));
 
-    // Sliced replay series: one worker per slice in the concurrent
-    // row; ≥2 threads even on a single-CPU host so the worker-pool
-    // machinery itself is always exercised.
-    const u32 hw = std::max(
-        2u, static_cast<u32>(std::thread::hardware_concurrency()));
-    std::vector<SlicedResult> slicedRuns;
-    slicedRuns.push_back(
-        benchSliced("1-slice serial", 1, 1, false, orgAccesses));
-    slicedRuns.push_back(
-        benchSliced("4-slice serial", 4, 1, false, orgAccesses));
-    slicedRuns.push_back(benchSliced("4-slice concurrent", 4,
-                                     std::min(hw, 4u), true,
-                                     orgAccesses));
-    const double singleSliceRate = slicedRuns[0].accessesPerSec;
-
     TextTable kt;
     kt.header({"type", "kernel maps/s", "generic maps/s", "speedup"});
     for (const KernelResult &k : kernels) {
@@ -431,19 +353,7 @@ main(int argc, char **argv)
         mt.row({m.name, strfmt("%.3g", m.accessesPerSec)});
     mt.print("Memory-tier throughput");
 
-    TextTable st;
-    st.header({"config", "slices", "threads", "accesses/s",
-               "vs 1-slice"});
-    for (const SlicedResult &s : slicedRuns) {
-        st.row({s.label, strfmt("%u", s.slices),
-                strfmt("%u", s.threads),
-                strfmt("%.3g", s.accessesPerSec),
-                times(s.accessesPerSec /
-                      std::max(singleSliceRate, 1e-9))});
-    }
-    st.print("Sliced split-Doppelgänger replay throughput");
-
-    std::string json = "{\n  \"schema\": \"dopp-bench-perf-v3\",\n";
+    std::string json = "{\n  \"schema\": \"dopp-bench-perf-v4\",\n";
     json += strfmt("  \"smoke\": %s,\n", smoke ? "true" : "false");
     json += strfmt("  \"kernelMaps\": %llu,\n",
                    static_cast<unsigned long long>(kernelMaps));
@@ -484,17 +394,6 @@ main(int argc, char **argv)
             "    {\"config\": \"%s\", \"accessesPerSec\": %.6g}%s\n",
             m.name.c_str(), m.accessesPerSec,
             i + 1 < mems.size() ? "," : "");
-    }
-    json += "  ],\n  \"slicedLlc\": [\n";
-    for (size_t i = 0; i < slicedRuns.size(); ++i) {
-        const SlicedResult &s = slicedRuns[i];
-        json += strfmt(
-            "    {\"config\": \"%s\", \"slices\": %u, "
-            "\"threads\": %u, \"accessesPerSec\": %.6g, "
-            "\"speedupVsSingleSlice\": %.4g}%s\n",
-            s.label.c_str(), s.slices, s.threads, s.accessesPerSec,
-            s.accessesPerSec / std::max(singleSliceRate, 1e-9),
-            i + 1 < slicedRuns.size() ? "," : "");
     }
     json += "  ]\n}\n";
 

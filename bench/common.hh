@@ -35,9 +35,6 @@
  *                         a power of two)
  *   DOPP_SLICE_HASH       slice-selection policy, "bitselect"
  *                         (default) or "sandybridge"
- *   DOPP_SLICE_THREADS    per-slice worker threads (default 1);
- *                         result-neutral by the synchronous-dispatch
- *                         contract
  */
 
 #ifndef DOPP_BENCH_COMMON_HH

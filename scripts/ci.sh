@@ -164,8 +164,8 @@ echo "ci: reference-vs-optimized bench stdout diff passed"
 # Sliced-LLC identity gates (DESIGN.md §15). Two byte-identical diffs:
 #  - unsliced vs DOPP_SLICES=1: a single-slice SlicedLlc front end
 #    must not perturb any result.
-#  - DOPP_SLICES=4 with 1 vs 4 worker threads: the synchronous
-#    dispatch contract makes threading invisible to results.
+#  - DOPP_SLICES=4 at DOPP_JOBS=1 vs DOPP_JOBS=4: the batch runner,
+#    the only parallelism left, must not perturb a sliced sweep.
 # slices=1 vs slices=4 is deliberately NOT diffed: slicing genuinely
 # changes capacity partitioning and — for the content-indexed
 # organizations — the dedup pool structure, so those runs differ by
@@ -181,19 +181,19 @@ diff "$SMOKE_DIR/fig12_unsliced.txt" "$SMOKE_DIR/fig12_slice1.txt" || {
          "DOPP_SLICES=1" >&2
     exit 1
 }
-env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=4 DOPP_SLICE_THREADS=1 \
+env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=4 DOPP_JOBS=1 \
     "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$SMOKE_DIR/fig12_s4t1.txt"
-env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=4 DOPP_SLICE_THREADS=4 \
+    > "$SMOKE_DIR/fig12_s4j1.txt"
+env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=4 DOPP_JOBS=4 \
     "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$SMOKE_DIR/fig12_s4t4.txt"
-diff "$SMOKE_DIR/fig12_s4t1.txt" "$SMOKE_DIR/fig12_s4t4.txt" || {
-    echo "ci: bench_fig12 output diverged between slice worker" \
-         "threads 1 and 4" >&2
+    > "$SMOKE_DIR/fig12_s4j4.txt"
+diff "$SMOKE_DIR/fig12_s4j1.txt" "$SMOKE_DIR/fig12_s4j4.txt" || {
+    echo "ci: sliced bench_fig12 output diverged between DOPP_JOBS" \
+         "1 and 4" >&2
     exit 1
 }
 echo "ci: sliced-LLC identity gates passed (unsliced == slices=1," \
-     "threads=1 == threads=4)"
+     "slices=4 jobs=1 == jobs=4)"
 
 # Memory-tier smoke sweep: run the bench_fig_memtier sweep twice at a
 # tiny scale — serial and 4-wide — and require byte-identical output,

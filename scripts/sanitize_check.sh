@@ -98,28 +98,21 @@ DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
     -R 'Campaign|AppendLogExclusive|ClaimStore|JournalTail' "$@"
 
-# Re-run the sliced-LLC suite with worker threads forced on: the
-# slice worker pool, the merge closures capturing per-slice counters
-# and the concurrent replay's locked memory path are the new
-# cross-thread surfaces (DESIGN.md §15).
-DOPP_SLICE_THREADS=4 ctest --test-dir "$BUILD_DIR" \
-    --output-on-failure -j "$(nproc)" \
+# Re-run the sliced-LLC suite on its own: the routed front end and
+# the merge closures capturing per-slice counters (DESIGN.md §15).
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
     -R 'Slice|SliceHash|StatMerge' "$@"
 echo "sanitize_check: all tests passed under ASan+UBSan"
 
 # Separate TSan pass (thread sanitizer cannot combine with ASan) over
-# the threaded surfaces only: the sliced-LLC suite with worker
-# threads (its concurrent replay mutates MainMemory's page map and
-# last-page memo under setConcurrentAccess's lock), plus the batch
-# runner and resilience suites that share the 4-wide pool machinery.
+# the threaded surfaces only: the batch runner and resilience suites
+# that share the 4-wide pool machinery, the simulator's only
+# parallelism.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DDOPP_SANITIZE="thread" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-DOPP_SLICE_THREADS=4 ctest --test-dir "$TSAN_DIR" \
-    --output-on-failure -j "$(nproc)" \
-    -R 'Slice|SliceHash|StatMerge' "$@"
 DOPP_JOBS=4 ctest --test-dir "$TSAN_DIR" --output-on-failure \
     -j "$(nproc)" -R 'BatchRunner|Resilience' "$@"
 echo "sanitize_check: threaded suites passed under TSan"

@@ -1,6 +1,5 @@
 #include "campaign_service.hh"
 
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -115,49 +114,6 @@ knownWorkload(const std::string &name)
             return true;
     }
     return false;
-}
-
-/**
- * Mirror resolvedSliceConfig's validation without its fatal()s: a
- * worker must reject a bad batch line, not die on it (and then be
- * respawned onto the same line, forever).
- */
-bool
-validSliceCombination(const RunConfig &cfg, std::string &why)
-{
-    const u32 count = cfg.sliceCount;
-    if (count == 0)
-        return true;
-    if ((count & (count - 1)) != 0) {
-        why = "slice count " + jsonFmtU64(count) +
-              " is not a power of two";
-        return false;
-    }
-    SliceHashKind hash = SliceHashKind::BitSelect;
-    if (!cfg.sliceHash.empty() &&
-        !sliceHashTryParse(cfg.sliceHash, hash)) {
-        why = "unknown slice hash '" + cfg.sliceHash + "'";
-        return false;
-    }
-    if (hash == SliceHashKind::SandyBridge &&
-        count > maxSandyBridgeSlices) {
-        why = "sandy bridge slice hash supports at most " +
-              jsonFmtU64(maxSandyBridgeSlices) + " slices";
-        return false;
-    }
-    if (cfg.baselineBytes % count != 0) {
-        why = "baselineBytes does not divide into " +
-              jsonFmtU64(count) + " slices";
-        return false;
-    }
-    const unsigned drop =
-        static_cast<unsigned>(std::countr_zero(count));
-    if (cfg.mapSpaceMode == MapSpaceMode::PerSlice &&
-        cfg.mapBits <= drop) {
-        why = "per-slice map space needs mapBits > log2(sliceCount)";
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -444,7 +400,17 @@ parseCampaignConfig(const std::string &line, RunConfig &cfg,
         why = "unknown map-space mode '" + ms->text + "'";
         return false;
     }
-    if (!validSliceCombination(c, why))
+    // A worker must reject a bad slice layout, not die on it in
+    // resolvedSliceConfig (and then be respawned onto the same line,
+    // forever).
+    SliceConfig sc{c.sliceCount, SliceHashKind::BitSelect,
+                   c.mapSpaceMode};
+    if (!c.sliceHash.empty() && !sliceHashTryParse(c.sliceHash, sc.hash)) {
+        why = "unknown slice hash '" + c.sliceHash + "'";
+        return false;
+    }
+    why = sliceConfigError(sc, c);
+    if (!why.empty())
         return false;
 
     // The decisive cross-check: the fingerprint recomputed from the
@@ -720,7 +686,6 @@ scrubCampaignEnv()
 {
     ::unsetenv("DOPP_SLICES");
     ::unsetenv("DOPP_SLICE_HASH");
-    ::unsetenv("DOPP_SLICE_THREADS");
 }
 
 struct WorkerJob

@@ -67,6 +67,35 @@ mapSpaceModeFromName(const std::string &name)
     return MapSpaceMode::Shared;
 }
 
+std::string
+sliceConfigError(const SliceConfig &s, const RunConfig &cfg)
+{
+    if (s.count == 0)
+        return "";
+    const std::string count = std::to_string(s.count);
+    if ((s.count & (s.count - 1)) != 0) {
+        return "slice count " + count + " is not a power of two "
+               "(DOPP_SLICES / RunConfig::sliceCount)";
+    }
+    if (s.hash == SliceHashKind::SandyBridge &&
+        s.count > maxSandyBridgeSlices) {
+        return "sandy bridge slice hash supports at most " +
+               std::to_string(maxSandyBridgeSlices) +
+               " slices (asked for " + count + ")";
+    }
+    if (cfg.baselineBytes % s.count != 0) {
+        return "baselineBytes " + std::to_string(cfg.baselineBytes) +
+               " does not divide into " + count + " slices";
+    }
+    if (s.mapSpace == MapSpaceMode::PerSlice &&
+        cfg.mapBits <= static_cast<unsigned>(std::countr_zero(s.count))) {
+        return "per-slice map space needs mapBits > log2(sliceCount) "
+               "(mapBits=" + std::to_string(cfg.mapBits) +
+               ", slices=" + count + ")";
+    }
+    return "";
+}
+
 SliceConfig
 resolvedSliceConfig(const RunConfig &cfg)
 {
@@ -86,38 +115,8 @@ resolvedSliceConfig(const RunConfig &cfg)
                   "bitselect, sandybridge)", h.c_str());
         }
     }
-    s.threads = cfg.sliceThreads
-        ? cfg.sliceThreads
-        : static_cast<u32>(envU64("DOPP_SLICE_THREADS", 1));
-
-    if (s.count == 0) {
-        s.threads = 1; // nothing to thread over
-        return s;
-    }
-    if ((s.count & (s.count - 1)) != 0) {
-        fatal("slice count %u is not a power of two (DOPP_SLICES / "
-              "RunConfig::sliceCount)",
-              static_cast<unsigned>(s.count));
-    }
-    if (s.hash == SliceHashKind::SandyBridge &&
-        s.count > maxSandyBridgeSlices) {
-        fatal("sandy bridge slice hash supports at most %u slices "
-              "(asked for %u)",
-              static_cast<unsigned>(maxSandyBridgeSlices),
-              static_cast<unsigned>(s.count));
-    }
-    if (cfg.baselineBytes % s.count != 0) {
-        fatal("baselineBytes %llu does not divide into %u slices",
-              static_cast<unsigned long long>(cfg.baselineBytes),
-              static_cast<unsigned>(s.count));
-    }
-    const unsigned drop =
-        static_cast<unsigned>(std::countr_zero(s.count));
-    if (s.mapSpace == MapSpaceMode::PerSlice && cfg.mapBits <= drop) {
-        fatal("per-slice map space needs mapBits > log2(sliceCount) "
-              "(mapBits=%u, slices=%u)", cfg.mapBits,
-              static_cast<unsigned>(s.count));
-    }
+    if (const std::string e = sliceConfigError(s, cfg); !e.empty())
+        fatal("%s", e.c_str());
     return s;
 }
 

@@ -114,9 +114,9 @@ struct RunConfig
 
     /**
      * @name Sliced LLC front end (sim/sliced_llc.hh, DESIGN.md §15)
-     * Resolution order for sliceCount/sliceHash/sliceThreads is
-     * explicit > environment > default (resolvedSliceConfig), the
-     * same contract DOPP_JOBS follows.
+     * Resolution order for sliceCount/sliceHash is explicit >
+     * environment > default (resolvedSliceConfig), the same contract
+     * DOPP_JOBS follows.
      */
     /// @{
 
@@ -137,16 +137,6 @@ struct RunConfig
     /** Map-value-space sizing for sliced Doppelgänger organizations;
      * result-affecting, so it is in the config fingerprint. */
     MapSpaceMode mapSpaceMode = MapSpaceMode::Shared;
-
-    /**
-     * Per-slice worker threads inside this run. 0 defers to
-     * DOPP_SLICE_THREADS, then 1 (every access on the calling
-     * thread). >1 spawns one persistent worker per slice; results are
-     * bit-identical to sliceThreads=1 by the synchronous-dispatch
-     * contract (sim/sliced_llc.hh), so, like the observation hooks,
-     * this knob is excluded from the config fingerprint.
-     */
-    u32 sliceThreads = 0;
     /// @}
 
     /** Workload sizing/seed. */
@@ -276,17 +266,24 @@ struct SliceConfig
     u32 count = 0; ///< 0 = legacy unsliced direct build
     SliceHashKind hash = SliceHashKind::BitSelect;
     MapSpaceMode mapSpace = MapSpaceMode::Shared;
-    u32 threads = 1;
 };
 
 /**
+ * Check the slice layout @p s against @p cfg's capacity and map bits:
+ * power-of-two count, hash policy range, capacity and map-bits
+ * divisibility. Non-fatal, so the campaign codec can reject a bad
+ * batch line instead of dying on it.
+ * @return the error text, or an empty string when @p s is valid.
+ */
+std::string sliceConfigError(const SliceConfig &s, const RunConfig &cfg);
+
+/**
  * Resolve @p cfg's slice knobs: explicit > environment (DOPP_SLICES /
- * DOPP_SLICE_HASH / DOPP_SLICE_THREADS) > default. Validates the
- * combination (power-of-two count, hash policy range, capacity and
- * map-bits divisibility) and is fatal on garbage, naming the
- * offending knob. Both the factory (buildLlc) and the journal
- * fingerprint resolve through here, so a run and its resume key can
- * never disagree about the slice layout.
+ * DOPP_SLICE_HASH) > default. Fatal with sliceConfigError's text on
+ * an invalid combination, and on garbage, naming the offending knob.
+ * Both the factory (buildLlc) and the journal fingerprint resolve
+ * through here, so a run and its resume key can never disagree about
+ * the slice layout.
  */
 SliceConfig resolvedSliceConfig(const RunConfig &cfg);
 

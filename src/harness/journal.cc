@@ -226,9 +226,6 @@ configFingerprint(const RunConfig &cfg)
     }
     // Slice layout (DESIGN.md §15), resolved through the same path the
     // factory builds from so a run and its resume key cannot disagree.
-    // sliceThreads is excluded: threads=1 and threads=N are
-    // bit-identical by the synchronous-dispatch contract, so, like
-    // abortFlag and doppReference, it must never distinguish runs.
     const SliceConfig sc = resolvedSliceConfig(cfg);
     add("sliceCount", fmtU64(sc.count));
     add("sliceHash", sliceHashName(sc.hash));

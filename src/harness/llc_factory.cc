@@ -118,7 +118,6 @@ buildLlc(const std::string &name, MainMemory &memory,
     // name and value) is bit-identical to the unsliced one.
     RunConfig sliceCfg = cfg;
     sliceCfg.sliceCount = 0; // the slices themselves are not sliced
-    sliceCfg.sliceThreads = 1;
     sliceCfg.baselineBytes = cfg.baselineBytes / sc.count;
     if (sc.mapSpace == MapSpaceMode::PerSlice) {
         // Partitioned map space: the total map-value budget stays at
@@ -150,7 +149,7 @@ buildLlc(const std::string &name, MainMemory &memory,
     }
 
     auto sliced = std::make_unique<SlicedLlc>(
-        memory, std::move(slices), sc.hash, sc.threads, &stats, "llc");
+        memory, std::move(slices), sc.hash, &stats, "llc");
     if (sc.count > 1) {
         // Merged aggregate: every per-slice stat reappears summed
         // under "llc" with exactly the unsliced name set, so report

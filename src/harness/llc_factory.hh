@@ -85,7 +85,7 @@ std::vector<std::string> registeredLlcNames();
  *
  * Slice composition happens here (DESIGN.md §15): when the resolved
  * slice count (resolvedSliceConfig — explicit RunConfig fields, else
- * DOPP_SLICES / DOPP_SLICE_HASH / DOPP_SLICE_THREADS) is non-zero,
+ * DOPP_SLICES / DOPP_SLICE_HASH) is non-zero,
  * the builder runs once per slice with scaled capacity under
  * "llc.sliceN" groups and the result is a SlicedLlc front end whose
  * merged aggregate reappears under "llc" with exactly the unsliced

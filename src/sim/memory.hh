@@ -46,7 +46,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "fault/fault_injector.hh"
@@ -217,26 +216,6 @@ class MainMemory
     std::function<void(Addr, u8 *, u32, u32)> onBitFlip;
 
     /**
-     * Serialize readBlock/writeBlock behind an internal mutex. The
-     * sliced LLC's concurrent replay (sim/sliced_llc.hh) drives
-     * independent slices from worker threads against this one shared
-     * functional store; the lock makes the page-map inserts, the
-     * last-page memo and the traffic counters safe, and because every
-     * counter is a commutative sum the totals stay bit-identical to a
-     * serial replay. Off (the
-     * default), accesses pay only a predicted branch. The lock is
-     * heap-held so the memory stays movable while disabled; do not
-     * move a MainMemory with concurrent access enabled.
-     */
-    void
-    setConcurrentAccess(bool on)
-    {
-        if (on && !accessLock)
-            accessLock = std::make_unique<std::mutex>();
-        concurrentAccess = on;
-    }
-
-    /**
      * Demand-read block at @p addr into @p data; counts traffic.
      * @return the read latency of the partition hit, including any
      * stall behind a full write buffer.
@@ -244,7 +223,6 @@ class MainMemory
     Tick
     readBlock(Addr addr, u8 *data)
     {
-        const auto guard = lockIfConcurrent();
         ++demandReads;
         const Addr aligned = blockAlign(addr);
         PageEntry &page = pageAt(aligned);
@@ -280,7 +258,6 @@ class MainMemory
     Tick
     writeBlock(Addr addr, const u8 *data)
     {
-        const auto guard = lockIfConcurrent();
         ++writebacks;
         const Addr aligned = blockAlign(addr);
         PageEntry &page = pageAt(aligned);
@@ -709,16 +686,6 @@ class MainMemory
         memoPage = noPage;
     }
 
-    /** Hold the access lock for the caller's scope when concurrent
-     * access is enabled; a no-op (empty lock) otherwise. */
-    std::unique_lock<std::mutex>
-    lockIfConcurrent()
-    {
-        return concurrentAccess
-            ? std::unique_lock<std::mutex>(*accessLock)
-            : std::unique_lock<std::mutex>();
-    }
-
     struct RouteSpan
     {
         Addr firstPage;
@@ -749,8 +716,6 @@ class MainMemory
     u64 demandReads = 0;
     u64 writebacks = 0;
     FaultInjector *injector = nullptr;
-    std::unique_ptr<std::mutex> accessLock;
-    bool concurrentAccess = false;
 };
 
 } // namespace dopp

@@ -1,143 +1,13 @@
 #include "sliced_llc.hh"
 
-#include <condition_variable>
-#include <cstring>
-#include <mutex>
-#include <thread>
-
 #include "util/logging.hh"
 
 namespace dopp
 {
 
-// ---------------------------------------------------------------------
-// SliceWorkerPool
-// ---------------------------------------------------------------------
-
-/**
- * One persistent worker thread per slice. run() is a synchronous
- * handoff (post + wait) used by the routed fetch/writeback path;
- * runAll() posts one job per worker and waits for all of them, which
- * is the only place two slices execute concurrently. The mutex
- * handoff orders every write the worker makes before the caller's
- * return, so synchronous dispatch is race-free by construction. Jobs
- * must not throw.
- */
-class SliceWorkerPool
-{
-  public:
-    explicit SliceWorkerPool(u32 n)
-    {
-        slots.reserve(n);
-        for (u32 i = 0; i < n; ++i) {
-            slots.push_back(std::make_unique<Worker>());
-            Worker *w = slots.back().get();
-            w->thread = std::thread([w] { workerLoop(*w); });
-        }
-    }
-
-    ~SliceWorkerPool()
-    {
-        for (auto &wp : slots) {
-            Worker &w = *wp;
-            {
-                std::unique_lock<std::mutex> lk(w.m);
-                w.cv.wait(lk, [&w] { return !w.busy; });
-                w.stop = true;
-            }
-            w.cv.notify_all();
-            w.thread.join();
-        }
-    }
-
-    u32 size() const { return static_cast<u32>(slots.size()); }
-
-    /** Run @p job on worker @p i and wait for it to finish. */
-    void
-    run(u32 i, const std::function<void()> &job)
-    {
-        post(i, job);
-        wait(i);
-    }
-
-    /** Run jobs[i] on worker i, all concurrently; wait for all.
-     * @pre jobs.size() == size(). */
-    void
-    runAll(const std::vector<std::function<void()>> &jobs)
-    {
-        DOPP_ASSERT(jobs.size() == slots.size());
-        for (u32 i = 0; i < jobs.size(); ++i)
-            post(i, jobs[i]);
-        for (u32 i = 0; i < jobs.size(); ++i)
-            wait(i);
-    }
-
-  private:
-    struct Worker
-    {
-        std::thread thread;
-        std::mutex m;
-        std::condition_variable cv;
-        const std::function<void()> *job = nullptr;
-        bool busy = false;
-        bool stop = false;
-    };
-
-    static void
-    workerLoop(Worker &w)
-    {
-        for (;;) {
-            const std::function<void()> *job;
-            {
-                std::unique_lock<std::mutex> lk(w.m);
-                w.cv.wait(lk,
-                          [&w] { return w.job != nullptr || w.stop; });
-                if (w.stop)
-                    return;
-                job = w.job;
-            }
-            (*job)();
-            {
-                std::lock_guard<std::mutex> lk(w.m);
-                w.job = nullptr;
-                w.busy = false;
-            }
-            w.cv.notify_all();
-        }
-    }
-
-    /** Hand @p job to worker @p i (job must outlive wait(i)). */
-    void
-    post(u32 i, const std::function<void()> &job)
-    {
-        Worker &w = *slots[i];
-        {
-            std::unique_lock<std::mutex> lk(w.m);
-            w.cv.wait(lk, [&w] { return !w.busy; });
-            w.busy = true;
-            w.job = &job;
-        }
-        w.cv.notify_all();
-    }
-
-    void
-    wait(u32 i)
-    {
-        Worker &w = *slots[i];
-        std::unique_lock<std::mutex> lk(w.m);
-        w.cv.wait(lk, [&w] { return !w.busy; });
-    }
-
-    std::vector<std::unique_ptr<Worker>> slots;
-};
-
-// ---------------------------------------------------------------------
-// SlicedLlc
-// ---------------------------------------------------------------------
-
 SlicedLlc::SlicedLlc(MainMemory &memory,
                      std::vector<std::unique_ptr<LastLevelCache>> slices,
-                     SliceHashKind hash_kind, u32 worker_threads,
+                     SliceHashKind hash_kind,
                      StatRegistry *stat_registry,
                      const std::string &stat_group)
     : LastLevelCache(memory, stat_registry, stat_group),
@@ -151,43 +21,18 @@ SlicedLlc::SlicedLlc(MainMemory &memory,
         if (!s)
             fatal("sliced llc: null slice");
     }
-    if (worker_threads > 1) {
-        // One worker per slice, whatever the thread request beyond 1:
-        // a slice is the unit of independent state, so more threads
-        // than slices could never run anything extra.
-        workers = std::make_unique<SliceWorkerPool>(sliceCount());
-    }
-}
-
-SlicedLlc::~SlicedLlc() = default;
-
-u32
-SlicedLlc::workerThreads() const
-{
-    return workers ? workers->size() : 1;
 }
 
 LastLevelCache::FetchResult
 SlicedLlc::fetch(Addr addr, u8 *data)
 {
-    LastLevelCache &s = *subs[sliceOfAddr(addr)];
-    if (!workers)
-        return s.fetch(addr, data);
-    FetchResult r;
-    workers->run(sliceOfAddr(addr),
-                 [&] { r = s.fetch(addr, data); });
-    return r;
+    return subs[sliceOfAddr(addr)]->fetch(addr, data);
 }
 
 void
 SlicedLlc::writeback(Addr addr, const u8 *data)
 {
-    LastLevelCache &s = *subs[sliceOfAddr(addr)];
-    if (!workers) {
-        s.writeback(addr, data);
-        return;
-    }
-    workers->run(sliceOfAddr(addr), [&] { s.writeback(addr, data); });
+    subs[sliceOfAddr(addr)]->writeback(addr, data);
 }
 
 bool
@@ -221,7 +66,6 @@ SlicedLlc::setBackInvalidate(BackInvalidateFn fn)
 void
 SlicedLlc::setFaultInjector(FaultInjector *fi)
 {
-    faults = fi;
     for (const auto &s : subs)
         s->setFaultInjector(fi);
 }
@@ -229,7 +73,6 @@ SlicedLlc::setFaultInjector(FaultInjector *fi)
 void
 SlicedLlc::setGuardrail(QorGuardrail *g)
 {
-    guardrail = g;
     for (const auto &s : subs)
         s->setGuardrail(g);
 }
@@ -237,7 +80,6 @@ SlicedLlc::setGuardrail(QorGuardrail *g)
 void
 SlicedLlc::setHotPathProfile(HotPathProfile *p)
 {
-    prof = p;
     for (const auto &s : subs)
         s->setHotPathProfile(p);
 }
@@ -260,78 +102,6 @@ SlicedLlc::resetStats()
 {
     for (const auto &s : subs)
         s->resetStats();
-}
-
-namespace
-{
-
-/** Deterministic in-range F32 pattern block for replay writebacks:
- * 16 values in [0, 1) derived from the block number, so Doppelgänger
- * map generation sees realistic (finite, bounded) inputs. */
-void
-fillPatternBlock(Addr addr, u8 *data)
-{
-    const u64 blockNum = addr >> blockOffsetBits;
-    for (unsigned e = 0; e < blockBytes / sizeof(float); ++e) {
-        const float v =
-            static_cast<float>((blockNum * 16 + e * 7) % 1024) /
-            1024.0f;
-        std::memcpy(data + e * sizeof(float), &v, sizeof(float));
-    }
-}
-
-} // namespace
-
-void
-SlicedLlc::replay(const std::vector<SliceOp> &ops, bool concurrent)
-{
-    const bool parallel = concurrent && workers != nullptr;
-    if (parallel) {
-        if (faults || guardrail || prof) {
-            fatal("sliced llc: concurrent replay with a fault "
-                  "injector, guardrail or hot-path profile attached");
-        }
-        if (mem.isTiered()) {
-            fatal("sliced llc: concurrent replay on tiered memory "
-                  "(write-buffer state would order across slices)");
-        }
-    }
-
-    std::vector<std::vector<SliceOp>> parts(sliceCount());
-    for (const SliceOp &op : ops)
-        parts[sliceOfAddr(op.addr)].push_back(op);
-
-    // Each slice consumes exactly its partition, in partition order,
-    // whether the partitions run serially or concurrently — that is
-    // the whole determinism argument.
-    auto drive = [](LastLevelCache &llc,
-                    const std::vector<SliceOp> &part) {
-        BlockData buf;
-        for (const SliceOp &op : part) {
-            if (op.isWrite) {
-                fillPatternBlock(op.addr, buf.data());
-                llc.writeback(op.addr, buf.data());
-            } else {
-                llc.fetch(op.addr, buf.data());
-            }
-        }
-    };
-
-    if (!parallel) {
-        for (u32 i = 0; i < sliceCount(); ++i)
-            drive(*subs[i], parts[i]);
-        return;
-    }
-
-    mem.setConcurrentAccess(true);
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(sliceCount());
-    for (u32 i = 0; i < sliceCount(); ++i) {
-        jobs.push_back(
-            [&drive, this, i, &parts] { drive(*subs[i], parts[i]); });
-    }
-    workers->runAll(jobs);
-    mem.setConcurrentAccess(false);
 }
 
 } // namespace dopp

@@ -8,24 +8,11 @@
  * once per slice, so baseline, split/uni Doppelgänger, dedup and BDI
  * can all be sliced without per-organization edits.
  *
- * Determinism contract (the PR 2 acceptance bar):
- *  - Hierarchy-driven runs with worker threads use *synchronous*
- *    dispatch: the calling thread hands each access to the owning
- *    slice's persistent worker and blocks until it completes. There
- *    is no concurrency between slices, so shared state (the backing
- *    memory, the fault injector's Rng, the guardrail, inclusive
- *    back-invalidation into the private caches) sees exactly the
- *    serial access order — sliceThreads=1 and sliceThreads=N are
- *    bit-identical by construction.
- *  - Genuine parallelism is confined to replay(): a direct-drive
- *    fetch/writeback stream is partitioned by slice hash up front and
- *    the partitions run concurrently, one worker per slice. Slices
- *    share nothing but the functional backing store (locked via
- *    MainMemory::setConcurrentAccess; its counters are commutative
- *    sums), so per-slice state and merged stats are again
- *    bit-identical to a serial replay. Concurrent replay refuses
- *    fault injectors, guardrails, hot-path profiles and tiered
- *    memory — each would make cross-slice ordering observable.
+ * Determinism contract: each access goes to exactly one slice, on the
+ * calling thread. Shared state (the backing memory, the fault
+ * injector's Rng, the guardrail, inclusive back-invalidation into the
+ * private caches) therefore sees the same serial access order as an
+ * unsliced LLC.
  */
 
 #ifndef DOPP_SIM_SLICED_LLC_HH
@@ -40,8 +27,6 @@
 namespace dopp
 {
 
-class SliceWorkerPool;
-
 /** N-slice LLC front end; a pure container like SplitLlc. */
 class SlicedLlc : public LastLevelCache
 {
@@ -50,15 +35,12 @@ class SlicedLlc : public LastLevelCache
      * @param slices one factory-built sub-LLC per slice (their
      *        counters already live under per-slice stat groups)
      * @param hash slice-selection policy
-     * @param worker_threads per-slice worker threads; 1 (or 0) keeps
-     *        every access on the calling thread
      */
     SlicedLlc(MainMemory &memory,
               std::vector<std::unique_ptr<LastLevelCache>> slices,
-              SliceHashKind hash, u32 worker_threads,
+              SliceHashKind hash,
               StatRegistry *stat_registry = nullptr,
               const std::string &stat_group = "llc");
-    ~SlicedLlc() override;
 
     FetchResult fetch(Addr addr, u8 *data) override;
     void writeback(Addr addr, const u8 *data) override;
@@ -82,7 +64,6 @@ class SlicedLlc : public LastLevelCache
     /// @{
     u32 sliceCount() const { return static_cast<u32>(subs.size()); }
     SliceHashKind hashKind() const { return hash; }
-    u32 workerThreads() const;
 
     /** Slice index @p addr routes to. */
     u32 sliceOfAddr(Addr addr) const
@@ -94,30 +75,9 @@ class SlicedLlc : public LastLevelCache
     const LastLevelCache &slice(u32 i) const { return *subs[i]; }
     /// @}
 
-    /** One direct-drive replay operation (bench throughput mode). */
-    struct SliceOp
-    {
-        Addr addr = 0;       ///< block address
-        bool isWrite = false; ///< writeback of a pattern block, else fetch
-    };
-
-    /**
-     * Direct-drive replay of @p ops: partition by slice hash, then run
-     * each slice's partition in op order — concurrently (one worker
-     * per slice) when @p concurrent is set and worker threads exist,
-     * serially otherwise. Writebacks store a deterministic in-range
-     * F32 pattern derived from the address. Per-slice results are
-     * bit-identical either way (see the determinism contract above);
-     * concurrent replay is fatal with a fault injector, guardrail or
-     * hot-path profile attached, or on tiered memory.
-     */
-    void replay(const std::vector<SliceOp> &ops, bool concurrent);
-
   private:
     std::vector<std::unique_ptr<LastLevelCache>> subs;
     SliceHashKind hash;
-    std::unique_ptr<SliceWorkerPool> workers; ///< only if threads > 1
-    HotPathProfile *prof = nullptr;
 };
 
 } // namespace dopp

@@ -213,6 +213,37 @@ TEST(CampaignCodec, RejectsMalformedLines)
     tampered.insert(seedPos + 7, "9");
     EXPECT_FALSE(parseCampaignConfig(tampered, parsed, fp, why));
     EXPECT_NE(why.find("fingerprint mismatch"), std::string::npos);
+
+    // Invalid slice layouts: rejected with a reason, never fatal
+    // (resolvedSliceConfig would otherwise kill the worker).
+    auto withSlice = [&good](const std::string &section,
+                             const std::string &mapBits) {
+        std::string line = good;
+        const size_t s = line.find("\"slice\":{");
+        line.replace(s, line.find('}', s) + 1 - s,
+                     "\"slice\":{" + section + "}");
+        const size_t m = line.find("\"mapBits\":") + 10;
+        line.replace(m, line.find(',', m) - m, mapBits);
+        return line;
+    };
+    const struct
+    {
+        std::string section, mapBits, reason;
+    } badSlices[] = {
+        {R"("count":6,"hash":"bitselect","mapSpace":"shared")", "14",
+         "power of two"},
+        {R"("count":16,"hash":"sandybridge","mapSpace":"shared")",
+         "14", "at most"},
+        {R"("count":4,"hash":"bitselect","mapSpace":"per-slice")", "2",
+         "mapBits"},
+    };
+    for (const auto &bad : badSlices) {
+        why.clear();
+        EXPECT_FALSE(parseCampaignConfig(
+            withSlice(bad.section, bad.mapBits), parsed, fp, why))
+            << bad.section;
+        EXPECT_NE(why.find(bad.reason), std::string::npos) << why;
+    }
 }
 
 TEST(CampaignCodec, RefusesUnspoolableConfigs)

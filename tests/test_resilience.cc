@@ -240,15 +240,6 @@ TEST(Journal, FingerprintDistinguishesSliceFields)
     c.sliceCount = 1;
     EXPECT_NE(configFingerprint(c), fp);
 
-    // sliceThreads is result-neutral by the synchronous-dispatch
-    // contract: threads=1 and threads=N must share a journal record.
-    c = base;
-    c.sliceCount = 4;
-    c.sliceThreads = 1;
-    const std::string fpT1 = configFingerprint(c);
-    c.sliceThreads = 8;
-    EXPECT_EQ(configFingerprint(c), fpT1);
-
     // The fingerprint resolves through the same environment path the
     // factory builds from, so DOPP_SLICES moves it too.
     setenv("DOPP_SLICES", "4", 1);

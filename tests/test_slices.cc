@@ -3,9 +3,8 @@
  * Sliced LLC front end (DESIGN.md §15): the slice-hash policies
  * (including the reconstructed Sandy Bridge XOR matrix), the
  * StatRegistry group merge, slice-config resolution and validation,
- * and the two bit-identity pins the refactor is accepted on —
- * {unsliced} = {slices=1} and {sliceThreads=1} = {sliceThreads=N} for
- * every registered organization.
+ * and the bit-identity pin {unsliced} = {slices=1} for every
+ * registered organization.
  */
 
 #include <cstdlib>
@@ -312,46 +311,31 @@ TEST(SliceConfigResolution, DefaultsAreUnsliced)
 {
     ScopedEnv s("DOPP_SLICES", nullptr);
     ScopedEnv h("DOPP_SLICE_HASH", nullptr);
-    ScopedEnv t("DOPP_SLICE_THREADS", nullptr);
     const SliceConfig sc = resolvedSliceConfig(RunConfig{});
     EXPECT_EQ(sc.count, 0u);
     EXPECT_EQ(sc.hash, SliceHashKind::BitSelect);
     EXPECT_EQ(sc.mapSpace, MapSpaceMode::Shared);
-    EXPECT_EQ(sc.threads, 1u);
 }
 
 TEST(SliceConfigResolution, EnvironmentFillsUnsetFields)
 {
     ScopedEnv s("DOPP_SLICES", "4");
     ScopedEnv h("DOPP_SLICE_HASH", "sandybridge");
-    ScopedEnv t("DOPP_SLICE_THREADS", "2");
     const SliceConfig sc = resolvedSliceConfig(RunConfig{});
     EXPECT_EQ(sc.count, 4u);
     EXPECT_EQ(sc.hash, SliceHashKind::SandyBridge);
-    EXPECT_EQ(sc.threads, 2u);
 }
 
 TEST(SliceConfigResolution, ExplicitFieldsBeatEnvironment)
 {
     ScopedEnv s("DOPP_SLICES", "4");
     ScopedEnv h("DOPP_SLICE_HASH", "sandybridge");
-    ScopedEnv t("DOPP_SLICE_THREADS", "2");
     RunConfig cfg;
     cfg.sliceCount = 8;
     cfg.sliceHash = "bitselect";
-    cfg.sliceThreads = 3;
     const SliceConfig sc = resolvedSliceConfig(cfg);
     EXPECT_EQ(sc.count, 8u);
     EXPECT_EQ(sc.hash, SliceHashKind::BitSelect);
-    EXPECT_EQ(sc.threads, 3u);
-}
-
-TEST(SliceConfigResolution, UnslicedForcesOneThread)
-{
-    ScopedEnv t("DOPP_SLICE_THREADS", "8");
-    const SliceConfig sc = resolvedSliceConfig(RunConfig{});
-    EXPECT_EQ(sc.count, 0u);
-    EXPECT_EQ(sc.threads, 1u);
 }
 
 TEST(SliceConfigResolutionDeathTest, BadHashTokenNamesTheVariable)
@@ -423,7 +407,7 @@ namespace
 
 /** A 4-slice front end over tiny conventional slices. */
 std::unique_ptr<SlicedLlc>
-makeSliced(MainMemory &mem, StatRegistry &stats, u32 threads,
+makeSliced(MainMemory &mem, StatRegistry &stats,
            SliceHashKind hash = SliceHashKind::BitSelect)
 {
     std::vector<std::unique_ptr<LastLevelCache>> slices;
@@ -433,7 +417,7 @@ makeSliced(MainMemory &mem, StatRegistry &stats, u32 threads,
             "llc.slice" + std::to_string(i)));
     }
     return std::make_unique<SlicedLlc>(mem, std::move(slices), hash,
-                                       threads, &stats, "llc");
+                                       &stats, "llc");
 }
 
 } // namespace
@@ -442,7 +426,7 @@ TEST(SlicedLlc, RoutesEveryBlockToItsHashedSlice)
 {
     MainMemory mem;
     StatRegistry stats;
-    auto llc = makeSliced(mem, stats, 1);
+    auto llc = makeSliced(mem, stats);
 
     BlockData buf;
     for (u64 blk = 0; blk < 64; ++blk) {
@@ -461,7 +445,7 @@ TEST(SlicedLlc, StatsSumSlicesAndMergeMatchesView)
 {
     MainMemory mem;
     StatRegistry stats;
-    auto llc = makeSliced(mem, stats, 1);
+    auto llc = makeSliced(mem, stats);
     stats.registerGroupMerge("llc", {"llc.slice0", "llc.slice1",
                                      "llc.slice2", "llc.slice3"});
 
@@ -479,44 +463,8 @@ TEST(SlicedLlc, StatsSumSlicesAndMergeMatchesView)
     EXPECT_EQ(snap.counter("llc.fetches"), 32u);
 }
 
-TEST(SlicedLlc, ReplaySerialAndConcurrentAreBitIdentical)
-{
-    // Same op stream through a serial and a 4-worker concurrent
-    // replay: per-slice stats and memory traffic must match exactly.
-    std::vector<SlicedLlc::SliceOp> ops;
-    u64 x = 0x9E3779B97F4A7C15ULL;
-    for (int i = 0; i < 20000; ++i) {
-        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-        SlicedLlc::SliceOp op;
-        op.addr = ((x >> 17) % 8192) << blockOffsetBits;
-        op.isWrite = (x & 1) != 0;
-        ops.push_back(op);
-    }
-
-    auto run = [&](u32 threads, bool concurrent) {
-        MainMemory mem;
-        StatRegistry stats;
-        auto llc = makeSliced(mem, stats, threads);
-        llc->replay(ops, concurrent);
-        struct Out
-        {
-            LlcStats llc;
-            u64 reads, writes;
-        } out{llc->stats(), mem.reads(), mem.writes()};
-        return out;
-    };
-    const auto serial = run(1, false);
-    const auto conc = run(4, true);
-    EXPECT_EQ(serial.llc.fetches, conc.llc.fetches);
-    EXPECT_EQ(serial.llc.fetchHits, conc.llc.fetchHits);
-    EXPECT_EQ(serial.llc.evictions, conc.llc.evictions);
-    EXPECT_EQ(serial.llc.dirtyWritebacks, conc.llc.dirtyWritebacks);
-    EXPECT_EQ(serial.reads, conc.reads);
-    EXPECT_EQ(serial.writes, conc.writes);
-}
-
 // ---------------------------------------------------------------------
-// The two acceptance pins, across every organization.
+// The single-slice pin, across every organization.
 // ---------------------------------------------------------------------
 
 TEST(SlicePins, SingleSliceIsBitIdenticalToUnsliced)
@@ -534,25 +482,6 @@ TEST(SlicePins, SingleSliceIsBitIdenticalToUnsliced)
         EXPECT_EQ(a.output, b.output) << llcKindName(kind);
         EXPECT_EQ(a.memReads, b.memReads) << llcKindName(kind);
         EXPECT_EQ(a.memWrites, b.memWrites) << llcKindName(kind);
-    }
-}
-
-TEST(SlicePins, WorkerThreadsAreBitIdenticalToSerialDispatch)
-{
-    for (LlcKind kind : allKinds) {
-        RunConfig serial = tinyRun(kind);
-        serial.sliceCount = 4;
-        serial.sliceThreads = 1;
-        const RunResult a = runWorkload(serial);
-
-        RunConfig threaded = tinyRun(kind);
-        threaded.sliceCount = 4;
-        threaded.sliceThreads = 4;
-        const RunResult b = runWorkload(threaded);
-
-        EXPECT_EQ(a.stats, b.stats) << llcKindName(kind);
-        EXPECT_EQ(a.runtime, b.runtime) << llcKindName(kind);
-        EXPECT_EQ(a.output, b.output) << llcKindName(kind);
     }
 }
 
@@ -576,47 +505,6 @@ TEST(SlicePins, FactoryOrganizationsSingleSliceIsBitIdentical)
         EXPECT_EQ(a.memReads, b.memReads) << name;
         EXPECT_EQ(a.memWrites, b.memWrites) << name;
     }
-}
-
-TEST(SlicePins, FactoryOrganizationsWorkerThreadsAreBitIdentical)
-{
-    for (const char *name : {"uniDoppBdi", "gdish", "approxDedup"}) {
-        RunConfig serial = tinyRun(LlcKind::Baseline);
-        serial.llcName = name;
-        serial.sliceCount = 4;
-        serial.sliceThreads = 1;
-        const RunResult a = runWorkload(serial);
-
-        RunConfig threaded = serial;
-        threaded.sliceThreads = 4;
-        const RunResult b = runWorkload(threaded);
-
-        EXPECT_EQ(a.stats, b.stats) << name;
-        EXPECT_EQ(a.runtime, b.runtime) << name;
-        EXPECT_EQ(a.output, b.output) << name;
-    }
-}
-
-TEST(SlicePins, ThreadIdentityHoldsUnderFaultsAndGuardrail)
-{
-    // Shared mutable state (the fault injector's Rng, the guardrail
-    // EWMA) is the reason routed dispatch is synchronous; a faulted +
-    // guardrailed run is where a concurrency leak would show first.
-    auto faulted = [](u32 threads) {
-        RunConfig cfg = tinyRun(LlcKind::SplitDopp);
-        cfg.sliceCount = 4;
-        cfg.sliceThreads = threads;
-        cfg.fault.seed = 99;
-        cfg.fault.dataRate = 1e-4;
-        cfg.fault.memoryRate = 1e-5;
-        cfg.qor.budget = 0.05;
-        return runWorkload(cfg);
-    };
-    const RunResult a = faulted(1);
-    const RunResult b = faulted(4);
-    EXPECT_EQ(a.stats, b.stats);
-    EXPECT_EQ(a.output, b.output);
-    EXPECT_EQ(a.faultTrace.size(), b.faultTrace.size());
 }
 
 // ---------------------------------------------------------------------
