@@ -36,12 +36,9 @@ runSuite(const std::string &title, const std::vector<Variant> &variants)
     const size_t stride = 1 + variants.size();
     std::vector<RunConfig> configs;
     for (const auto &name : subset) {
-        RunConfig base = defaultConfig(name);
-        base.kind = LlcKind::Baseline;
-        configs.push_back(std::move(base));
+        configs.push_back(defaultConfig(name));
         for (const auto &v : variants) {
-            RunConfig cfg = defaultConfig(name);
-            cfg.kind = LlcKind::SplitDopp;
+            RunConfig cfg = defaultConfig(name, "split-doppelganger");
             v.apply(cfg);
             configs.push_back(std::move(cfg));
         }
@@ -116,20 +113,15 @@ main()
                }}});
 
     runSuite("Lossless organizations (error must be zero)",
-             {{"BdI LLC", [](RunConfig &c) { c.kind = LlcKind::Bdi; }},
-              {"dedup LLC", [](RunConfig &c) {
-                   c.kind = LlcKind::Dedup;
-               }}});
+             {{"BdI LLC", [](RunConfig &c) { c.llcName = "bdi"; }},
+              {"dedup LLC", [](RunConfig &c) { c.llcName = "dedup"; }}});
 
     // Sec 5.2 future work: per-use ranges for swaptions' rates.
     {
         std::vector<RunConfig> configs;
-        RunConfig base = defaultConfig("swaptions");
-        base.kind = LlcKind::Baseline;
-        configs.push_back(std::move(base));
+        configs.push_back(defaultConfig("swaptions"));
         for (const bool perUse : {false, true}) {
-            RunConfig cfg = defaultConfig("swaptions");
-            cfg.kind = LlcKind::SplitDopp;
+            RunConfig cfg = defaultConfig("swaptions", "split-doppelganger");
             cfg.workload.perUseRanges = perUse;
             configs.push_back(std::move(cfg));
         }

@@ -29,7 +29,6 @@ main()
     std::vector<RunConfig> configs;
     for (size_t w = 0; w < names.size(); ++w) {
         RunConfig cfg = defaultConfig(names[w]);
-        cfg.kind = LlcKind::Baseline;
         cfg.snapshotPeriod = snapshotPeriod();
         auto *a = &avg[w];
         cfg.onSnapshot = [a, cap, mapBits](const Snapshot &snap) {

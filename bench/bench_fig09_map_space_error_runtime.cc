@@ -24,14 +24,13 @@ main()
     const unsigned mapBits[] = {12, 13, 14};
     struct Org
     {
-        const char *label;  ///< table label
-        LlcKind kind;       ///< used when @ref name is empty
-        const char *name;   ///< factory name ("" = use kind)
+        const char *label; ///< table label
+        const char *name;  ///< factory name
     };
     const Org orgs[] = {
-        {"split Dopp", LlcKind::SplitDopp, ""},
-        {"uniDoppBdi", LlcKind::Baseline, "uniDoppBdi"},
-        {"approxDedup", LlcKind::Baseline, "approxDedup"},
+        {"split Dopp", "split-doppelganger"},
+        {"uniDoppBdi", "uniDoppBdi"},
+        {"approxDedup", "approxDedup"},
     };
     const auto &names = workloadNames();
 
@@ -41,14 +40,10 @@ main()
     const size_t stride = 1 + kOrgs * kBits;
     std::vector<RunConfig> configs;
     for (const auto &name : names) {
-        RunConfig base = defaultConfig(name);
-        base.kind = LlcKind::Baseline;
-        configs.push_back(std::move(base));
+        configs.push_back(defaultConfig(name));
         for (const Org &org : orgs) {
             for (unsigned bits : mapBits) {
-                RunConfig cfg = defaultConfig(name);
-                cfg.kind = org.kind;
-                cfg.llcName = org.name;
+                RunConfig cfg = defaultConfig(name, org.name);
                 cfg.mapBits = bits;
                 cfg.dataFraction = 0.25;
                 configs.push_back(std::move(cfg));

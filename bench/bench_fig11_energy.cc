@@ -27,12 +27,9 @@ main()
     const size_t stride = 1 + 3;
     std::vector<RunConfig> configs;
     for (const auto &name : names) {
-        RunConfig base = defaultConfig(name);
-        base.kind = LlcKind::Baseline;
-        configs.push_back(std::move(base));
+        configs.push_back(defaultConfig(name));
         for (double fraction : fractions) {
-            RunConfig cfg = defaultConfig(name);
-            cfg.kind = LlcKind::SplitDopp;
+            RunConfig cfg = defaultConfig(name, "split-doppelganger");
             cfg.dataFraction = fraction;
             configs.push_back(std::move(cfg));
         }

@@ -29,18 +29,14 @@ main()
     const size_t stride = 1 + kFractions + kExtras;
     std::vector<RunConfig> configs;
     for (const auto &name : names) {
-        RunConfig base = defaultConfig(name);
-        base.kind = LlcKind::Baseline;
-        configs.push_back(std::move(base));
+        configs.push_back(defaultConfig(name));
         for (double fraction : fractions) {
-            RunConfig cfg = defaultConfig(name);
-            cfg.kind = LlcKind::SplitDopp;
+            RunConfig cfg = defaultConfig(name, "split-doppelganger");
             cfg.dataFraction = fraction;
             configs.push_back(std::move(cfg));
         }
         for (const char *org : extraOrgs) {
-            RunConfig cfg = defaultConfig(name);
-            cfg.llcName = org;
+            RunConfig cfg = defaultConfig(name, org);
             cfg.dataFraction = 0.25;
             configs.push_back(std::move(cfg));
         }

@@ -112,30 +112,23 @@ main()
     std::vector<RunConfig> configs;
     std::vector<Cell> cells(names.size());
     for (size_t w = 0; w < names.size(); ++w) {
-        RunConfig precise = defaultConfig(names[w]);
-        precise.kind = LlcKind::Baseline;
         cells[w].precise = configs.size();
-        configs.push_back(std::move(precise));
+        configs.push_back(defaultConfig(names[w]));
 
-        RunConfig cacheOnly = defaultConfig(names[w]);
-        cacheOnly.kind = LlcKind::SplitDopp;
         cells[w].cacheOnly = configs.size();
-        configs.push_back(std::move(cacheOnly));
+        configs.push_back(defaultConfig(names[w], "split-doppelganger"));
 
         RunConfig memOnly = defaultConfig(names[w]);
-        memOnly.kind = LlcKind::Baseline;
         memOnly.memTier = tier;
         cells[w].memOnly = configs.size();
         configs.push_back(std::move(memOnly));
 
-        RunConfig both = defaultConfig(names[w]);
-        both.kind = LlcKind::SplitDopp;
+        RunConfig both = defaultConfig(names[w], "split-doppelganger");
         both.memTier = tier;
         cells[w].both = configs.size();
         configs.push_back(std::move(both));
 
-        RunConfig guarded = defaultConfig(names[w]);
-        guarded.kind = LlcKind::SplitDopp;
+        RunConfig guarded = defaultConfig(names[w], "split-doppelganger");
         guarded.memTier = tier;
         guarded.qor.budget = budget;
         guarded.qor.migrateFactor = 1.5;

@@ -76,31 +76,24 @@ main()
 
     std::vector<RunConfig> configs;
     for (const std::string &w : workloads) {
-        RunConfig precise = defaultConfig(w);
-        precise.kind = LlcKind::Baseline;
-        configs.push_back(std::move(precise));
+        configs.push_back(defaultConfig(w));
 
         for (const std::string &org : orgs) {
-            RunConfig flat = defaultConfig(w);
-            flat.llcName = org;
-            configs.push_back(std::move(flat));
+            configs.push_back(defaultConfig(w, org));
             for (u32 count : sliceCounts) {
-                RunConfig cfg = defaultConfig(w);
-                cfg.llcName = org;
+                RunConfig cfg = defaultConfig(w, org);
                 cfg.sliceCount = count;
                 configs.push_back(std::move(cfg));
             }
         }
         for (u32 count : sliceCounts) {
-            RunConfig cfg = defaultConfig(w);
-            cfg.kind = LlcKind::SplitDopp;
+            RunConfig cfg = defaultConfig(w, "split-doppelganger");
             cfg.sliceCount = count;
             cfg.sliceHash = "sandybridge";
             configs.push_back(std::move(cfg));
         }
         for (u32 count : sliceCounts) {
-            RunConfig cfg = defaultConfig(w);
-            cfg.kind = LlcKind::SplitDopp;
+            RunConfig cfg = defaultConfig(w, "split-doppelganger");
             cfg.sliceCount = count;
             cfg.mapSpaceMode = MapSpaceMode::PerSlice;
             configs.push_back(std::move(cfg));
@@ -140,7 +133,7 @@ main()
     // organization's bitselect rows live in the per-org section.
     const size_t splitIdx = [&] {
         for (size_t o = 0; o < orgs.size(); ++o)
-            if (orgs[o] == llcKindName(LlcKind::SplitDopp))
+            if (orgs[o] == "split-doppelganger")
                 return o;
         fatal("split organization missing from the factory");
     }();

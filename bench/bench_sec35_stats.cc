@@ -18,11 +18,8 @@ main()
 {
     const auto &names = workloadNames();
     std::vector<RunConfig> configs;
-    for (const auto &name : names) {
-        RunConfig cfg = defaultConfig(name);
-        cfg.kind = LlcKind::SplitDopp; // base config: 14-bit, 1/4
-        configs.push_back(std::move(cfg));
-    }
+    for (const auto &name : names) // base config: 14-bit, 1/4
+        configs.push_back(defaultConfig(name, "split-doppelganger"));
     const std::vector<RunResult> results = runCampaign(configs);
 
     TextTable table;

@@ -27,7 +27,6 @@ main()
     std::vector<RunConfig> configs;
     for (size_t w = 0; w < paper.size(); ++w) {
         RunConfig cfg = defaultConfig(paper[w].first);
-        cfg.kind = LlcKind::Baseline;
         cfg.snapshotPeriod = snapshotPeriod();
         auto *a = &avg[w];
         cfg.onSnapshot = [a](const Snapshot &snap) {

@@ -95,12 +95,15 @@ thinSnapshot(const Snapshot &snap, size_t cap)
     return out;
 }
 
-/** Run configuration for @p workload at the environment's scale. */
+/** Run configuration for @p workload on organization @p org at the
+ * environment's scale. */
 inline RunConfig
-defaultConfig(const std::string &workload)
+defaultConfig(const std::string &workload,
+              const std::string &org = "baseline")
 {
     RunConfig cfg;
     cfg.workloadName = workload;
+    cfg.llcName = org;
     cfg.workload.scale = workloadScaleFromEnv();
     return cfg;
 }

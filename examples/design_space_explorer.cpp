@@ -27,7 +27,6 @@ main(int argc, char **argv)
     const double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
 
     RunConfig base;
-    base.kind = LlcKind::Baseline;
     base.workload.scale = scale;
 
     std::printf("running '%s' (scale %.2f) on the baseline 2 MB LLC...\n",
@@ -48,25 +47,25 @@ main(int argc, char **argv)
 
     struct Point
     {
-        LlcKind kind;
+        std::string org;
         unsigned mapBits;
         double fraction;
     };
     const Point points[] = {
-        {LlcKind::SplitDopp, 12, 0.25}, {LlcKind::SplitDopp, 14, 0.50},
-        {LlcKind::SplitDopp, 14, 0.25}, {LlcKind::SplitDopp, 14, 0.125},
-        {LlcKind::UniDopp, 14, 0.50},   {LlcKind::UniDopp, 14, 0.25},
+        {"split-doppelganger", 12, 0.25}, {"split-doppelganger", 14, 0.50},
+        {"split-doppelganger", 14, 0.25}, {"split-doppelganger", 14, 0.125},
+        {"uniDoppelganger", 14, 0.50},    {"uniDoppelganger", 14, 0.25},
     };
 
     for (const auto &p : points) {
         RunConfig cfg = base;
-        cfg.kind = p.kind;
+        cfg.llcName = p.org;
         cfg.mapBits = p.mapBits;
         cfg.dataFraction = p.fraction;
         const RunResult r = runWorkload(workload, cfg);
 
         EnergyResult e;
-        if (p.kind == LlcKind::SplitDopp) {
+        if (p.org == "split-doppelganger") {
             e = energy.split(r.preciseHalf, r.doppHalf, r.doppConfig,
                              r.runtime);
         } else {
@@ -77,7 +76,7 @@ main(int argc, char **argv)
             workloadOutputError(workload, r.output, baseline.output);
 
         table.row({
-            std::string(llcKindName(p.kind)),
+            p.org,
             strfmt("M=%u, %g data", p.mapBits, p.fraction),
             strfmt("%.3f", static_cast<double>(r.runtime) /
                                static_cast<double>(baseline.runtime)),

@@ -29,7 +29,6 @@ void
 runFamily(const char *workload, double scale)
 {
     RunConfig base;
-    base.kind = LlcKind::Baseline;
     base.workload.scale = scale;
     const RunResult baseline = runWorkload(workload, base);
     const EnergyModel energy;
@@ -41,32 +40,32 @@ runFamily(const char *workload, double scale)
                   "LLC dyn energy", "approx sharing"});
     table.row({"baseline (precise)", "0.00%", "1.000", "1.000x", "-"});
 
-    for (LlcKind kind : {LlcKind::Dedup, LlcKind::SplitDopp,
-                         LlcKind::UniDopp}) {
+    for (const std::string org : {"dedup", "split-doppelganger",
+                                  "uniDoppelganger"}) {
         RunConfig cfg = base;
-        cfg.kind = kind;
-        if (kind == LlcKind::UniDopp)
+        cfg.llcName = org;
+        if (org == "uniDoppelganger")
             cfg.dataFraction = 0.5;
         const RunResult r = runWorkload(workload, cfg);
         const double err =
             workloadOutputError(workload, r.output, baseline.output);
 
         double dynReduction = 1.0;
-        if (kind == LlcKind::SplitDopp) {
+        if (org == "split-doppelganger") {
             dynReduction = baseE.dynamicPj /
                 energy.split(r.preciseHalf, r.doppHalf, r.doppConfig,
                              r.runtime).dynamicPj;
-        } else if (kind == LlcKind::UniDopp) {
+        } else if (org == "uniDoppelganger") {
             dynReduction = baseE.dynamicPj /
                 energy.unified(r.llc, r.doppConfig, r.runtime)
                     .dynamicPj;
         }
         table.row({
-            llcKindName(kind),
+            org,
             pct(err, 2),
             strfmt("%.3f", static_cast<double>(r.runtime) /
                                static_cast<double>(baseline.runtime)),
-            kind == LlcKind::Dedup ? "-" : times(dynReduction),
+            org == "dedup" ? "-" : times(dynReduction),
             r.tagsPerDataEntry > 0.0
                 ? strfmt("%.2f tags/entry", r.tagsPerDataEntry)
                 : "-",

@@ -29,7 +29,6 @@ std::string
 record(const std::string &workload, double scale, const char *path)
 {
     RunConfig cfg;
-    cfg.kind = LlcKind::Baseline;
     cfg.workload.scale = scale;
     cfg.tracePath = path;
     const RunResult r = runWorkload(workload, cfg);

@@ -209,3 +209,19 @@ diff "$SMOKE_DIR/memtier_j1.txt" "$SMOKE_DIR/memtier_j4.txt" || {
     exit 1
 }
 echo "ci: memory-tier smoke sweep passed (jobs=1 == jobs=4)"
+
+# Tiered and sliced campaign lines through the spool decoder: dump the
+# same sweep on a 4-slice Sandy Bridge LLC as a batch file and run it
+# with doppctl serial, which re-parses every line and re-checks its
+# stored fingerprint before running it (DESIGN.md §16).
+env "${MEMTIER_ENV[@]}" DOPP_SLICES=4 DOPP_SLICE_HASH=sandybridge \
+    DOPP_SPOOL_DUMP="$SMOKE_DIR/memtier_batch.jsonl" \
+    "$BUILD_DIR/bench/bench_fig_memtier" > /dev/null 2>&1
+"$BUILD_DIR/tools/doppctl" serial \
+    --spool-file "$SMOKE_DIR/memtier_batch.jsonl" \
+    --out "$SMOKE_DIR/memtier_batch.csv" > /dev/null 2>&1 || {
+    echo "ci: doppctl serial rejected the tiered, sliced memtier batch" >&2
+    exit 1
+}
+echo "ci: memory-tier batch decoded and ran via doppctl serial" \
+     "($(wc -l < "$SMOKE_DIR/memtier_batch.jsonl") configs, 4 slices)"

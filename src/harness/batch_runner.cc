@@ -219,8 +219,7 @@ void
 markFailed(RunResult &r, const RunConfig &cfg, const std::string &why)
 {
     r.workload = cfg.workloadName;
-    r.organization =
-        cfg.llcName.empty() ? llcKindName(cfg.kind) : cfg.llcName;
+    r.organization = cfg.llcName;
     r.failed = true;
     r.error = why;
 }

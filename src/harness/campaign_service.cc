@@ -7,10 +7,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -79,33 +81,6 @@ ensureSpoolLayout(const SpoolPaths &paths)
 namespace
 {
 
-/** Map an organization name back onto LlcKind/llcName. @return false
- * for a name no LLC factory builder answers to. */
-bool
-resolveOrganization(const std::string &org, RunConfig &cfg,
-                    std::string &why)
-{
-    static const LlcKind kinds[] = {
-        LlcKind::Baseline, LlcKind::SplitDopp, LlcKind::UniDopp,
-        LlcKind::Dedup,    LlcKind::Bdi,
-    };
-    for (LlcKind k : kinds) {
-        if (org == llcKindName(k)) {
-            cfg.kind = k;
-            cfg.llcName.clear();
-            return true;
-        }
-    }
-    for (const std::string &name : registeredLlcNames()) {
-        if (org == name) {
-            cfg.llcName = org;
-            return true;
-        }
-    }
-    why = "organization '" + org + "' is not registered";
-    return false;
-}
-
 bool
 knownWorkload(const std::string &name)
 {
@@ -114,6 +89,96 @@ knownWorkload(const std::string &name)
             return true;
     }
     return false;
+}
+
+/** Append @p key and the JSON form of one visited field to @p out. */
+template <typename T>
+void
+appendMember(std::string &out, const char *key, const T &field)
+{
+    out += '"';
+    out += key;
+    out += "\":";
+    if constexpr (std::is_same_v<T, std::string>)
+        out += '"' + jsonEscape(field) + '"';
+    else
+        out += configFieldText(field);
+}
+
+/** Largest valid value of each enum the visitors yield (an enum
+ * missing here fails to compile: it cannot return MemPartitionKind). */
+template <typename E>
+constexpr E
+lastEnumValue()
+{
+    if constexpr (std::is_same_v<E, MapHashMode>)
+        return MapHashMode::RangeOnly;
+    else if constexpr (std::is_same_v<E, ReplPolicy>)
+        return ReplPolicy::RANDOM;
+    else
+        return MemPartitionKind::Nvm;
+}
+
+/** Read member @p key of @p obj into one visited field. @return false
+ * when the member is missing, mistyped, or out of the field's range. */
+template <typename T>
+bool
+readMember(const JsonValue &obj, const char *key, T &field)
+{
+    const JsonValue *v = obj.find(key);
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (!v || v->kind != JsonValue::Kind::String)
+            return false;
+        field = v->text;
+        return true;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        return v && v->asDouble(field);
+    } else {
+        u64 n = 0;
+        if (!v || !v->asU64(n))
+            return false;
+        if constexpr (std::is_enum_v<T>) {
+            if (n > static_cast<u64>(lastEnumValue<T>()))
+                return false;
+        } else if (n > std::numeric_limits<T>::max()) {
+            return false;
+        }
+        field = static_cast<T>(n);
+        return true;
+    }
+}
+
+using KeyList = std::vector<const char *>;
+
+/** The keys each object of a line may carry: the top level first,
+ * then each visited section and the slice section. */
+std::vector<std::pair<std::string, KeyList>>
+lineSchema()
+{
+    std::vector<std::pair<std::string, KeyList>> schema{
+        {"", {"v", "fp", "workload", "organization", "memTier", "slice"}}};
+    const RunConfig defaults;
+    visitConfigFields(defaults, [&schema](const char *section,
+                                          const char *key, const auto &) {
+        if (schema.back().first != section) {
+            schema.front().second.push_back(section);
+            schema.emplace_back(section, KeyList{});
+        }
+        schema.back().second.push_back(key);
+    });
+    schema.push_back({"slice", {"count", "hash", "mapSpace"}});
+    return schema;
+}
+
+KeyList
+partitionKeys()
+{
+    KeyList keys;
+    const MemPartitionProfile defaults;
+    visitPartitionFields(defaults, [&keys](const char *key, const auto &) {
+        keys.push_back(key);
+    });
+    return keys;
 }
 
 } // namespace
@@ -133,8 +198,6 @@ campaignConfigJson(const RunConfig &cfg)
               cfg.workloadName.c_str());
     }
 
-    const std::string org =
-        cfg.llcName.empty() ? llcKindName(cfg.kind) : cfg.llcName;
     // Bake the submitting side's environment into the line: the
     // worker re-resolves from these explicit values alone, so its
     // fingerprint cannot drift from the client's.
@@ -145,61 +208,35 @@ campaignConfigJson(const RunConfig &cfg)
     out += "{\"v\":" + jsonFmtU64(campaignSchemaVersion);
     out += ",\"fp\":\"" + jsonEscape(configFingerprint(cfg)) + '"';
     out += ",\"workload\":\"" + jsonEscape(cfg.workloadName) + '"';
-    out += ",\"organization\":\"" + jsonEscape(org) + '"';
-    out += ",\"mapBits\":" + jsonFmtU64(cfg.mapBits);
-    out += ",\"dataFraction\":" + jsonFmtDouble(cfg.dataFraction);
-    out += ",\"hashMode\":" +
-           jsonFmtU64(static_cast<u64>(cfg.hashMode));
-    out += ",\"hashDataSetIndex\":" +
-           jsonFmtU64(cfg.hashDataSetIndex ? 1 : 0);
-    out += ",\"dataPolicy\":" +
-           jsonFmtU64(static_cast<u64>(cfg.dataPolicy));
-    out += ",\"tagCountAwareData\":" +
-           jsonFmtU64(cfg.tagCountAwareData ? 1 : 0);
-    out += ",\"scale\":" + jsonFmtDouble(cfg.workload.scale);
-    out += ",\"seed\":" + jsonFmtU64(cfg.workload.seed);
-    out += ",\"perUseRanges\":" +
-           jsonFmtU64(cfg.workload.perUseRanges ? 1 : 0);
-    out += ",\"baselineBytes\":" + jsonFmtU64(cfg.baselineBytes);
-    out += ",\"llcWays\":" + jsonFmtU64(cfg.llcWays);
-    out += ",\"llcLatency\":" + jsonFmtU64(cfg.llcLatency);
-    out += ",\"fault\":{\"seed\":" + jsonFmtU64(cfg.fault.seed);
-    out += ",\"memoryRate\":" + jsonFmtDouble(cfg.fault.memoryRate);
-    out += ",\"dataRate\":" + jsonFmtDouble(cfg.fault.dataRate);
-    out += ",\"tagMetaRate\":" + jsonFmtDouble(cfg.fault.tagMetaRate);
-    out += ",\"mtagMetaRate\":" +
-           jsonFmtDouble(cfg.fault.mtagMetaRate) + '}';
-    out += ",\"qor\":{\"budget\":" + jsonFmtDouble(cfg.qor.budget);
-    out += ",\"reenableFraction\":" +
-           jsonFmtDouble(cfg.qor.reenableFraction);
-    out += ",\"window\":" + jsonFmtU64(cfg.qor.window);
-    out += ",\"minDwell\":" + jsonFmtU64(cfg.qor.minDwell);
-    out += ",\"migrateFactor\":" +
-           jsonFmtDouble(cfg.qor.migrateFactor);
-    out += ",\"migrateDwell\":" + jsonFmtU64(cfg.qor.migrateDwell) +
-           '}';
+    out += ",\"organization\":\"" + jsonEscape(cfg.llcName) + '"';
+    // Top-level fields inline, each section as a nested object.
+    std::string open;
+    visitConfigFields(cfg, [&](const char *section, const char *key,
+                               const auto &field) {
+        if (open != section) {
+            if (!open.empty())
+                out += '}';
+            out += ",\"" + std::string(section) + "\":{";
+            open = section;
+        } else {
+            out += ',';
+        }
+        appendMember(out, key, field);
+    });
+    if (!open.empty())
+        out += '}';
     out += ",\"memTier\":[";
     for (size_t i = 0; i < cfg.memTier.partitions.size(); ++i) {
-        const MemPartitionProfile &p = cfg.memTier.partitions[i];
         if (i)
             out += ',';
-        out += "{\"kind\":" + jsonFmtU64(static_cast<u64>(p.kind));
-        out += ",\"name\":\"" + jsonEscape(p.name) + '"';
-        out += ",\"bitErrorRate\":" + jsonFmtDouble(p.bitErrorRate);
-        out += ",\"refreshFaultRate\":" +
-               jsonFmtDouble(p.refreshFaultRate);
-        out += ",\"refreshIntervalAccesses\":" +
-               jsonFmtU64(p.refreshIntervalAccesses);
-        out += ",\"readLatency\":" + jsonFmtU64(p.readLatency);
-        out += ",\"writeLatency\":" + jsonFmtU64(p.writeLatency);
-        out += ",\"writeBufferDepth\":" +
-               jsonFmtU64(p.writeBufferDepth);
-        out += ",\"bufferedWriteLatency\":" +
-               jsonFmtU64(p.bufferedWriteLatency);
-        out += ",\"readEnergyPj\":" + jsonFmtDouble(p.readEnergyPj);
-        out += ",\"writeEnergyPj\":" + jsonFmtDouble(p.writeEnergyPj);
-        out += ",\"standbyPowerMw\":" +
-               jsonFmtDouble(p.standbyPowerMw) + '}';
+        char sep = '{';
+        visitPartitionFields(cfg.memTier.partitions[i],
+                             [&](const char *key, const auto &field) {
+                                 out += sep;
+                                 sep = ',';
+                                 appendMember(out, key, field);
+                             });
+        out += '}';
     }
     out += "],\"slice\":{\"count\":" + jsonFmtU64(sc.count);
     out += ",\"hash\":\"" + jsonEscape(sliceHashName(sc.hash)) + '"';
@@ -212,206 +249,92 @@ bool
 parseCampaignConfig(const std::string &line, RunConfig &cfg,
                     std::string &fingerprint, std::string &why)
 {
+    auto fail = [&why](std::string reason) {
+        why = std::move(reason);
+        return false;
+    };
     JsonValue root;
     if (!JsonParser(line).parse(root) ||
         root.kind != JsonValue::Kind::Object) {
-        why = "not a complete JSON object";
-        return false;
+        return fail("not a complete JSON object");
     }
-    if (!jsonKnownKeysOnly(
-            root,
-            {"v", "fp", "workload", "organization", "mapBits",
-             "dataFraction", "hashMode", "hashDataSetIndex",
-             "dataPolicy", "tagCountAwareData", "scale", "seed",
-             "perUseRanges", "baselineBytes", "llcWays", "llcLatency",
-             "fault", "qor", "memTier", "slice"},
-            why)) {
-        return false;
-    }
-
-    auto str = [&root](const char *key, std::string &out) {
-        const JsonValue *v = root.find(key);
-        if (!v || v->kind != JsonValue::Kind::String)
+    static const auto schema = lineSchema();
+    for (const auto &[section, keys] : schema) {
+        const JsonValue *obj =
+            section.empty() ? &root : root.find(section);
+        if (!obj || obj->kind != JsonValue::Kind::Object)
+            return fail("missing or mistyped section '" + section + "'");
+        if (!jsonKnownKeysOnly(*obj, keys, why))
             return false;
-        out = v->text;
-        return true;
-    };
-    auto num = [](const JsonValue *obj, const char *key, u64 &out) {
-        const JsonValue *v = obj->find(key);
-        return v && v->asU64(out);
-    };
-    auto real = [](const JsonValue *obj, const char *key,
-                   double &out) {
-        const JsonValue *v = obj->find(key);
-        return v && v->asDouble(out);
-    };
+    }
 
     u64 version = 0;
-    if (!num(&root, "v", version) ||
+    if (!readMember(root, "v", version) ||
         version != campaignSchemaVersion) {
-        why = "unknown schema version";
-        return false;
+        return fail("unknown schema version");
     }
 
     RunConfig c;
-    std::string storedFp, org;
-    u64 mapBits = 0, hashMode = 0, hashDataSetIndex = 0;
-    u64 dataPolicy = 0, tagCountAware = 0, seed = 0, perUse = 0;
-    u64 baselineBytes = 0, llcWays = 0, llcLatency = 0;
-    if (!str("fp", storedFp) || !str("workload", c.workloadName) ||
-        !str("organization", org) || !num(&root, "mapBits", mapBits) ||
-        !real(&root, "dataFraction", c.dataFraction) ||
-        !num(&root, "hashMode", hashMode) ||
-        !num(&root, "hashDataSetIndex", hashDataSetIndex) ||
-        !num(&root, "dataPolicy", dataPolicy) ||
-        !num(&root, "tagCountAwareData", tagCountAware) ||
-        !real(&root, "scale", c.workload.scale) ||
-        !num(&root, "seed", seed) ||
-        !num(&root, "perUseRanges", perUse) ||
-        !num(&root, "baselineBytes", baselineBytes) ||
-        !num(&root, "llcWays", llcWays) ||
-        !num(&root, "llcLatency", llcLatency)) {
-        why = "missing or mistyped required field";
-        return false;
+    std::string storedFp;
+    if (!readMember(root, "fp", storedFp) ||
+        !readMember(root, "workload", c.workloadName) ||
+        !readMember(root, "organization", c.llcName)) {
+        return fail("missing or mistyped required field");
     }
-    if (!knownWorkload(c.workloadName)) {
-        why = "unknown workload '" + c.workloadName + "'";
-        return false;
-    }
-    if (!resolveOrganization(org, c, why))
-        return false;
-    if (hashMode > 2 || dataPolicy > 2) {
-        why = "enum value out of range";
-        return false;
-    }
-    c.mapBits = static_cast<unsigned>(mapBits);
-    c.hashMode = static_cast<MapHashMode>(hashMode);
-    c.hashDataSetIndex = hashDataSetIndex != 0;
-    c.dataPolicy = static_cast<ReplPolicy>(dataPolicy);
-    c.tagCountAwareData = tagCountAware != 0;
-    c.workload.seed = seed;
-    c.workload.perUseRanges = perUse != 0;
-    c.baselineBytes = baselineBytes;
-    c.llcWays = static_cast<u32>(llcWays);
-    c.llcLatency = llcLatency;
+    if (!knownWorkload(c.workloadName))
+        return fail("unknown workload '" + c.workloadName + "'");
+    if (!llcRegistered(c.llcName))
+        return fail("organization '" + c.llcName + "' is not registered");
+    // The schema check above guarantees every section object exists.
+    std::string bad;
+    visitConfigFields(c, [&](const std::string &section,
+                             const char *key, auto &field) {
+        const JsonValue &obj = section.empty() ? root : *root.find(section);
+        if (bad.empty() && !readMember(obj, key, field))
+            bad = (section.empty() ? "" : section + ".") + key;
+    });
+    if (!bad.empty())
+        return fail("missing, mistyped or out-of-range field '" + bad + "'");
 
-    const JsonValue *fault = root.find("fault");
-    const JsonValue *qor = root.find("qor");
     const JsonValue *memTier = root.find("memTier");
-    const JsonValue *slice = root.find("slice");
-    if (!fault || fault->kind != JsonValue::Kind::Object || !qor ||
-        qor->kind != JsonValue::Kind::Object || !memTier ||
-        memTier->kind != JsonValue::Kind::Array || !slice ||
-        slice->kind != JsonValue::Kind::Object) {
-        why = "missing or mistyped required section";
-        return false;
-    }
-    if (!jsonKnownKeysOnly(*fault,
-                           {"seed", "memoryRate", "dataRate",
-                            "tagMetaRate", "mtagMetaRate"},
-                           why) ||
-        !num(fault, "seed", c.fault.seed) ||
-        !real(fault, "memoryRate", c.fault.memoryRate) ||
-        !real(fault, "dataRate", c.fault.dataRate) ||
-        !real(fault, "tagMetaRate", c.fault.tagMetaRate) ||
-        !real(fault, "mtagMetaRate", c.fault.mtagMetaRate)) {
-        if (why.empty())
-            why = "malformed fault section";
-        return false;
-    }
-    if (!jsonKnownKeysOnly(*qor,
-                           {"budget", "reenableFraction", "window",
-                            "minDwell", "migrateFactor",
-                            "migrateDwell"},
-                           why) ||
-        !real(qor, "budget", c.qor.budget) ||
-        !real(qor, "reenableFraction", c.qor.reenableFraction) ||
-        !num(qor, "window", c.qor.window) ||
-        !num(qor, "minDwell", c.qor.minDwell) ||
-        !real(qor, "migrateFactor", c.qor.migrateFactor) ||
-        !num(qor, "migrateDwell", c.qor.migrateDwell)) {
-        if (why.empty())
-            why = "malformed qor section";
-        return false;
-    }
+    if (!memTier || memTier->kind != JsonValue::Kind::Array)
+        return fail("missing or mistyped memTier");
+    static const KeyList partKeys = partitionKeys();
     for (const JsonValue &e : memTier->array) {
-        if (e.kind != JsonValue::Kind::Object ||
-            !jsonKnownKeysOnly(
-                e,
-                {"kind", "name", "bitErrorRate", "refreshFaultRate",
-                 "refreshIntervalAccesses", "readLatency",
-                 "writeLatency", "writeBufferDepth",
-                 "bufferedWriteLatency", "readEnergyPj",
-                 "writeEnergyPj", "standbyPowerMw"},
-                why)) {
-            if (why.empty())
-                why = "malformed memTier partition";
+        if (e.kind != JsonValue::Kind::Object)
+            return fail("malformed memTier partition");
+        if (!jsonKnownKeysOnly(e, partKeys, why))
             return false;
-        }
         MemPartitionProfile p;
-        u64 kind = 0, refreshInterval = 0, readLat = 0, writeLat = 0;
-        u64 bufDepth = 0, bufLat = 0;
-        const JsonValue *name = e.find("name");
-        if (!name || name->kind != JsonValue::Kind::String ||
-            !num(&e, "kind", kind) || kind > 2 ||
-            !real(&e, "bitErrorRate", p.bitErrorRate) ||
-            !real(&e, "refreshFaultRate", p.refreshFaultRate) ||
-            !num(&e, "refreshIntervalAccesses", refreshInterval) ||
-            !num(&e, "readLatency", readLat) ||
-            !num(&e, "writeLatency", writeLat) ||
-            !num(&e, "writeBufferDepth", bufDepth) ||
-            !num(&e, "bufferedWriteLatency", bufLat) ||
-            !real(&e, "readEnergyPj", p.readEnergyPj) ||
-            !real(&e, "writeEnergyPj", p.writeEnergyPj) ||
-            !real(&e, "standbyPowerMw", p.standbyPowerMw)) {
-            why = "malformed memTier partition";
-            return false;
-        }
-        p.kind = static_cast<MemPartitionKind>(kind);
-        p.name = name->text;
-        p.refreshIntervalAccesses = refreshInterval;
-        p.readLatency = readLat;
-        p.writeLatency = writeLat;
-        p.writeBufferDepth = static_cast<u32>(bufDepth);
-        p.bufferedWriteLatency = bufLat;
+        bool ok = true;
+        visitPartitionFields(p, [&](const char *key, auto &field) {
+            ok = ok && readMember(e, key, field);
+        });
+        if (!ok)
+            return fail("malformed memTier partition");
         c.memTier.partitions.push_back(std::move(p));
     }
-    u64 sliceCount = 0;
-    std::string sliceHash, mapSpace;
-    const JsonValue *sh = slice->find("hash");
-    const JsonValue *ms = slice->find("mapSpace");
-    if (!jsonKnownKeysOnly(*slice, {"count", "hash", "mapSpace"},
-                           why) ||
-        !num(slice, "count", sliceCount) || !sh ||
-        sh->kind != JsonValue::Kind::String || !ms ||
-        ms->kind != JsonValue::Kind::String) {
-        if (why.empty())
-            why = "malformed slice section";
-        return false;
+
+    const JsonValue &slice = *root.find("slice");
+    std::string mapSpace;
+    if (!readMember(slice, "count", c.sliceCount) ||
+        !readMember(slice, "hash", c.sliceHash) ||
+        !readMember(slice, "mapSpace", mapSpace)) {
+        return fail("malformed slice section");
     }
-    c.sliceCount = static_cast<u32>(sliceCount);
-    c.sliceHash = sh->text;
-    if (ms->text == mapSpaceModeName(MapSpaceMode::Shared)) {
-        c.mapSpaceMode = MapSpaceMode::Shared;
-    } else if (ms->text ==
-               mapSpaceModeName(MapSpaceMode::PerSlice)) {
+    if (mapSpace == mapSpaceModeName(MapSpaceMode::PerSlice))
         c.mapSpaceMode = MapSpaceMode::PerSlice;
-    } else {
-        why = "unknown map-space mode '" + ms->text + "'";
-        return false;
-    }
-    // A worker must reject a bad slice layout, not die on it in
-    // resolvedSliceConfig (and then be respawned onto the same line,
-    // forever).
+    else if (mapSpace != mapSpaceModeName(MapSpaceMode::Shared))
+        return fail("unknown map-space mode '" + mapSpace + "'");
+    // A worker must reject a bad slice layout or LLC geometry, not die
+    // on it in resolvedSliceConfig or an LLC constructor (and then be
+    // respawned onto the same line, forever).
     SliceConfig sc{c.sliceCount, SliceHashKind::BitSelect,
                    c.mapSpaceMode};
-    if (!c.sliceHash.empty() && !sliceHashTryParse(c.sliceHash, sc.hash)) {
-        why = "unknown slice hash '" + c.sliceHash + "'";
-        return false;
-    }
-    why = sliceConfigError(sc, c);
-    if (!why.empty())
-        return false;
+    if (!c.sliceHash.empty() && !sliceHashTryParse(c.sliceHash, sc.hash))
+        return fail("unknown slice hash '" + c.sliceHash + "'");
+    if (std::string e = llcLayoutError(sc, c); !e.empty())
+        return fail(std::move(e));
 
     // The decisive cross-check: the fingerprint recomputed from the
     // parsed fields must match the one the submitter stored. A
@@ -419,10 +342,9 @@ parseCampaignConfig(const std::string &line, RunConfig &cfg,
     // worker — running under the stored key would poison the journal.
     const std::string recomputed = configFingerprint(c);
     if (recomputed != storedFp) {
-        why = "fingerprint mismatch (stored " + storedFp +
-              ", recomputed " + recomputed +
-              "): client/worker schema or environment skew";
-        return false;
+        return fail("fingerprint mismatch (stored " + storedFp +
+                    ", recomputed " + recomputed +
+                    "): client/worker schema or environment skew");
     }
 
     cfg = std::move(c);

@@ -19,32 +19,6 @@ namespace dopp
 {
 
 const char *
-llcKindName(LlcKind kind)
-{
-    switch (kind) {
-      case LlcKind::Baseline: return "baseline";
-      case LlcKind::SplitDopp: return "split-doppelganger";
-      case LlcKind::UniDopp: return "uniDoppelganger";
-      case LlcKind::Dedup: return "dedup";
-      case LlcKind::Bdi: return "bdi";
-    }
-    return "?";
-}
-
-LlcKind
-llcKindFromName(const std::string &name)
-{
-    for (LlcKind kind : {LlcKind::Baseline, LlcKind::SplitDopp,
-                         LlcKind::UniDopp, LlcKind::Dedup,
-                         LlcKind::Bdi}) {
-        if (name == llcKindName(kind))
-            return kind;
-    }
-    fatal("unknown LLC organization name '%s'", name.c_str());
-    return LlcKind::Baseline;
-}
-
-const char *
 mapSpaceModeName(MapSpaceMode mode)
 {
     switch (mode) {
@@ -68,10 +42,8 @@ mapSpaceModeFromName(const std::string &name)
 }
 
 std::string
-sliceConfigError(const SliceConfig &s, const RunConfig &cfg)
+llcLayoutError(const SliceConfig &s, const RunConfig &cfg)
 {
-    if (s.count == 0)
-        return "";
     const std::string count = std::to_string(s.count);
     if ((s.count & (s.count - 1)) != 0) {
         return "slice count " + count + " is not a power of two "
@@ -83,15 +55,28 @@ sliceConfigError(const SliceConfig &s, const RunConfig &cfg)
                std::to_string(maxSandyBridgeSlices) +
                " slices (asked for " + count + ")";
     }
-    if (cfg.baselineBytes % s.count != 0) {
+    if (s.count != 0 && cfg.baselineBytes % s.count != 0) {
         return "baselineBytes " + std::to_string(cfg.baselineBytes) +
                " does not divide into " + count + " slices";
     }
-    if (s.mapSpace == MapSpaceMode::PerSlice &&
+    if (s.count != 0 && s.mapSpace == MapSpaceMode::PerSlice &&
         cfg.mapBits <= static_cast<unsigned>(std::countr_zero(s.count))) {
         return "per-slice map space needs mapBits > log2(sliceCount) "
                "(mapBits=" + std::to_string(cfg.mapBits) +
                ", slices=" + count + ")";
+    }
+    if (cfg.llcWays == 0)
+        return "llcWays must be non-zero";
+    // Every organization sizes its sets from the per-slice capacity;
+    // the split one from each half of it.
+    const u64 sliceBytes = cfg.baselineBytes / std::max<u32>(s.count, 1);
+    const u64 halfSetBytes = 2 * u64{cfg.llcWays} * blockBytes;
+    if (sliceBytes == 0 || sliceBytes % halfSetBytes != 0) {
+        return "LLC capacity of " + std::to_string(sliceBytes) +
+               " bytes per slice does not split into two halves of "
+               "whole " + std::to_string(cfg.llcWays) +
+               "-way sets (baselineBytes / slices must be a non-zero "
+               "multiple of " + std::to_string(halfSetBytes) + ")";
     }
     return "";
 }
@@ -115,7 +100,7 @@ resolvedSliceConfig(const RunConfig &cfg)
                   "bitselect, sandybridge)", h.c_str());
         }
     }
-    if (const std::string e = sliceConfigError(s, cfg); !e.empty())
+    if (const std::string e = llcLayoutError(s, cfg); !e.empty())
         fatal("%s", e.c_str());
     return s;
 }
@@ -215,6 +200,10 @@ maybeAppendStatsJson(const RunResult &r)
 RunResult
 runWorkload(const std::string &workload_name, const RunConfig &cfg)
 {
+    // A bad slice layout or LLC geometry is fatal before anything is
+    // built (buildLlc resolves it again).
+    resolvedSliceConfig(cfg);
+
     // One registry per run: every layer below registers its counters
     // here, and the end-of-run snapshot becomes RunResult::stats.
     StatRegistry statReg;
@@ -223,10 +212,8 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
     memory.registerStats(statReg.group("mem"));
     ApproxRegistry registry;
 
-    const std::string orgName =
-        cfg.llcName.empty() ? llcKindName(cfg.kind) : cfg.llcName;
     LlcBuilt built =
-        buildLlc(orgName, memory, registry, cfg, statReg);
+        buildLlc(cfg.llcName, memory, registry, cfg, statReg);
     LastLevelCache *llc = built.llc.get();
 
     // Fault injection and QoR guardrail (attached independently: a
@@ -385,7 +372,7 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
 
     RunResult r;
     r.workload = workload_name;
-    r.organization = orgName;
+    r.organization = cfg.llcName;
     r.runtime = rt.runtime();
     r.output = workload->output();
     r.stats = statReg.snapshot();

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <functional>
 #include <string>
+#include <type_traits>
 
 #include "analysis/similarity.hh"
 #include "core/doppelganger_cache.hh"
@@ -25,22 +26,6 @@
 
 namespace dopp
 {
-
-/** Which LLC organization to build. */
-enum class LlcKind : u8
-{
-    Baseline,  ///< 2 MB conventional (Table 1 baseline)
-    SplitDopp, ///< 1 MB precise + 1 MB-tag-equivalent Doppelgänger
-    UniDopp,   ///< 2 MB-tag-equivalent uniDoppelgänger
-    Dedup,     ///< exact-deduplication LLC baseline
-    Bdi,       ///< B∆I-compressed conventional LLC baseline
-};
-
-/** Name of @p kind for reports. */
-const char *llcKindName(LlcKind kind);
-
-/** Exact inverse of llcKindName(); fatal on an unknown name. */
-LlcKind llcKindFromName(const std::string &name);
 
 /**
  * How a sliced run sizes the Doppelgänger map-value space
@@ -67,19 +52,20 @@ const char *mapSpaceModeName(MapSpaceMode mode);
 /** Exact inverse of mapSpaceModeName(); fatal on an unknown name. */
 MapSpaceMode mapSpaceModeFromName(const std::string &name);
 
-/** One run's configuration. */
+/** One run's configuration. A result-affecting field must also be
+ * listed in visitConfigFields (below), or journals cannot tell runs
+ * that differ in it apart. */
 struct RunConfig
 {
     /** Benchmark to run. runWorkload's name argument overrides it; the
      * batch runner (harness/batch_runner.hh) requires it. */
     std::string workloadName;
 
-    LlcKind kind = LlcKind::Baseline;
-
-    /** LLC factory organization name; overrides @ref kind when
-     * non-empty. Must name a registered builder (llc_factory.hh) —
-     * this is how experiments plug in custom organizations. */
-    std::string llcName;
+    /** LLC organization: the name of a registered factory builder
+     * (llc_factory.hh) — "baseline", "split-doppelganger",
+     * "uniDoppelganger", "dedup", "bdi", or any organization an
+     * experiment registers itself. */
+    std::string llcName = "baseline";
 
     /** Doppelgänger map-space size M (Table 1 default 14). */
     unsigned mapBits = 14;
@@ -191,6 +177,73 @@ struct RunConfig
     const std::atomic<bool> *abortFlag = nullptr;
 };
 
+/**
+ * The one list of RunConfig's result-affecting scalars. Calls
+ * @p v(section, key, field) for each, in fingerprint order; @p section
+ * is "" for top-level fields. configFingerprint and the campaign codec
+ * (harness/journal.hh, harness/campaign_service.hh) are visitors over
+ * it, so a field listed here is hashed, written and read back under
+ * one name.
+ *
+ * The rule: a field that can change a completed run's RunResult goes
+ * here (partition fields in visitPartitionFields); an observation-only
+ * field (tracePath, snapshotPeriod, onSnapshot, abortFlag,
+ * abortPollAccesses, doppReference) does not. The workload name,
+ * organization, partition list and slice layout are resolved values
+ * the consumers encode by hand.
+ */
+template <typename Cfg, typename Visitor>
+void
+visitConfigFields(Cfg &cfg, Visitor &&v)
+{
+    static_assert(std::is_same_v<std::remove_const_t<Cfg>, RunConfig>);
+    v("", "mapBits", cfg.mapBits);
+    v("", "dataFraction", cfg.dataFraction);
+    v("", "hashMode", cfg.hashMode);
+    v("", "hashDataSetIndex", cfg.hashDataSetIndex);
+    v("", "dataPolicy", cfg.dataPolicy);
+    v("", "tagCountAwareData", cfg.tagCountAwareData);
+    v("", "scale", cfg.workload.scale);
+    v("", "seed", cfg.workload.seed);
+    v("", "perUseRanges", cfg.workload.perUseRanges);
+    v("", "baselineBytes", cfg.baselineBytes);
+    v("", "llcWays", cfg.llcWays);
+    v("", "llcLatency", cfg.llcLatency);
+    v("fault", "seed", cfg.fault.seed);
+    v("fault", "memoryRate", cfg.fault.memoryRate);
+    v("fault", "dataRate", cfg.fault.dataRate);
+    v("fault", "tagMetaRate", cfg.fault.tagMetaRate);
+    v("fault", "mtagMetaRate", cfg.fault.mtagMetaRate);
+    v("qor", "budget", cfg.qor.budget);
+    v("qor", "reenableFraction", cfg.qor.reenableFraction);
+    v("qor", "window", cfg.qor.window);
+    v("qor", "minDwell", cfg.qor.minDwell);
+    v("qor", "migrateFactor", cfg.qor.migrateFactor);
+    v("qor", "migrateDwell", cfg.qor.migrateDwell);
+}
+
+/** visitConfigFields for one memory-tier partition: @p v(key, field)
+ * for every field of @p p, in fingerprint order. */
+template <typename Part, typename Visitor>
+void
+visitPartitionFields(Part &p, Visitor &&v)
+{
+    static_assert(
+        std::is_same_v<std::remove_const_t<Part>, MemPartitionProfile>);
+    v("kind", p.kind);
+    v("name", p.name);
+    v("bitErrorRate", p.bitErrorRate);
+    v("refreshFaultRate", p.refreshFaultRate);
+    v("refreshIntervalAccesses", p.refreshIntervalAccesses);
+    v("readLatency", p.readLatency);
+    v("writeLatency", p.writeLatency);
+    v("writeBufferDepth", p.writeBufferDepth);
+    v("bufferedWriteLatency", p.bufferedWriteLatency);
+    v("readEnergyPj", p.readEnergyPj);
+    v("writeEnergyPj", p.writeEnergyPj);
+    v("standbyPowerMw", p.standbyPowerMw);
+}
+
 /** Everything measured in one run. */
 struct RunResult
 {
@@ -269,17 +322,19 @@ struct SliceConfig
 };
 
 /**
- * Check the slice layout @p s against @p cfg's capacity and map bits:
+ * Check @p cfg's LLC layout under the slice layout @p s. Slice knobs:
  * power-of-two count, hash policy range, capacity and map-bits
- * divisibility. Non-fatal, so the campaign codec can reject a bad
- * batch line instead of dying on it.
- * @return the error text, or an empty string when @p s is valid.
+ * divisibility. Geometry: non-zero llcWays, and each slice's capacity
+ * splits into two halves of whole, non-zero numbers of sets (the split
+ * organization's precise and Doppelgänger halves). Non-fatal, so the
+ * campaign codec can reject a bad batch line instead of dying on it.
+ * @return the error text, or an empty string when the layout is valid.
  */
-std::string sliceConfigError(const SliceConfig &s, const RunConfig &cfg);
+std::string llcLayoutError(const SliceConfig &s, const RunConfig &cfg);
 
 /**
  * Resolve @p cfg's slice knobs: explicit > environment (DOPP_SLICES /
- * DOPP_SLICE_HASH) > default. Fatal with sliceConfigError's text on
+ * DOPP_SLICE_HASH) > default. Fatal with llcLayoutError's text on
  * an invalid combination, and on garbage, naming the offending knob.
  * Both the factory (buildLlc) and the journal fingerprint resolve
  * through here, so a run and its resume key can never disagree about

@@ -14,22 +14,6 @@ namespace dopp
 namespace
 {
 
-// Canonical formatting shared by the fingerprint and the writer: the
-// shortest-round-trip double form (util/json.hh) is the same
-// formatting StatValue::str() uses, so journal round-trips are
-// bit-exact.
-std::string
-fmtDouble(double x)
-{
-    return jsonFmtDouble(x);
-}
-
-std::string
-fmtU64(u64 x)
-{
-    return jsonFmtU64(x);
-}
-
 /** 64-bit FNV-1a over @p s. */
 u64
 fnv1a64(const std::string &s)
@@ -160,81 +144,43 @@ constexpr u64 journalSchemaVersion = 1;
 std::string
 configFingerprint(const RunConfig &cfg)
 {
-    const std::string org =
-        cfg.llcName.empty() ? llcKindName(cfg.kind) : cfg.llcName;
-
-    // Canonical key=value rendering of every result-affecting field;
-    // extend this list whenever RunConfig grows one (DESIGN.md §11).
+    // Canonical key=value rendering of every result-affecting field
+    // (visitConfigFields, harness/experiment.hh).
     std::string key;
-    key.reserve(256);
-    auto add = [&key](const char *name, const std::string &value) {
+    key.reserve(1024);
+    auto add = [&key](const std::string &name, const std::string &value) {
         key += name;
         key += '=';
         key += value;
         key += ';';
     };
     add("workload", cfg.workloadName);
-    add("org", org);
-    add("mapBits", fmtU64(cfg.mapBits));
-    add("dataFraction", fmtDouble(cfg.dataFraction));
-    add("hashMode", fmtU64(static_cast<u64>(cfg.hashMode)));
-    add("hashDataSetIndex", fmtU64(cfg.hashDataSetIndex ? 1 : 0));
-    add("dataPolicy", fmtU64(static_cast<u64>(cfg.dataPolicy)));
-    add("tagCountAwareData", fmtU64(cfg.tagCountAwareData ? 1 : 0));
-    add("scale", fmtDouble(cfg.workload.scale));
-    add("seed", fmtU64(cfg.workload.seed));
-    add("perUseRanges", fmtU64(cfg.workload.perUseRanges ? 1 : 0));
-    add("baselineBytes", fmtU64(cfg.baselineBytes));
-    add("llcWays", fmtU64(cfg.llcWays));
-    add("llcLatency", fmtU64(cfg.llcLatency));
-    add("fault.seed", fmtU64(cfg.fault.seed));
-    add("fault.memoryRate", fmtDouble(cfg.fault.memoryRate));
-    add("fault.dataRate", fmtDouble(cfg.fault.dataRate));
-    add("fault.tagMetaRate", fmtDouble(cfg.fault.tagMetaRate));
-    add("fault.mtagMetaRate", fmtDouble(cfg.fault.mtagMetaRate));
-    add("qor.budget", fmtDouble(cfg.qor.budget));
-    add("qor.reenableFraction", fmtDouble(cfg.qor.reenableFraction));
-    add("qor.window", fmtU64(cfg.qor.window));
-    add("qor.minDwell", fmtU64(cfg.qor.minDwell));
-    add("qor.migrateFactor", fmtDouble(cfg.qor.migrateFactor));
-    add("qor.migrateDwell", fmtU64(cfg.qor.migrateDwell));
+    add("org", cfg.llcName);
+    visitConfigFields(cfg, [&](const std::string &section,
+                               const char *name, const auto &field) {
+        add(section.empty() ? name : section + "." + name,
+            configFieldText(field));
+    });
     add("memTier.partitions",
-        fmtU64(cfg.memTier.partitions.size()));
+        jsonFmtU64(cfg.memTier.partitions.size()));
     for (size_t i = 0; i < cfg.memTier.partitions.size(); ++i) {
-        const MemPartitionProfile &p = cfg.memTier.partitions[i];
-        const std::string pre = "memTier.p" + fmtU64(i) + ".";
-        auto addP = [&](const char *field, const std::string &value) {
-            key += pre;
-            key += field;
-            key += '=';
-            key += value;
-            key += ';';
-        };
-        addP("kind", fmtU64(static_cast<u64>(p.kind)));
-        addP("name", p.name);
-        addP("bitErrorRate", fmtDouble(p.bitErrorRate));
-        addP("refreshFaultRate", fmtDouble(p.refreshFaultRate));
-        addP("refreshIntervalAccesses",
-             fmtU64(p.refreshIntervalAccesses));
-        addP("readLatency", fmtU64(p.readLatency));
-        addP("writeLatency", fmtU64(p.writeLatency));
-        addP("writeBufferDepth", fmtU64(p.writeBufferDepth));
-        addP("bufferedWriteLatency", fmtU64(p.bufferedWriteLatency));
-        addP("readEnergyPj", fmtDouble(p.readEnergyPj));
-        addP("writeEnergyPj", fmtDouble(p.writeEnergyPj));
-        addP("standbyPowerMw", fmtDouble(p.standbyPowerMw));
+        const std::string pre = "memTier.p" + jsonFmtU64(i) + ".";
+        visitPartitionFields(cfg.memTier.partitions[i],
+                             [&](const char *name, const auto &field) {
+                                 add(pre + name, configFieldText(field));
+                             });
     }
     // Slice layout (DESIGN.md §15), resolved through the same path the
     // factory builds from so a run and its resume key cannot disagree.
     const SliceConfig sc = resolvedSliceConfig(cfg);
-    add("sliceCount", fmtU64(sc.count));
+    add("sliceCount", jsonFmtU64(sc.count));
     add("sliceHash", sliceHashName(sc.hash));
     add("mapSpaceMode", mapSpaceModeName(sc.mapSpace));
 
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(fnv1a64(key)));
-    return cfg.workloadName + "/" + org + "@" + hex;
+    return cfg.workloadName + "/" + cfg.llcName + "@" + hex;
 }
 
 bool
@@ -254,7 +200,7 @@ journalRecordJson(const std::string &fingerprint,
     std::string out;
     out.reserve(512 + 24 * result.stats.size());
     out += "{\"v\":";
-    out += fmtU64(journalSchemaVersion);
+    out += jsonFmtU64(journalSchemaVersion);
     out += ",\"fp\":\"";
     out += jsonEscape(fingerprint);
     out += "\",\"workload\":\"";
@@ -267,24 +213,24 @@ journalRecordJson(const std::string &fingerprint,
     out += jsonEscape(result.error);
     out += "\",\"dopp\":{";
     const DoppConfig &d = result.doppConfig;
-    out += "\"tagEntries\":" + fmtU64(d.tagEntries);
-    out += ",\"tagWays\":" + fmtU64(d.tagWays);
-    out += ",\"dataEntries\":" + fmtU64(d.dataEntries);
-    out += ",\"dataWays\":" + fmtU64(d.dataWays);
-    out += ",\"mapBits\":" + fmtU64(d.mapBits);
-    out += ",\"hashMode\":" + fmtU64(static_cast<u64>(d.hashMode));
-    out += ",\"hitLatency\":" + fmtU64(d.hitLatency);
-    out += ",\"unified\":" + fmtU64(d.unified ? 1 : 0);
+    out += "\"tagEntries\":" + jsonFmtU64(d.tagEntries);
+    out += ",\"tagWays\":" + jsonFmtU64(d.tagWays);
+    out += ",\"dataEntries\":" + jsonFmtU64(d.dataEntries);
+    out += ",\"dataWays\":" + jsonFmtU64(d.dataWays);
+    out += ",\"mapBits\":" + jsonFmtU64(d.mapBits);
+    out += ",\"hashMode\":" + jsonFmtU64(static_cast<u64>(d.hashMode));
+    out += ",\"hitLatency\":" + jsonFmtU64(d.hitLatency);
+    out += ",\"unified\":" + jsonFmtU64(d.unified ? 1 : 0);
     out += ",\"hashDataSetIndex\":" +
-        fmtU64(d.hashDataSetIndex ? 1 : 0);
-    out += ",\"dataPolicy\":" + fmtU64(static_cast<u64>(d.dataPolicy));
+        jsonFmtU64(d.hashDataSetIndex ? 1 : 0);
+    out += ",\"dataPolicy\":" + jsonFmtU64(static_cast<u64>(d.dataPolicy));
     out += ",\"tagCountAwareData\":" +
-        fmtU64(d.tagCountAwareData ? 1 : 0);
+        jsonFmtU64(d.tagCountAwareData ? 1 : 0);
     out += "},\"output\":[";
     for (size_t i = 0; i < result.output.size(); ++i) {
         if (i)
             out += ',';
-        out += fmtDouble(result.output[i]);
+        out += jsonFmtDouble(result.output[i]);
     }
     out += "],\"stats\":[";
     bool first = true;
@@ -295,7 +241,7 @@ journalRecordJson(const std::string &fingerprint,
         out += "{\"n\":\"";
         out += jsonEscape(v.name);
         out += v.integral ? "\",\"u\":" : "\",\"d\":";
-        out += v.integral ? fmtU64(v.u) : fmtDouble(v.d);
+        out += v.integral ? jsonFmtU64(v.u) : jsonFmtDouble(v.d);
         out += '}';
     }
     out += "]}\n";

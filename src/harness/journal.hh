@@ -39,18 +39,34 @@
 
 #include "harness/experiment.hh"
 #include "util/fileio.hh"
+#include "util/json.hh"
 
 namespace dopp
 {
 
+/** Canonical text of one visitConfigFields scalar, shared by the
+ * fingerprint and the campaign codec: integers, bools (0/1) and enums
+ * in decimal, doubles in shortest round-trip form, strings verbatim. */
+template <typename T>
+std::string
+configFieldText(const T &x)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return x;
+    else if constexpr (std::is_floating_point_v<T>)
+        return jsonFmtDouble(x);
+    else
+        return jsonFmtU64(static_cast<u64>(x));
+}
+
 /**
  * Deterministic fingerprint of every result-affecting field of
- * @p cfg: workload name/sizing/seed, organization, geometry, map
- * knobs, fault and QoR configuration. Excluded on purpose:
- * observation hooks (onSnapshot, tracePath), snapshotPeriod and the
- * batch runner's abort flag — they never change a RunResult (configs
- * carrying hooks are re-executed on resume rather than reused; see
- * runBatchResumable). Format: "<workload>/<organization>@<16 hex>".
+ * @p cfg: workload name, organization, every visitConfigFields and
+ * visitPartitionFields field (harness/experiment.hh) and the resolved
+ * slice layout. The observation-only fields are excluded on purpose:
+ * they never change a RunResult (configs carrying hooks are
+ * re-executed on resume rather than reused; see runBatchResumable).
+ * Format: "<workload>/<organization>@<16 hex>".
  */
 std::string configFingerprint(const RunConfig &cfg);
 

@@ -194,11 +194,11 @@ void
 registerBuiltinLlcs()
 {
     static const bool once = [] {
-        registerLlc(llcKindName(LlcKind::Baseline), buildBaseline);
-        registerLlc(llcKindName(LlcKind::SplitDopp), buildSplitDopp);
-        registerLlc(llcKindName(LlcKind::UniDopp), buildUniDopp);
-        registerLlc(llcKindName(LlcKind::Dedup), buildDedup);
-        registerLlc(llcKindName(LlcKind::Bdi), buildBdi);
+        registerLlc("baseline", buildBaseline);
+        registerLlc("split-doppelganger", buildSplitDopp);
+        registerLlc("uniDoppelganger", buildUniDopp);
+        registerLlc("dedup", buildDedup);
+        registerLlc("bdi", buildBdi);
         registerLlc("uniDoppBdi", buildUniDoppBdi);
         registerLlc("gdish", buildGdish);
         registerLlc("approxDedup", buildApproxDedup);

@@ -1,10 +1,12 @@
 /**
  * @file
- * Self-registering LLC factory: maps organization names (the
- * llcKindName() strings) to builder functions, replacing the
- * hard-coded switch the harness used to grow for every new
- * organization. The five built-in organizations register themselves
- * (llc_builders.cc); experiments and tests may add their own with
+ * Self-registering LLC factory: maps organization names to builder
+ * functions. The name is the only way to name an organization:
+ * RunConfig::llcName, reports, journal records and fingerprints all
+ * carry it. The built-in organizations register themselves
+ * (llc_builders.cc) as "baseline", "split-doppelganger",
+ * "uniDoppelganger", "dedup", "bdi", "uniDoppBdi", "gdish" and
+ * "approxDedup"; experiments and tests may add their own with
  * registerLlc() before calling runWorkload().
  */
 
@@ -96,7 +98,7 @@ LlcBuilt buildLlc(const std::string &name, MainMemory &memory,
                   const ApproxRegistry &registry, const RunConfig &cfg,
                   StatRegistry &stats);
 
-/** Force registration of the five built-in organizations. Called by
+/** Force registration of the built-in organizations. Called by
  * the factory itself; callable from tests that enumerate names. */
 void registerBuiltinLlcs();
 

@@ -276,7 +276,7 @@ JsonParser::parseValue(JsonValue &out)
 
 bool
 jsonKnownKeysOnly(const JsonValue &obj,
-                  std::initializer_list<const char *> known,
+                  const std::vector<const char *> &known,
                   std::string &why)
 {
     for (const auto &[k, v] : obj.object) {

@@ -94,7 +94,7 @@ class JsonParser
  * silent misread.
  */
 bool jsonKnownKeysOnly(const JsonValue &obj,
-                       std::initializer_list<const char *> known,
+                       const std::vector<const char *> &known,
                        std::string &why);
 
 } // namespace dopp

@@ -24,12 +24,12 @@ namespace
 {
 
 RunConfig
-tinyConfig(const std::string &workload, LlcKind kind,
+tinyConfig(const std::string &workload, const std::string &org,
            double scale = 0.03)
 {
     RunConfig cfg;
     cfg.workloadName = workload;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workload.scale = scale;
     return cfg;
 }
@@ -42,15 +42,14 @@ tinyConfig(const std::string &workload, LlcKind kind,
 std::vector<RunConfig>
 mixedBatch()
 {
-    const LlcKind kinds[] = {LlcKind::Baseline, LlcKind::SplitDopp,
-                             LlcKind::UniDopp, LlcKind::Dedup,
-                             LlcKind::Bdi};
+    const char *const orgs[] = {"baseline", "split-doppelganger",
+                                "uniDoppelganger", "dedup", "bdi"};
     std::vector<RunConfig> configs;
-    for (LlcKind kind : kinds) {
-        configs.push_back(tinyConfig("kmeans", kind));
-        configs.push_back(tinyConfig("jpeg", kind));
+    for (const char *org : orgs) {
+        configs.push_back(tinyConfig("kmeans", org));
+        configs.push_back(tinyConfig("jpeg", org));
     }
-    RunConfig faulted = tinyConfig("blackscholes", LlcKind::SplitDopp);
+    RunConfig faulted = tinyConfig("blackscholes", "split-doppelganger");
     faulted.fault.dataRate = 0.01;
     faulted.fault.tagMetaRate = 0.01;
     faulted.qor.budget = 0.001;
@@ -126,7 +125,7 @@ TEST(BatchRunner, SerialParallelShuffledEquivalence)
     ASSERT_EQ(shuffledResults.size(), n);
     for (size_t i = 0; i < n; ++i) {
         SCOPED_TRACE(configs[i].workloadName + " on " +
-                     llcKindName(configs[i].kind));
+                     configs[i].llcName);
         expectIdentical(atOne[i], atFour[i]);
         // shuffledResults[j] ran configs[perm[j]].
         const size_t j = static_cast<size_t>(
@@ -137,7 +136,7 @@ TEST(BatchRunner, SerialParallelShuffledEquivalence)
 
 TEST(BatchRunner, MatchesDirectRunWorkload)
 {
-    const RunConfig cfg = tinyConfig("kmeans", LlcKind::UniDopp);
+    const RunConfig cfg = tinyConfig("kmeans", "uniDoppelganger");
     const RunResult direct = runWorkload(cfg);
     BatchOptions opt;
     opt.jobs = 2;
@@ -151,7 +150,7 @@ TEST(BatchRunner, ConcurrentSelfDeterminism)
     // The same RunConfig racing itself on every worker must stay
     // independent: any shared mutable state in the workloads, the
     // fault injector or the guardrail would show up here.
-    RunConfig cfg = tinyConfig("jmeint", LlcKind::SplitDopp);
+    RunConfig cfg = tinyConfig("jmeint", "split-doppelganger");
     cfg.fault.dataRate = 0.02;
     cfg.fault.mtagMetaRate = 0.02;
     cfg.qor.budget = 0.001;
@@ -168,14 +167,14 @@ TEST(BatchRunner, ConcurrentSelfDeterminism)
 TEST(BatchRunner, ThrowingRunFailsWithoutKillingPool)
 {
     std::vector<RunConfig> configs;
-    configs.push_back(tinyConfig("kmeans", LlcKind::Baseline));
-    RunConfig bad = tinyConfig("kmeans", LlcKind::SplitDopp);
+    configs.push_back(tinyConfig("kmeans", "baseline"));
+    RunConfig bad = tinyConfig("kmeans", "split-doppelganger");
     bad.snapshotPeriod = 1000; // at least one snapshot is guaranteed
     bad.onSnapshot = [](const Snapshot &) {
         throw std::runtime_error("snapshot hook exploded");
     };
     configs.push_back(std::move(bad));
-    configs.push_back(tinyConfig("jpeg", LlcKind::UniDopp));
+    configs.push_back(tinyConfig("jpeg", "uniDoppelganger"));
 
     BatchOptions opt;
     opt.jobs = 3;
@@ -195,7 +194,7 @@ TEST(BatchRunner, MissingWorkloadNameFailsThatRunOnly)
 {
     std::vector<RunConfig> configs;
     configs.push_back(RunConfig{}); // no workloadName
-    configs.push_back(tinyConfig("kmeans", LlcKind::Baseline));
+    configs.push_back(tinyConfig("kmeans", "baseline"));
     const std::vector<RunResult> results = runBatch(configs);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_TRUE(results[0].failed);
@@ -206,7 +205,7 @@ TEST(BatchRunner, MissingWorkloadNameFailsThatRunOnly)
 TEST(BatchRunner, CancelledBeforeStartCancelsEverything)
 {
     const std::vector<RunConfig> configs(
-        8, tinyConfig("kmeans", LlcKind::Baseline));
+        8, tinyConfig("kmeans", "baseline"));
     std::atomic<bool> cancel{true};
     BatchOptions opt;
     opt.jobs = 4;
@@ -226,14 +225,14 @@ TEST(BatchRunner, MidBatchCancellationSkipsQueuedRuns)
     // deterministically, since jobs=1 executes in submission order.
     std::atomic<bool> cancel{false};
     std::vector<RunConfig> configs;
-    RunConfig first = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig first = tinyConfig("kmeans", "baseline");
     first.snapshotPeriod = 1000;
     first.onSnapshot = [&cancel](const Snapshot &) {
         cancel.store(true, std::memory_order_release);
     };
     configs.push_back(std::move(first));
     for (int i = 0; i < 5; ++i)
-        configs.push_back(tinyConfig("kmeans", LlcKind::Baseline));
+        configs.push_back(tinyConfig("kmeans", "baseline"));
 
     BatchOptions opt;
     opt.jobs = 1;
@@ -251,14 +250,14 @@ TEST(BatchRunner, ThreadedCancellationPartitionsCleanly)
 {
     std::atomic<bool> cancel{false};
     std::vector<RunConfig> configs;
-    RunConfig first = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig first = tinyConfig("kmeans", "baseline");
     first.snapshotPeriod = 1000;
     first.onSnapshot = [&cancel](const Snapshot &) {
         cancel.store(true, std::memory_order_release);
     };
     configs.push_back(std::move(first));
     for (int i = 0; i < 19; ++i)
-        configs.push_back(tinyConfig("kmeans", LlcKind::Baseline));
+        configs.push_back(tinyConfig("kmeans", "baseline"));
 
     BatchOptions opt;
     opt.jobs = 2;
@@ -283,10 +282,10 @@ TEST(BatchRunner, StressManyTinyRuns)
     // DOPP_JOBS=4. Identical configs must keep producing identical
     // rows no matter which worker they land on.
     const RunConfig variants[] = {
-        tinyConfig("kmeans", LlcKind::Baseline, 0.01),
-        tinyConfig("kmeans", LlcKind::SplitDopp, 0.01),
-        tinyConfig("blackscholes", LlcKind::UniDopp, 0.01),
-        tinyConfig("inversek2j", LlcKind::Bdi, 0.01),
+        tinyConfig("kmeans", "baseline", 0.01),
+        tinyConfig("kmeans", "split-doppelganger", 0.01),
+        tinyConfig("blackscholes", "uniDoppelganger", 0.01),
+        tinyConfig("inversek2j", "bdi", 0.01),
     };
     std::vector<RunConfig> configs;
     for (int i = 0; i < 200; ++i)

@@ -242,10 +242,10 @@ TEST(BdiLlc, HarnessIntegration)
 {
     // The Bdi organization runs a real workload losslessly.
     RunConfig cfg;
-    cfg.kind = LlcKind::Bdi;
+    cfg.llcName = "bdi";
     cfg.workload.scale = 0.05;
     const RunResult bdi = runWorkload("jpeg", cfg);
-    cfg.kind = LlcKind::Baseline;
+    cfg.llcName = "baseline";
     const RunResult base = runWorkload("jpeg", cfg);
     EXPECT_EQ(bdi.output, base.output);
     EXPECT_EQ(bdi.organization, "bdi");

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <sys/stat.h>
@@ -35,12 +36,12 @@ namespace
 {
 
 RunConfig
-tinyConfig(const std::string &workload, LlcKind kind,
+tinyConfig(const std::string &workload, const std::string &org,
            double scale = 0.03)
 {
     RunConfig cfg;
     cfg.workloadName = workload;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workload.scale = scale;
     return cfg;
 }
@@ -79,9 +80,9 @@ std::vector<RunConfig>
 smallCampaign(size_t n, double scale = 0.01)
 {
     const RunConfig variants[] = {
-        tinyConfig("kmeans", LlcKind::Baseline, scale),
-        tinyConfig("kmeans", LlcKind::SplitDopp, scale),
-        tinyConfig("blackscholes", LlcKind::UniDopp, scale),
+        tinyConfig("kmeans", "baseline", scale),
+        tinyConfig("kmeans", "split-doppelganger", scale),
+        tinyConfig("blackscholes", "uniDoppelganger", scale),
     };
     std::vector<RunConfig> configs;
     configs.reserve(n);
@@ -126,7 +127,7 @@ testWorkerOptions(const std::string &root)
 
 TEST(CampaignCodec, RoundTripPreservesFingerprint)
 {
-    RunConfig cfg = tinyConfig("kmeans", LlcKind::SplitDopp, 0.07);
+    RunConfig cfg = tinyConfig("kmeans", "split-doppelganger", 0.07);
     cfg.mapBits = 12;
     cfg.dataFraction = 0.5;
     cfg.hashMode = MapHashMode::AvgOnly;
@@ -162,7 +163,7 @@ TEST(CampaignCodec, RoundTripPreservesFingerprint)
     EXPECT_EQ(fp, configFingerprint(cfg));
     EXPECT_EQ(configFingerprint(parsed), configFingerprint(cfg));
     EXPECT_EQ(parsed.workloadName, "kmeans");
-    EXPECT_EQ(parsed.kind, LlcKind::SplitDopp);
+    EXPECT_EQ(parsed.llcName, "split-doppelganger");
     EXPECT_EQ(parsed.mapBits, 12u);
     EXPECT_EQ(parsed.dataPolicy, ReplPolicy::FIFO);
     EXPECT_EQ(parsed.workload.seed, 987654321u);
@@ -185,7 +186,7 @@ TEST(CampaignCodec, RejectsMalformedLines)
     EXPECT_FALSE(parseCampaignConfig("{}", parsed, fp, why));
 
     const std::string good =
-        campaignConfigJson(tinyConfig("kmeans", LlcKind::Baseline));
+        campaignConfigJson(tinyConfig("kmeans", "baseline"));
 
     // Unknown schema column.
     std::string unknownKey = good;
@@ -244,11 +245,129 @@ TEST(CampaignCodec, RejectsMalformedLines)
             << bad.section;
         EXPECT_NE(why.find(bad.reason), std::string::npos) << why;
     }
+
+    // LLC geometries an organization's constructor would die on
+    // (SIGFPE on zero ways, a fatal on zero sets), and a value too
+    // wide for its field: rejected with a reason too.
+    const struct
+    {
+        std::string from, to, reason;
+    } badGeometries[] = {
+        {"\"llcWays\":16", "\"llcWays\":0", "llcWays"},
+        {"\"baselineBytes\":2097152", "\"baselineBytes\":1000",
+         "sets"},
+        {"\"llcWays\":16", "\"llcWays\":4294967312", "llcWays"},
+    };
+    for (const auto &bad : badGeometries) {
+        std::string line = good;
+        const size_t at = line.find(bad.from);
+        ASSERT_NE(at, std::string::npos) << bad.from;
+        line.replace(at, bad.from.size(), bad.to);
+        why.clear();
+        EXPECT_FALSE(parseCampaignConfig(line, parsed, fp, why))
+            << bad.to;
+        EXPECT_NE(why.find(bad.reason), std::string::npos) << why;
+    }
+}
+
+namespace
+{
+
+/** Move one visited field to another valid value: integers +1
+ * (doubled instead where +1 breaks the LLC geometry), doubles x2+1,
+ * bools flipped, enums to the next of their three values, strings
+ * extended. */
+template <typename T>
+void
+perturb(T &x, const RunConfig &cfg)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        x = !x;
+    } else if constexpr (std::is_enum_v<T>) {
+        x = static_cast<T>((static_cast<u64>(x) + 1) % 3);
+    } else if constexpr (std::is_floating_point_v<T>) {
+        x = x * 2 + 1;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        x += "+";
+    } else {
+        const T before = x;
+        x = before + 1;
+        if (!llcLayoutError(SliceConfig{}, cfg).empty())
+            x = before * 2;
+    }
+}
+
+/** Every visited field of @p cfg as "key=text", in visit order. */
+std::vector<std::string>
+fieldTexts(const RunConfig &cfg)
+{
+    std::vector<std::string> out;
+    auto add = [&out](const char *key, const auto &x) {
+        out.push_back(std::string(key) + "=" + configFieldText(x));
+    };
+    visitConfigFields(cfg, [&add](const char *, const char *key,
+                                  const auto &x) { add(key, x); });
+    for (const MemPartitionProfile &p : cfg.memTier.partitions)
+        visitPartitionFields(p, add);
+    return out;
+}
+
+} // namespace
+
+TEST(CampaignCodec, EveryVisitedFieldMovesFingerprintAndRoundTrips)
+{
+    unsetenv("DOPP_SLICES");
+    unsetenv("DOPP_SLICE_HASH");
+    RunConfig base = tinyConfig("kmeans", "split-doppelganger");
+    base.memTier = defaultMemTier();
+    const std::string baseFp = configFingerprint(base);
+
+    // Perturb the i-th field @p visit yields on a copy of base: the
+    // fingerprint must move, and a codec round trip must restore
+    // every field exactly.
+    auto check = [&](auto visit, size_t i) {
+        RunConfig c = base;
+        size_t j = 0;
+        std::string key;
+        visit(c, [&](const char *name, auto &x) {
+            if (j++ == i) {
+                key = name;
+                perturb(x, c);
+            }
+        });
+        SCOPED_TRACE(key);
+        EXPECT_NE(fieldTexts(c), fieldTexts(base));
+        EXPECT_NE(configFingerprint(c), baseFp);
+        RunConfig parsed;
+        std::string fp, why;
+        ASSERT_TRUE(parseCampaignConfig(campaignConfigJson(c), parsed,
+                                        fp, why))
+            << why;
+        EXPECT_EQ(fieldTexts(parsed), fieldTexts(c));
+    };
+    auto checkAll = [&](auto visit) {
+        RunConfig c = base;
+        size_t n = 0;
+        visit(c, [&n](const char *, auto &) { ++n; });
+        EXPECT_GT(n, 0u);
+        for (size_t i = 0; i < n; ++i)
+            check(visit, i);
+    };
+
+    checkAll([](RunConfig &c, auto &&v) {
+        visitConfigFields(c, [&v](const char *, const char *key,
+                                  auto &x) { v(key, x); });
+    });
+    for (size_t p = 0; p < base.memTier.partitions.size(); ++p) {
+        checkAll([p](RunConfig &c, auto &&v) {
+            visitPartitionFields(c.memTier.partitions[p], v);
+        });
+    }
 }
 
 TEST(CampaignCodec, RefusesUnspoolableConfigs)
 {
-    RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig cfg = tinyConfig("kmeans", "baseline");
     cfg.snapshotPeriod = 1000;
     cfg.onSnapshot = [](const Snapshot &) {};
     EXPECT_EXIT(campaignConfigJson(cfg),
@@ -260,7 +379,7 @@ TEST(CampaignCodec, BatchLoadIsAllOrNothing)
     TempDir dir;
     const std::string path = dir.path + "/batch.jsonl";
     std::string text =
-        campaignConfigJson(tinyConfig("kmeans", LlcKind::Baseline));
+        campaignConfigJson(tinyConfig("kmeans", "baseline"));
     text += "this line is garbage\n";
     atomicWriteFile(path, text);
 
@@ -401,7 +520,7 @@ TEST(JournalTailTest, ConsumesIncrementallyAndBuffersTornLines)
 {
     TempDir dir;
     const std::string path = dir.path + "/journal.jsonl";
-    const RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    const RunConfig cfg = tinyConfig("kmeans", "baseline");
     RunResult result = runWorkload(cfg);
     const std::string fp = configFingerprint(cfg);
     const std::string record = journalRecordJson(fp, result);

@@ -500,7 +500,7 @@ TEST(FaultStress, UnifiedGuardrailInsertsPrecise)
 TEST(FaultHarness, CampaignIsDeterministic)
 {
     RunConfig cfg;
-    cfg.kind = LlcKind::SplitDopp;
+    cfg.llcName = "split-doppelganger";
     cfg.workload.scale = 0.05;
     cfg.fault.seed = 0xcafe;
     cfg.fault.memoryRate = 1e-2;
@@ -532,7 +532,7 @@ TEST(FaultHarness, CampaignIsDeterministic)
 TEST(FaultHarness, GuardrailReportsDegradationIntervals)
 {
     RunConfig cfg;
-    cfg.kind = LlcKind::UniDopp;
+    cfg.llcName = "uniDoppelganger";
     cfg.workload.scale = 0.05;
     cfg.fault.dataRate = 0.05;
     cfg.fault.tagMetaRate = 0.01;

@@ -8,12 +8,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
+#include "harness/llc_factory.hh"
 #include "harness/report.hh"
 #include "harness/results_io.hh"
 
@@ -41,10 +45,15 @@ TEST(Report, Times)
 
 TEST(Harness, LlcKindNames)
 {
-    EXPECT_STREQ(llcKindName(LlcKind::Baseline), "baseline");
-    EXPECT_STREQ(llcKindName(LlcKind::SplitDopp), "split-doppelganger");
-    EXPECT_STREQ(llcKindName(LlcKind::UniDopp), "uniDoppelganger");
-    EXPECT_STREQ(llcKindName(LlcKind::Dedup), "dedup");
+    // The organizations are named only by their factory strings; the
+    // four the harness has always spelled this way must resolve.
+    const std::vector<std::string> names = registeredLlcNames();
+    for (const char *org : {"baseline", "split-doppelganger",
+                            "uniDoppelganger", "dedup"}) {
+        EXPECT_TRUE(llcRegistered(org)) << org;
+        EXPECT_NE(std::find(names.begin(), names.end(), org), names.end())
+            << org;
+    }
 }
 
 TEST(Harness, SplitDoppConfigMatchesTable1)
@@ -86,10 +95,10 @@ namespace
 {
 
 RunConfig
-tinyRun(LlcKind kind)
+tinyRun(const std::string &org)
 {
     RunConfig cfg;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workload.scale = 0.05;
     return cfg;
 }
@@ -98,7 +107,7 @@ tinyRun(LlcKind kind)
 
 TEST(Harness, BaselineRunProducesStats)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     EXPECT_EQ(r.workload, "kmeans");
     EXPECT_EQ(r.organization, "baseline");
     EXPECT_GT(r.runtime, 0u);
@@ -110,8 +119,8 @@ TEST(Harness, BaselineRunProducesStats)
 
 TEST(Harness, RunIsDeterministic)
 {
-    const RunResult a = runWorkload("jmeint", tinyRun(LlcKind::SplitDopp));
-    const RunResult b = runWorkload("jmeint", tinyRun(LlcKind::SplitDopp));
+    const RunResult a = runWorkload("jmeint", tinyRun("split-doppelganger"));
+    const RunResult b = runWorkload("jmeint", tinyRun("split-doppelganger"));
     EXPECT_EQ(a.runtime, b.runtime);
     EXPECT_EQ(a.output, b.output);
     EXPECT_EQ(a.memReads, b.memReads);
@@ -121,7 +130,7 @@ TEST(Harness, RunIsDeterministic)
 TEST(Harness, SplitRunSeparatesHalves)
 {
     const RunResult r =
-        runWorkload("jpeg", tinyRun(LlcKind::SplitDopp));
+        runWorkload("jpeg", tinyRun("split-doppelganger"));
     EXPECT_GT(r.doppHalf.fetches, 0u); // jpeg is ~all approximate
     EXPECT_EQ(r.llc.fetches,
               r.doppHalf.fetches + r.preciseHalf.fetches);
@@ -131,7 +140,7 @@ TEST(Harness, SplitRunSeparatesHalves)
 
 TEST(Harness, UniRunReportsDoppConfig)
 {
-    RunConfig cfg = tinyRun(LlcKind::UniDopp);
+    RunConfig cfg = tinyRun("uniDoppelganger");
     cfg.dataFraction = 0.5;
     const RunResult r = runWorkload("kmeans", cfg);
     EXPECT_TRUE(r.doppConfig.unified);
@@ -141,14 +150,14 @@ TEST(Harness, UniRunReportsDoppConfig)
 TEST(Harness, DedupRunWorks)
 {
     const RunResult r =
-        runWorkload("blackscholes", tinyRun(LlcKind::Dedup));
+        runWorkload("blackscholes", tinyRun("dedup"));
     EXPECT_EQ(r.organization, "dedup");
     EXPECT_GT(r.llc.fetches, 0u);
 }
 
 TEST(Harness, SnapshotHookDelivers)
 {
-    RunConfig cfg = tinyRun(LlcKind::Baseline);
+    RunConfig cfg = tinyRun("baseline");
     cfg.workload.scale = 0.2;
     cfg.snapshotPeriod = 5000;
     unsigned snaps = 0;
@@ -174,7 +183,7 @@ TEST(Harness, ScaleFromEnvDefaultsToOne)
 
 TEST(ResultsIo, CsvRowMatchesHeaderArity)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     const std::string header = runResultCsvHeader(r);
     const std::string row = runResultCsvRow(r);
     const auto commas = [](const std::string &s) {
@@ -187,7 +196,7 @@ TEST(ResultsIo, CsvRowMatchesHeaderArity)
 TEST(ResultsIo, CsvContainsKeyCounters)
 {
     const RunResult r =
-        runWorkload("jpeg", tinyRun(LlcKind::SplitDopp));
+        runWorkload("jpeg", tinyRun("split-doppelganger"));
     const std::string row = runResultCsvRow(r);
     std::ostringstream expect;
     expect << r.runtime;
@@ -198,7 +207,7 @@ TEST(ResultsIo, CsvContainsKeyCounters)
 
 TEST(ResultsIo, WriteCsvFile)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     const std::string path = "/tmp/dopp-results-test.csv";
     writeResultsCsv(path, {r, r});
     std::ifstream in(path);
@@ -213,7 +222,7 @@ TEST(ResultsIo, WriteCsvFile)
 
 TEST(ResultsIo, JsonIsWellFormedEnough)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     const std::string json = runResultJson(r);
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
@@ -225,7 +234,7 @@ TEST(ResultsIo, JsonIsWellFormedEnough)
 
 TEST(ResultsIo, WriteJsonFile)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     const std::string path = "/tmp/dopp-results-test.json";
     writeResultsJson(path, {r});
     std::ifstream in(path);
@@ -257,7 +266,7 @@ writeTempCsv(const std::string &text)
 
 TEST(ResultsIo, LoadCsvRoundTrips)
 {
-    RunConfig cfg = tinyRun(LlcKind::SplitDopp);
+    RunConfig cfg = tinyRun("split-doppelganger");
     cfg.fault.dataRate = 0.01;
     cfg.fault.tagMetaRate = 0.01;
     RunResult r = runWorkload("blackscholes", cfg);
@@ -340,7 +349,7 @@ TEST(ResultsIoDeathTest, MissingColumnLookupIsFatal)
 
 TEST(Harness, FaultCountersReachRunResult)
 {
-    RunConfig cfg = tinyRun(LlcKind::UniDopp);
+    RunConfig cfg = tinyRun("uniDoppelganger");
     cfg.fault.dataRate = 0.05;
     cfg.fault.tagMetaRate = 0.02;
     cfg.fault.mtagMetaRate = 0.02;

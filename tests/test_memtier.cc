@@ -310,7 +310,7 @@ TEST(MemTierRun, CrossTierGuardrailMigratesRegionToPrecise)
 {
     RunConfig cfg;
     cfg.workloadName = "kmeans";
-    cfg.kind = LlcKind::Baseline;
+    cfg.llcName = "baseline";
     cfg.workload.scale = 0.05;
     // A brutally unreliable approximate partition...
     cfg.memTier = defaultMemTier(0.9, 0.5);
@@ -341,7 +341,7 @@ TEST(MemTierRun, TieredRunIsDeterministic)
 {
     RunConfig cfg;
     cfg.workloadName = "blackscholes";
-    cfg.kind = LlcKind::SplitDopp;
+    cfg.llcName = "split-doppelganger";
     cfg.workload.scale = 0.05;
     cfg.memTier = defaultMemTier(1e-3, 1e-3);
     cfg.qor.budget = 0.05;

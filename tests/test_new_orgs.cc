@@ -543,7 +543,7 @@ TEST(NewOrgs, ReferenceEngineIsBitIdentical)
 TEST(ResultsCsvUnion, AbsentColumnsAreEmptyNotZero)
 {
     RunConfig base = tinyNamed("");
-    base.kind = LlcKind::Baseline;
+    base.llcName = "baseline";
     const RunResult baseline = runWorkload(base);
     const RunResult bdiRun = runWorkload(tinyNamed("uniDoppBdi"));
 

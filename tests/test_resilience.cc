@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include "harness/batch_runner.hh"
+#include "harness/campaign_service.hh"
 #include "harness/journal.hh"
 #include "harness/results_io.hh"
 #include "util/fileio.hh"
@@ -35,12 +36,12 @@ namespace
 {
 
 RunConfig
-tinyConfig(const std::string &workload, LlcKind kind,
+tinyConfig(const std::string &workload, const std::string &org,
            double scale = 0.03)
 {
     RunConfig cfg;
     cfg.workloadName = workload;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workload.scale = scale;
     return cfg;
 }
@@ -78,10 +79,10 @@ std::vector<RunConfig>
 campaign200()
 {
     const RunConfig variants[] = {
-        tinyConfig("kmeans", LlcKind::Baseline, 0.01),
-        tinyConfig("kmeans", LlcKind::SplitDopp, 0.01),
-        tinyConfig("blackscholes", LlcKind::UniDopp, 0.01),
-        tinyConfig("inversek2j", LlcKind::Bdi, 0.01),
+        tinyConfig("kmeans", "baseline", 0.01),
+        tinyConfig("kmeans", "split-doppelganger", 0.01),
+        tinyConfig("blackscholes", "uniDoppelganger", 0.01),
+        tinyConfig("inversek2j", "bdi", 0.01),
     };
     std::vector<RunConfig> configs;
     configs.reserve(200);
@@ -101,7 +102,7 @@ campaign200()
 
 TEST(Journal, FingerprintIsDeterministicAndDiscriminating)
 {
-    const RunConfig base = tinyConfig("kmeans", LlcKind::SplitDopp);
+    const RunConfig base = tinyConfig("kmeans", "split-doppelganger");
     const std::string fp = configFingerprint(base);
 
     // Format: "<workload>/<organization>@<16 hex>".
@@ -129,7 +130,7 @@ TEST(Journal, FingerprintIsDeterministicAndDiscriminating)
     c.qor.budget = 0.001;
     EXPECT_NE(configFingerprint(c), fp);
     c = base;
-    c.kind = LlcKind::UniDopp;
+    c.llcName = "uniDoppelganger";
     EXPECT_NE(configFingerprint(c), fp);
 
     // Observation hooks and the abort flag never affect results, so
@@ -148,13 +149,13 @@ TEST(Journal, FingerprintIsDeterministicAndDiscriminating)
 
 TEST(Journal, FingerprintDistinguishesMemoryTierFields)
 {
-    RunConfig base = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig base = tinyConfig("kmeans", "baseline");
     base.memTier = defaultMemTier();
     const std::string fp = configFingerprint(base);
     EXPECT_EQ(configFingerprint(base), fp);
 
     // A flat-memory config fingerprints differently from a tiered one.
-    RunConfig c = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig c = tinyConfig("kmeans", "baseline");
     EXPECT_NE(configFingerprint(c), fp);
 
     // Every per-partition field moves the fingerprint.
@@ -214,7 +215,7 @@ TEST(Journal, FingerprintDistinguishesMemoryTierFields)
 
 TEST(Journal, FingerprintDistinguishesSliceFields)
 {
-    const RunConfig base = tinyConfig("kmeans", LlcKind::SplitDopp);
+    const RunConfig base = tinyConfig("kmeans", "split-doppelganger");
     const std::string fp = configFingerprint(base);
 
     // The slice layout changes what is built, so every resolved knob
@@ -248,6 +249,58 @@ TEST(Journal, FingerprintDistinguishesSliceFields)
     EXPECT_EQ(configFingerprint(base), fp);
 }
 
+TEST(Journal, FingerprintsArePinned)
+{
+    // Existing journals and spooled batches resume only while these
+    // keys stay put: any change to the fingerprint's field list,
+    // names, order or formatting shows up here first.
+    unsetenv("DOPP_SLICES");
+    unsetenv("DOPP_SLICE_HASH");
+
+    RunConfig defaults;
+    defaults.workloadName = "kmeans";
+    EXPECT_EQ(configFingerprint(defaults),
+              "kmeans/baseline@570409a549717d2e");
+
+    RunConfig tiered;
+    tiered.workloadName = "kmeans";
+    tiered.llcName = "split-doppelganger";
+    tiered.memTier = defaultMemTier();
+    tiered.sliceCount = 4;
+    tiered.sliceHash = "sandybridge";
+    tiered.mapSpaceMode = MapSpaceMode::PerSlice;
+    tiered.fault.seed = 7;
+    tiered.fault.dataRate = 1e-4;
+    tiered.qor.budget = 0.002;
+    tiered.qor.migrateFactor = 1.5;
+    EXPECT_EQ(configFingerprint(tiered),
+              "kmeans/split-doppelganger@125e53485254e645");
+
+    RunConfig scaled;
+    scaled.workloadName = "jpeg";
+    scaled.llcName = "approxDedup";
+    scaled.workload.scale = 0.25;
+    scaled.workload.seed = 12345;
+    EXPECT_EQ(configFingerprint(scaled),
+              "jpeg/approxDedup@cf7a771a4839693e");
+
+    // The campaign codec's line is pinned byte for byte as well.
+    EXPECT_EQ(
+        campaignConfigJson(defaults),
+        R"({"v":1,"fp":"kmeans/baseline@570409a549717d2e",)"
+        R"("workload":"kmeans","organization":"baseline","mapBits":14,)"
+        R"("dataFraction":0.25,"hashMode":0,"hashDataSetIndex":1,)"
+        R"("dataPolicy":0,"tagCountAwareData":0,"scale":1,"seed":12345,)"
+        R"("perUseRanges":0,"baselineBytes":2097152,"llcWays":16,)"
+        R"("llcLatency":6,"fault":{"seed":25482469399,"memoryRate":0,)"
+        R"("dataRate":0,"tagMetaRate":0,"mtagMetaRate":0},)"
+        R"("qor":{"budget":0,"reenableFraction":0.5,"window":512,)"
+        R"("minDwell":128,"migrateFactor":0,"migrateDwell":256},)"
+        R"("memTier":[],)"
+        R"("slice":{"count":0,"hash":"bitselect","mapSpace":"shared"}})"
+        "\n");
+}
+
 // ---------------------------------------------------------------------
 // Journal records
 // ---------------------------------------------------------------------
@@ -255,7 +308,7 @@ TEST(Journal, FingerprintDistinguishesSliceFields)
 TEST(Journal, RecordRoundTripsBitExactly)
 {
     // A faulted + guardrailed split run exercises every compat view.
-    RunConfig cfg = tinyConfig("blackscholes", LlcKind::SplitDopp);
+    RunConfig cfg = tinyConfig("blackscholes", "split-doppelganger");
     cfg.fault.dataRate = 0.01;
     cfg.fault.tagMetaRate = 0.01;
     cfg.qor.budget = 0.001;
@@ -320,7 +373,7 @@ TEST(Journal, MissingFileLoadsEmpty)
 
 TEST(Journal, TruncatedLastLineIsDiscarded)
 {
-    const RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    const RunConfig cfg = tinyConfig("kmeans", "baseline");
     const RunResult r = runWorkload(cfg);
     const std::string a =
         journalRecordJson(configFingerprint(cfg), r);
@@ -345,7 +398,7 @@ TEST(Journal, TruncatedLastLineIsDiscarded)
 
 TEST(Journal, UnknownSchemaIsDiscarded)
 {
-    const RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    const RunConfig cfg = tinyConfig("kmeans", "baseline");
     const std::string fp = configFingerprint(cfg);
     const std::string good = journalRecordJson(fp, runWorkload(cfg));
 
@@ -371,7 +424,7 @@ TEST(Journal, UnknownSchemaIsDiscarded)
 
 TEST(Journal, DuplicateFingerprintKeepsLastRecord)
 {
-    const RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    const RunConfig cfg = tinyConfig("kmeans", "baseline");
     const std::string fp = configFingerprint(cfg);
     RunResult r = runWorkload(cfg);
     const std::string first = journalRecordJson(fp, r);
@@ -397,8 +450,8 @@ TEST(Journal, DuplicateFingerprintKeepsLastRecord)
 TEST(Resilience, SecondCampaignResumesEverything)
 {
     const std::vector<RunConfig> configs = {
-        tinyConfig("kmeans", LlcKind::Baseline),
-        tinyConfig("jpeg", LlcKind::UniDopp),
+        tinyConfig("kmeans", "baseline"),
+        tinyConfig("jpeg", "uniDoppelganger"),
     };
     TempPath journal;
 
@@ -490,7 +543,7 @@ TEST(Resilience, ResumeEquivalenceAtEveryCutPoint)
 TEST(Resilience, DuplicateConfigsShareOneJournalRecord)
 {
     const std::vector<RunConfig> configs(
-        4, tinyConfig("kmeans", LlcKind::Baseline));
+        4, tinyConfig("kmeans", "baseline"));
     TempPath journal;
     BatchOptions opt;
     opt.jobs = 2;
@@ -517,9 +570,9 @@ TEST(Resilience, DuplicateConfigsShareOneJournalRecord)
 TEST(Resilience, CorruptedJournalRecordsReRun)
 {
     const std::vector<RunConfig> configs = {
-        tinyConfig("kmeans", LlcKind::Baseline),
-        tinyConfig("jpeg", LlcKind::UniDopp),
-        tinyConfig("blackscholes", LlcKind::SplitDopp),
+        tinyConfig("kmeans", "baseline"),
+        tinyConfig("jpeg", "uniDoppelganger"),
+        tinyConfig("blackscholes", "split-doppelganger"),
     };
     TempPath journal;
     BatchOptions opt;
@@ -556,7 +609,7 @@ TEST(Resilience, HookConfigsReExecuteButStillJournal)
     // journal cannot replay: hook-carrying configs must re-execute on
     // every campaign. Their records are still written, so the same
     // config *without* hooks can resume from them.
-    RunConfig hooked = tinyConfig("kmeans", LlcKind::SplitDopp);
+    RunConfig hooked = tinyConfig("kmeans", "split-doppelganger");
     hooked.snapshotPeriod = 1000;
     std::atomic<u64> snapshots{0};
     hooked.onSnapshot = [&](const Snapshot &) { ++snapshots; };
@@ -577,7 +630,7 @@ TEST(Resilience, HookConfigsReExecuteButStillJournal)
     EXPECT_EQ(snapshots.load(), 2 * firstSnapshots) <<
         "hook did not re-fire on resume";
 
-    RunConfig bare = tinyConfig("kmeans", LlcKind::SplitDopp);
+    RunConfig bare = tinyConfig("kmeans", "split-doppelganger");
     const BatchOutcome third =
         runBatchResumable({bare}, journal.path, opt);
     EXPECT_EQ(third.runsResumed, 1u);
@@ -589,7 +642,7 @@ TEST(Resilience, HookConfigsReExecuteButStillJournal)
 TEST(Resilience, CancelledRunsAreReportedAndNotJournaled)
 {
     const std::vector<RunConfig> configs(
-        3, tinyConfig("kmeans", LlcKind::Baseline));
+        3, tinyConfig("kmeans", "baseline"));
     std::atomic<bool> cancel{true};
     TempPath journal;
 
@@ -624,7 +677,7 @@ TEST(Resilience, WatchdogTimesOutWedgedRunWithoutKillingPool)
     // a ~10 ms run with a 50x margin against the shared deadline, so
     // it must complete undisturbed even on a heavily loaded machine.
     std::vector<RunConfig> configs;
-    configs.push_back(tinyConfig("kmeans", LlcKind::Baseline, 0.05));
+    configs.push_back(tinyConfig("kmeans", "baseline", 0.05));
     configs[0].snapshotPeriod = 64;
     bool slept = false;
     configs[0].onSnapshot = [&slept](const Snapshot &) {
@@ -633,7 +686,7 @@ TEST(Resilience, WatchdogTimesOutWedgedRunWithoutKillingPool)
             std::this_thread::sleep_for(std::chrono::milliseconds(600));
         }
     };
-    configs.push_back(tinyConfig("kmeans", LlcKind::Baseline, 0.01));
+    configs.push_back(tinyConfig("kmeans", "baseline", 0.01));
 
     StatRegistry reg;
     BatchOptions opt;
@@ -658,7 +711,7 @@ TEST(Resilience, WatchdogTimesOutWedgedRunWithoutKillingPool)
 TEST(Resilience, TimeoutRetriesWithBackoffThenFails)
 {
     std::vector<RunConfig> configs;
-    configs.push_back(tinyConfig("kmeans", LlcKind::Baseline, 0.5));
+    configs.push_back(tinyConfig("kmeans", "baseline", 0.5));
 
     StatRegistry reg;
     BatchOptions opt;
@@ -682,7 +735,7 @@ TEST(Resilience, TransientFailureRetriesToSuccess)
     // A hook that throws exactly once models a transient failure; the
     // retry re-executes from the identical config and succeeds.
     std::atomic<u64> attempts{0};
-    RunConfig flaky = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig flaky = tinyConfig("kmeans", "baseline");
     flaky.snapshotPeriod = 1000;
     flaky.onSnapshot = [&](const Snapshot &) {
         if (attempts.fetch_add(1) == 0)
@@ -731,7 +784,7 @@ TEST(Resilience, MemTierCampaignResumesBitIdentically)
     for (u64 i = 0; i < 6; ++i) {
         RunConfig cfg = tinyConfig(
             i % 2 ? "blackscholes" : "kmeans",
-            i % 2 ? LlcKind::SplitDopp : LlcKind::Baseline, 0.02);
+            i % 2 ? "split-doppelganger" : "baseline", 0.02);
         cfg.workload.seed = 7000 + i;
         cfg.memTier = defaultMemTier(1e-3, 1e-3);
         cfg.qor.budget = 0.01;
@@ -784,7 +837,7 @@ TEST(Resilience, SlicedCampaignResumesBitIdentically)
     for (u64 i = 0; i < 6; ++i) {
         RunConfig cfg = tinyConfig(
             i % 2 ? "blackscholes" : "kmeans",
-            i % 2 ? LlcKind::SplitDopp : LlcKind::Baseline, 0.02);
+            i % 2 ? "split-doppelganger" : "baseline", 0.02);
         cfg.workload.seed = 8000 + i;
         cfg.sliceCount = 1u << (i % 3);       // 1, 2, 4
         cfg.sliceHash = i % 2 ? "sandybridge" : "bitselect";
@@ -835,7 +888,7 @@ TEST(Resilience, BatchAbortPollIntervalIsPlumbedToRuns)
     // tightens the poll to every 16 accesses, and the same run
     // completes when the poll interval is loosened beyond the run's
     // access count (the flag is simply never observed).
-    RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline, 0.5);
+    RunConfig cfg = tinyConfig("kmeans", "baseline", 0.5);
 
     StatRegistry tightReg;
     BatchOptions tight;
@@ -853,7 +906,7 @@ TEST(Resilience, BatchAbortPollIntervalIsPlumbedToRuns)
     loose.runTimeoutMs = 1;
     loose.abortPollAccesses = u64{1} << 40; // far past the run's end
     const std::vector<RunResult> finished =
-        runBatch({tinyConfig("kmeans", LlcKind::Baseline, 0.02)},
+        runBatch({tinyConfig("kmeans", "baseline", 0.02)},
                  loose);
     EXPECT_FALSE(finished[0].failed) << finished[0].error;
 }
@@ -861,8 +914,8 @@ TEST(Resilience, BatchAbortPollIntervalIsPlumbedToRuns)
 TEST(Resilience, JournalBytesCounterTracksAppends)
 {
     const std::vector<RunConfig> configs = {
-        tinyConfig("kmeans", LlcKind::Baseline),
-        tinyConfig("jpeg", LlcKind::UniDopp),
+        tinyConfig("kmeans", "baseline"),
+        tinyConfig("jpeg", "uniDoppelganger"),
     };
     TempPath journal;
     StatRegistry reg;
@@ -883,7 +936,7 @@ TEST(Resilience, JournalBytesCounterTracksAppends)
 TEST(ResilienceDeathTest, EmptyJournalPathIsFatal)
 {
     EXPECT_EXIT(
-        runBatchResumable({tinyConfig("kmeans", LlcKind::Baseline)},
+        runBatchResumable({tinyConfig("kmeans", "baseline")},
                           "", {}),
         ::testing::ExitedWithCode(1), "empty journal path");
 }

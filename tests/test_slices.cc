@@ -25,18 +25,18 @@ namespace
 {
 
 RunConfig
-tinyRun(LlcKind kind, const std::string &workload = "kmeans")
+tinyRun(const std::string &org, const std::string &workload = "kmeans")
 {
     RunConfig cfg;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workloadName = workload;
     cfg.workload.scale = 0.05;
     return cfg;
 }
 
-constexpr LlcKind allKinds[] = {
-    LlcKind::Baseline, LlcKind::SplitDopp, LlcKind::UniDopp,
-    LlcKind::Dedup,    LlcKind::Bdi,
+constexpr const char *allOrgs[] = {
+    "baseline", "split-doppelganger", "uniDoppelganger",
+    "dedup",    "bdi",
 };
 
 /** Scoped environment override restoring the prior value on exit. */
@@ -378,6 +378,21 @@ TEST(SliceConfigResolutionDeathTest, IndivisibleCapacityIsFatal)
                 ::testing::ExitedWithCode(1), "does not divide");
 }
 
+TEST(SliceConfigResolutionDeathTest, BadLlcGeometryIsFatalBeforeBuild)
+{
+    // Zero ways would divide by zero in the LLC constructor, and a
+    // capacity below one set would fatal there; runWorkload names the
+    // problem before it builds anything.
+    RunConfig noWays;
+    noWays.llcWays = 0;
+    EXPECT_EXIT(runWorkload("kmeans", noWays),
+                ::testing::ExitedWithCode(1), "llcWays must be non-zero");
+    RunConfig tiny;
+    tiny.baselineBytes = 1000;
+    EXPECT_EXIT(runWorkload("kmeans", tiny),
+                ::testing::ExitedWithCode(1), "whole 16-way sets");
+}
+
 TEST(SliceConfigResolutionDeathTest, PerSliceNeedsMapBitsHeadroom)
 {
     RunConfig cfg;
@@ -469,30 +484,29 @@ TEST(SlicedLlc, StatsSumSlicesAndMergeMatchesView)
 
 TEST(SlicePins, SingleSliceIsBitIdenticalToUnsliced)
 {
-    for (LlcKind kind : allKinds) {
-        RunConfig unsliced = tinyRun(kind);
+    for (const char *org : allOrgs) {
+        RunConfig unsliced = tinyRun(org);
         const RunResult a = runWorkload(unsliced);
 
-        RunConfig one = tinyRun(kind);
+        RunConfig one = tinyRun(org);
         one.sliceCount = 1;
         const RunResult b = runWorkload(one);
 
-        EXPECT_EQ(a.stats, b.stats) << llcKindName(kind);
-        EXPECT_EQ(a.runtime, b.runtime) << llcKindName(kind);
-        EXPECT_EQ(a.output, b.output) << llcKindName(kind);
-        EXPECT_EQ(a.memReads, b.memReads) << llcKindName(kind);
-        EXPECT_EQ(a.memWrites, b.memWrites) << llcKindName(kind);
+        EXPECT_EQ(a.stats, b.stats) << org;
+        EXPECT_EQ(a.runtime, b.runtime) << org;
+        EXPECT_EQ(a.output, b.output) << org;
+        EXPECT_EQ(a.memReads, b.memReads) << org;
+        EXPECT_EQ(a.memWrites, b.memWrites) << org;
     }
 }
 
 TEST(SlicePins, FactoryOrganizationsSingleSliceIsBitIdentical)
 {
-    // The three factory-only organizations (no LlcKind) must satisfy
+    // The three organizations beyond the paper's five must satisfy
     // the same pins: builders that honor stat_group compose with the
     // sliced front end without per-organization edits.
     for (const char *name : {"uniDoppBdi", "gdish", "approxDedup"}) {
-        RunConfig unsliced = tinyRun(LlcKind::Baseline);
-        unsliced.llcName = name;
+        RunConfig unsliced = tinyRun(name);
         const RunResult a = runWorkload(unsliced);
 
         RunConfig one = unsliced;
@@ -513,7 +527,7 @@ TEST(SlicePins, FactoryOrganizationsSingleSliceIsBitIdentical)
 
 TEST(SlicedRun, PerSliceGroupsAppearAndAggregateSums)
 {
-    RunConfig cfg = tinyRun(LlcKind::Baseline);
+    RunConfig cfg = tinyRun("baseline");
     cfg.sliceCount = 4;
     const RunResult r = runWorkload(cfg);
 
@@ -534,8 +548,8 @@ TEST(SlicedRun, UnslicedStatNameSetSurvivesUnderAggregate)
 {
     // Report layers and compatibility views read "llc.*" names; the
     // merged aggregate must expose exactly the unsliced set.
-    const RunResult flat = runWorkload(tinyRun(LlcKind::SplitDopp));
-    RunConfig cfg = tinyRun(LlcKind::SplitDopp);
+    const RunResult flat = runWorkload(tinyRun("split-doppelganger"));
+    RunConfig cfg = tinyRun("split-doppelganger");
     cfg.sliceCount = 2;
     const RunResult sliced = runWorkload(cfg);
 
@@ -547,10 +561,10 @@ TEST(SlicedRun, UnslicedStatNameSetSurvivesUnderAggregate)
 
 TEST(SlicedRun, SplitHalvesAggregateAcrossSlices)
 {
-    RunConfig cfg = tinyRun(LlcKind::SplitDopp);
+    RunConfig cfg = tinyRun("split-doppelganger");
     cfg.sliceCount = 2;
     const RunResult sliced = runWorkload(cfg);
-    const RunResult flat = runWorkload(tinyRun(LlcKind::SplitDopp));
+    const RunResult flat = runWorkload(tinyRun("split-doppelganger"));
 
     // The compatibility halves sum both slices' halves — a sliced run
     // must not silently report only slice 0.
@@ -565,12 +579,12 @@ TEST(SlicedRun, SplitHalvesAggregateAcrossSlices)
 
 TEST(SlicedRun, MapSpaceModeScalesPerSliceMapBits)
 {
-    RunConfig shared = tinyRun(LlcKind::SplitDopp);
+    RunConfig shared = tinyRun("split-doppelganger");
     shared.sliceCount = 4;
     const RunResult a = runWorkload(shared);
     EXPECT_EQ(a.doppConfig.mapBits, shared.mapBits);
 
-    RunConfig perSlice = tinyRun(LlcKind::SplitDopp);
+    RunConfig perSlice = tinyRun("split-doppelganger");
     perSlice.sliceCount = 4;
     perSlice.mapSpaceMode = MapSpaceMode::PerSlice;
     const RunResult b = runWorkload(perSlice);
@@ -583,13 +597,13 @@ TEST(SlicedRun, MapSpaceModeScalesPerSliceMapBits)
 
 TEST(SlicedRun, SandyBridgeHashRunsEveryOrganization)
 {
-    for (LlcKind kind : allKinds) {
-        RunConfig cfg = tinyRun(kind);
+    for (const char *org : allOrgs) {
+        RunConfig cfg = tinyRun(org);
         cfg.sliceCount = 8;
         cfg.sliceHash = "sandybridge";
         const RunResult r = runWorkload(cfg);
         EXPECT_GT(r.stats.counter("llc.fetches"), 0u)
-            << llcKindName(kind);
+            << org;
     }
 }
 

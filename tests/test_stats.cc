@@ -26,18 +26,18 @@ namespace
 {
 
 RunConfig
-tinyRun(LlcKind kind, const std::string &workload = "kmeans")
+tinyRun(const std::string &org, const std::string &workload = "kmeans")
 {
     RunConfig cfg;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workloadName = workload;
     cfg.workload.scale = 0.05;
     return cfg;
 }
 
-constexpr LlcKind allKinds[] = {
-    LlcKind::Baseline, LlcKind::SplitDopp, LlcKind::UniDopp,
-    LlcKind::Dedup,    LlcKind::Bdi,
+constexpr const char *allOrgs[] = {
+    "baseline", "split-doppelganger", "uniDoppelganger",
+    "dedup",    "bdi",
 };
 
 } // namespace
@@ -262,28 +262,18 @@ TEST(LlcCounters, RegisteredViewMatchesDirectRegistration)
 
 TEST(LlcFactory, BuiltinsAreRegistered)
 {
-    for (LlcKind kind : allKinds)
-        EXPECT_TRUE(llcRegistered(llcKindName(kind)));
+    // The paper's five organizations, under the names reports,
+    // journals and fingerprints carry.
+    for (const char *org : {"baseline", "split-doppelganger",
+                            "uniDoppelganger", "dedup", "bdi"})
+        EXPECT_TRUE(llcRegistered(org)) << org;
     EXPECT_FALSE(llcRegistered("no-such-organization"));
     EXPECT_GE(registeredLlcNames().size(), 5u);
 }
 
-TEST(LlcFactory, KindNameRoundTripsForAllFiveKinds)
-{
-    for (LlcKind kind : allKinds)
-        EXPECT_EQ(llcKindFromName(llcKindName(kind)), kind);
-}
-
-TEST(LlcFactoryDeathTest, UnknownKindNameIsFatal)
-{
-    EXPECT_EXIT(llcKindFromName("conventional"),
-                ::testing::ExitedWithCode(1),
-                "unknown LLC organization name");
-}
-
 TEST(LlcFactoryDeathTest, UnknownOrganizationBuildIsFatal)
 {
-    RunConfig cfg = tinyRun(LlcKind::Baseline);
+    RunConfig cfg = tinyRun("baseline");
     cfg.llcName = "no-such-organization";
     EXPECT_EXIT(runWorkload(cfg), ::testing::ExitedWithCode(1),
                 "unknown organization 'no-such-organization'");
@@ -311,7 +301,7 @@ TEST(LlcFactory, CustomOrganizationPlugsIntoRunWorkload)
                         return built;
                     });
     }
-    RunConfig cfg = tinyRun(LlcKind::Baseline);
+    RunConfig cfg = tinyRun("baseline");
     cfg.llcName = "test-tiny-conventional";
     const RunResult r = runWorkload(cfg);
     EXPECT_EQ(r.organization, "test-tiny-conventional");
@@ -325,14 +315,14 @@ TEST(LlcFactory, CustomOrganizationPlugsIntoRunWorkload)
 
 TEST(SchemaDrift, EveryRegisteredStatExportsAndRoundTrips)
 {
-    for (LlcKind kind : allKinds) {
-        const RunResult r = runWorkload(tinyRun(kind));
+    for (const char *org : allOrgs) {
+        const RunResult r = runWorkload(tinyRun(org));
 
         // CSV header carries every snapshot name, in order.
         const std::string header = runResultCsvHeader(r);
         for (const StatValue &v : r.stats.values()) {
             EXPECT_NE(header.find(v.name), std::string::npos)
-                << llcKindName(kind) << ": column '" << v.name
+                << org << ": column '" << v.name
                 << "' missing from the CSV header";
         }
 
@@ -343,7 +333,7 @@ TEST(SchemaDrift, EveryRegisteredStatExportsAndRoundTrips)
                 v.name.substr(v.name.rfind('.') + 1);
             EXPECT_NE(json.find("\"" + leaf + "\":"),
                       std::string::npos)
-                << llcKindName(kind) << ": leaf '" << leaf
+                << org << ": leaf '" << leaf
                 << "' missing from the JSON export";
         }
 
@@ -359,7 +349,7 @@ TEST(SchemaDrift, EveryRegisteredStatExportsAndRoundTrips)
         EXPECT_EQ(rows[0].values.size(), r.stats.size());
         for (const StatValue &v : r.stats.values()) {
             EXPECT_EQ(rows[0].value(v.name), v.asDouble())
-                << llcKindName(kind) << ": column '" << v.name
+                << org << ": column '" << v.name
                 << "' did not round-trip through the CSV";
         }
     }
@@ -367,33 +357,33 @@ TEST(SchemaDrift, EveryRegisteredStatExportsAndRoundTrips)
 
 TEST(SchemaDrift, CoreGroupsArePresentForEveryOrganization)
 {
-    for (LlcKind kind : allKinds) {
-        const RunResult r = runWorkload(tinyRun(kind));
-        EXPECT_TRUE(r.stats.has("llc.fetches")) << llcKindName(kind);
-        EXPECT_TRUE(r.stats.has("llc.missRate")) << llcKindName(kind);
+    for (const char *org : allOrgs) {
+        const RunResult r = runWorkload(tinyRun(org));
+        EXPECT_TRUE(r.stats.has("llc.fetches")) << org;
+        EXPECT_TRUE(r.stats.has("llc.missRate")) << org;
         EXPECT_TRUE(r.stats.has("hierarchy.accesses"))
-            << llcKindName(kind);
-        EXPECT_TRUE(r.stats.has("mem.reads")) << llcKindName(kind);
-        EXPECT_TRUE(r.stats.has("mem.writes")) << llcKindName(kind);
+            << org;
+        EXPECT_TRUE(r.stats.has("mem.reads")) << org;
+        EXPECT_TRUE(r.stats.has("mem.writes")) << org;
         EXPECT_TRUE(r.stats.has("run.runtimeCycles"))
-            << llcKindName(kind);
+            << org;
         // The compatibility views read the same counters the
         // snapshot records.
         EXPECT_EQ(r.stats.counter("llc.fetches"), r.llc.fetches)
-            << llcKindName(kind);
+            << org;
         EXPECT_EQ(r.stats.counter("hierarchy.accesses"),
                   r.hierarchy.accesses)
-            << llcKindName(kind);
+            << org;
         EXPECT_EQ(r.stats.counter("mem.reads"), r.memReads)
-            << llcKindName(kind);
+            << org;
         EXPECT_EQ(r.stats.counter("run.runtimeCycles"), r.runtime)
-            << llcKindName(kind);
+            << org;
     }
 }
 
 TEST(SchemaDrift, SplitRegistersHalvesAndAggregate)
 {
-    const RunResult r = runWorkload(tinyRun(LlcKind::SplitDopp));
+    const RunResult r = runWorkload(tinyRun("split-doppelganger"));
     EXPECT_TRUE(r.stats.has("llc.precise.fetches"));
     EXPECT_TRUE(r.stats.has("llc.dopp.fetches"));
     EXPECT_TRUE(r.stats.has("llc.route.degradedFills"));
@@ -407,8 +397,8 @@ TEST(SchemaDrift, SplitRegistersHalvesAndAggregate)
 
 TEST(SchemaDrift, MixedSchemasMergeIntoUnionColumns)
 {
-    const RunResult base = runWorkload(tinyRun(LlcKind::Baseline));
-    const RunResult split = runWorkload(tinyRun(LlcKind::SplitDopp));
+    const RunResult base = runWorkload(tinyRun("baseline"));
+    const RunResult split = runWorkload(tinyRun("split-doppelganger"));
     const std::vector<std::string> cols =
         resultStatColumns({base, split});
     const auto hasCol = [&](const std::string &n) {
@@ -442,7 +432,7 @@ TEST(SchemaDrift, MixedSchemasMergeIntoUnionColumns)
 
 TEST(SchemaDrift, FaultAndQorGroupsExportWhenConfigured)
 {
-    RunConfig cfg = tinyRun(LlcKind::SplitDopp, "blackscholes");
+    RunConfig cfg = tinyRun("split-doppelganger", "blackscholes");
     cfg.fault.dataRate = 0.01;
     cfg.fault.tagMetaRate = 0.01;
     cfg.fault.memoryRate = 0.001;
@@ -461,7 +451,7 @@ TEST(SchemaDrift, FaultAndQorGroupsExportWhenConfigured)
               r.guardrailDegradations);
 
     // Clean runs carry no fault/qor groups at all.
-    const RunResult clean = runWorkload(tinyRun(LlcKind::SplitDopp));
+    const RunResult clean = runWorkload(tinyRun("split-doppelganger"));
     EXPECT_FALSE(clean.stats.has("fault.injected.total"));
     EXPECT_FALSE(clean.stats.has("qor.observations"));
 }
@@ -473,10 +463,10 @@ TEST(SchemaDrift, FaultAndQorGroupsExportWhenConfigured)
 TEST(SchemaDrift, RegistryDumpsIdenticalAcrossJobCounts)
 {
     std::vector<RunConfig> configs;
-    configs.push_back(tinyRun(LlcKind::Baseline, "kmeans"));
-    configs.push_back(tinyRun(LlcKind::SplitDopp, "jmeint"));
-    configs.push_back(tinyRun(LlcKind::UniDopp, "jpeg"));
-    configs.push_back(tinyRun(LlcKind::Bdi, "blackscholes"));
+    configs.push_back(tinyRun("baseline", "kmeans"));
+    configs.push_back(tinyRun("split-doppelganger", "jmeint"));
+    configs.push_back(tinyRun("uniDoppelganger", "jpeg"));
+    configs.push_back(tinyRun("bdi", "blackscholes"));
 
     BatchOptions serial;
     serial.jobs = 1;
@@ -505,8 +495,8 @@ TEST(StatsJsonl, EveryRunAppendsOneLine)
     std::remove(buf); // runWorkload appends; start from nothing
 
     ASSERT_EQ(setenv("DOPP_STATS_JSON", buf, 1), 0);
-    runWorkload(tinyRun(LlcKind::Baseline));
-    runWorkload(tinyRun(LlcKind::UniDopp, "jpeg"));
+    runWorkload(tinyRun("baseline"));
+    runWorkload(tinyRun("uniDoppelganger", "jpeg"));
     ASSERT_EQ(unsetenv("DOPP_STATS_JSON"), 0);
 
     std::ifstream in(buf);

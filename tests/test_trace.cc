@@ -120,7 +120,7 @@ TEST(Trace, HarnessCapturesWorkloadRun)
 {
     TempTrace tmp;
     RunConfig cfg;
-    cfg.kind = LlcKind::Baseline;
+    cfg.llcName = "baseline";
     cfg.workload.scale = 0.05;
     cfg.tracePath = tmp.path;
     const RunResult run = runWorkload("kmeans", cfg);
@@ -148,7 +148,7 @@ TEST(Trace, ReplayReproducesHierarchyBehaviour)
     // functional state matches).
     TempTrace tmp;
     RunConfig cfg;
-    cfg.kind = LlcKind::Baseline;
+    cfg.llcName = "baseline";
     cfg.workload.scale = 0.05;
     cfg.tracePath = tmp.path;
     const RunResult run = runWorkload("jmeint", cfg);
@@ -175,7 +175,7 @@ TEST(Trace, ReplayOnDifferentLlcDiffers)
     // The point of traces: swap the LLC under the same access stream.
     TempTrace tmp;
     RunConfig cfg;
-    cfg.kind = LlcKind::Baseline;
+    cfg.llcName = "baseline";
     cfg.workload.scale = 0.1;
     cfg.tracePath = tmp.path;
     runWorkload("canneal", cfg);
@@ -270,7 +270,7 @@ TEST(Trace, MultiprogramReplayRunsOnSharedLlc)
     TempTrace b;
     TempTrace merged;
     RunConfig cfg;
-    cfg.kind = LlcKind::Baseline;
+    cfg.llcName = "baseline";
     cfg.workload.scale = 0.05;
     cfg.tracePath = a.path;
     const RunResult ra = runWorkload("kmeans", cfg);
