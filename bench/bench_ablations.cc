@@ -62,9 +62,8 @@ runSuite(const std::string &title, const std::vector<Variant> &variants)
             const RunResult &r = results[w * stride + 1 + i];
             row.push_back(pct(workloadOutputError(
                 subset[w], r.output, baseline.output)));
-            row.push_back(strfmt(
-                "%.2f", static_cast<double>(r.runtime) /
-                            static_cast<double>(baseline.runtime)));
+            row.push_back(
+                strfmt("%.2f", normalizedRuntime(r, baseline)));
         }
         table.row(std::move(row));
     }
@@ -137,10 +136,7 @@ main()
                          : "one range per type (paper)",
                        pct(workloadOutputError("swaptions", r.output,
                                                baseline.output)),
-                       strfmt("%.3f",
-                              static_cast<double>(r.runtime) /
-                                  static_cast<double>(
-                                      baseline.runtime))});
+                       strfmt("%.3f", normalizedRuntime(r, baseline))});
         }
         table.print("Ablation: shared vs per-use declared ranges "
                     "(swaptions, Sec 5.2)");

@@ -129,17 +129,15 @@ main()
             err.row(std::move(erow));
 
             const RunResult &top = results[cell.rates[2]];
-            rep.row({name, orgs[k],
-                     strfmt("%llu", static_cast<unsigned long long>(
-                                        top.fault.totalInjected())),
-                     strfmt("%llu", static_cast<unsigned long long>(
-                                        top.fault.detected)),
-                     strfmt("%llu", static_cast<unsigned long long>(
-                                        top.fault.repairs)),
-                     strfmt("%llu", static_cast<unsigned long long>(
-                                        top.fault.tagsDropped)),
-                     strfmt("%llu", static_cast<unsigned long long>(
-                                        top.fault.entriesDropped))});
+            auto count = [](const RunResult &r, const char *stat) {
+                return strfmt("%llu", static_cast<unsigned long long>(
+                                          r.stats.counter(stat)));
+            };
+            rep.row({name, orgs[k], count(top, "fault.injected.total"),
+                     count(top, "fault.detected"),
+                     count(top, "fault.repairs"),
+                     count(top, "fault.tagsDropped"),
+                     count(top, "fault.entriesDropped")});
 
             if (cell.guard == SIZE_MAX)
                 continue;
@@ -149,13 +147,8 @@ main()
                                                precise.output)),
                        pct(workloadOutputError(name, on.output,
                                                precise.output)),
-                       pct(budget),
-                       strfmt("%llu",
-                              static_cast<unsigned long long>(
-                                  on.guardrailDegradations)),
-                       strfmt("%llu",
-                              static_cast<unsigned long long>(
-                                  on.llc.degradedFills))});
+                       pct(budget), count(on, "qor.degradations"),
+                       count(on, "llc.degradedFills")});
         }
     }
 

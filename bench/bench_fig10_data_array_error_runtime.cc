@@ -48,8 +48,7 @@ main()
             const RunResult &r = results[w * stride + 1 + i];
             const double error = workloadOutputError(
                 names[w], r.output, baseline.output);
-            const double norm = static_cast<double>(r.runtime) /
-                static_cast<double>(baseline.runtime);
+            const double norm = normalizedRuntime(r, baseline);
             erow.push_back(pct(error));
             rrow.push_back(strfmt("%.3f", norm));
             rtSum[i] += norm;

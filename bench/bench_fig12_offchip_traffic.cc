@@ -55,9 +55,9 @@ main()
         for (size_t i = 0; i < kFractions + kExtras; ++i) {
             const RunResult &r = results[w * stride + 1 + i];
             const double norm =
-                static_cast<double>(r.offChipTraffic()) /
+                static_cast<double>(offChipTraffic(r)) /
                 static_cast<double>(
-                    std::max<u64>(baseline.offChipTraffic(), 1));
+                    std::max<u64>(offChipTraffic(baseline), 1));
             row.push_back(strfmt("%.3f", norm));
             sums[i] += norm;
         }

@@ -48,8 +48,7 @@ main()
     double leakSum[3] = {};
     for (size_t w = 0; w < names.size(); ++w) {
         const RunResult &baseline = results[w * stride];
-        const EnergyResult baseE =
-            energy.baseline(baseline.llc, baseline.runtime);
+        const EnergyResult baseE = energy.baseline(baseline.stats, "llc");
 
         std::vector<std::string> erow = {names[w]};
         std::vector<std::string> rrow = {names[w]};
@@ -57,11 +56,10 @@ main()
         for (size_t i = 0; i < 3; ++i) {
             const RunResult &r = results[w * stride + 1 + i];
             const EnergyResult e =
-                energy.unified(r.llc, r.doppConfig, r.runtime);
+                energy.unified(r.stats, "llc", r.doppConfig);
             const double error = workloadOutputError(
                 names[w], r.output, baseline.output);
-            const double norm = static_cast<double>(r.runtime) /
-                static_cast<double>(baseline.runtime);
+            const double norm = normalizedRuntime(r, baseline);
             erow.push_back(pct(error));
             rrow.push_back(strfmt("%.3f", norm));
             drow.push_back(times(baseE.dynamicPj / e.dynamicPj));

@@ -87,9 +87,12 @@ memEnergyPj(const RunResult &r, const MemTierConfig &tier)
     if (tier.enabled())
         return memTierEnergy(tier, r.stats).totalPj();
     const MemPartitionProfile flat = preciseDramProfile();
-    return flat.readEnergyPj * static_cast<double>(r.memReads) +
-        flat.writeEnergyPj * static_cast<double>(r.memWrites) +
-        flat.standbyPowerMw * static_cast<double>(r.runtime);
+    return flat.readEnergyPj *
+            static_cast<double>(r.stats.counter("mem.reads")) +
+        flat.writeEnergyPj *
+            static_cast<double>(r.stats.counter("mem.writes")) +
+        flat.standbyPowerMw *
+            static_cast<double>(r.stats.counter("run.runtimeCycles"));
 }
 
 std::string
@@ -173,10 +176,7 @@ main()
             modes.row({name, m.label,
                        pct(workloadOutputError(name, r.output,
                                                precise.output)),
-                       strfmt("%.3f",
-                              static_cast<double>(r.runtime) /
-                                  static_cast<double>(
-                                      precise.runtime)),
+                       strfmt("%.3f", normalizedRuntime(r, precise)),
                        strfmt("%.3e", llcEnergyPj(r)),
                        strfmt("%.3e",
                               memEnergyPj(r, m.tiered ? tier
@@ -208,7 +208,7 @@ main()
                    pct(workloadOutputError(name, guarded.output,
                                            precise.output)),
                    pct(budget),
-                   u64str(guarded.guardrailDegradations),
+                   u64str(guarded.stats.counter("qor.degradations")),
                    u64str(guarded.stats.counter("mem.migrations")),
                    u64str(guarded.stats.counter("mem.pagesMigrated"))});
     }

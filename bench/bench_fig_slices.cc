@@ -105,7 +105,7 @@ main()
         return results[w * stride + off];
     };
     auto traffic = [](const RunResult &r) {
-        return static_cast<double>(r.offChipTraffic());
+        return static_cast<double>(offChipTraffic(r));
     };
 
     // Table 1: traffic vs slice count per organization, averaged over
@@ -180,7 +180,7 @@ main()
                 const RunResult &r = per
                     ? at(w, base3 + c)
                     : at(w, 1 + splitIdx * perOrg + 1 + c);
-                row.push_back(strfmt("%.2f", r.tagsPerDataEntry));
+                row.push_back(strfmt("%.2f", r.stats.value("run.tagsPerDataEntry")));
                 last = &r;
             }
             row.push_back(pct(workloadOutputError(

@@ -30,20 +30,26 @@ main()
     double dirtySum = 0.0;
     u64 dirtyWorkloads = 0;
     for (size_t w = 0; w < names.size(); ++w) {
-        const RunResult &r = results[w];
-        const double dirtyFrac = r.doppHalf.evictions
-            ? static_cast<double>(r.doppHalf.dirtyWritebacks) /
-                static_cast<double>(r.doppHalf.evictions)
+        // The split's Doppelgänger half.
+        const StatSnapshot &s = results[w].stats;
+        const u64 evictions = s.counter("llc.dopp.evictions");
+        const u64 samples = s.counter("llc.dopp.linkedTagsSamples");
+        const double dirtyFrac = evictions
+            ? static_cast<double>(s.counter("llc.dopp.dirtyWritebacks")) /
+                static_cast<double>(evictions)
             : 0.0;
+        const double occupancy = s.value("run.tagsPerDataEntry");
 
-        table.row({names[w],
-                   strfmt("%.2f", r.tagsPerDataEntry),
-                   r.doppHalf.linkedTagsSamples
-                       ? strfmt("%.2f", r.doppHalf.avgLinkedTags())
+        table.row({names[w], strfmt("%.2f", occupancy),
+                   samples
+                       ? strfmt("%.2f",
+                                static_cast<double>(s.counter(
+                                    "llc.dopp.linkedTagsSum")) /
+                                    static_cast<double>(samples))
                        : "- (no data evictions)",
-                   r.doppHalf.evictions ? pct(dirtyFrac) : "-"});
-        occSum += r.tagsPerDataEntry;
-        if (r.doppHalf.evictions) {
+                   evictions ? pct(dirtyFrac) : "-"});
+        occSum += occupancy;
+        if (evictions) {
             dirtySum += dirtyFrac;
             ++dirtyWorkloads;
         }

@@ -95,6 +95,21 @@ thinSnapshot(const Snapshot &snap, size_t cap)
     return out;
 }
 
+/** @p r's runtime ("run.runtimeCycles") relative to @p base's. */
+inline double
+normalizedRuntime(const RunResult &r, const RunResult &base)
+{
+    return static_cast<double>(r.stats.counter("run.runtimeCycles")) /
+        static_cast<double>(base.stats.counter("run.runtimeCycles"));
+}
+
+/** Off-chip blocks moved by @p r: demand reads plus writebacks. */
+inline u64
+offChipTraffic(const RunResult &r)
+{
+    return r.stats.counter("mem.reads") + r.stats.counter("mem.writes");
+}
+
 /** Run configuration for @p workload on organization @p org at the
  * environment's scale. */
 inline RunConfig

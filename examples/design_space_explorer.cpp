@@ -33,17 +33,23 @@ main(int argc, char **argv)
                 workload.c_str(), scale);
     const RunResult baseline = runWorkload(workload, base);
     const EnergyModel energy;
-    const EnergyResult baseE =
-        energy.baseline(baseline.llc, baseline.runtime);
+    const EnergyResult baseE = energy.baseline(baseline.stats, "llc");
+
+    auto offChip = [](const RunResult &r) {
+        return strfmt("%llu", static_cast<unsigned long long>(
+                                  r.stats.counter("mem.reads") +
+                                  r.stats.counter("mem.writes")));
+    };
+    auto cycles = [](const RunResult &r) {
+        return static_cast<double>(r.stats.counter("run.runtimeCycles"));
+    };
 
     TextTable table;
     table.header({"organization", "config", "runtime", "error",
                   "LLC miss%", "off-chip blks", "dyn energy", "leakage"});
     table.row({"baseline 2MB", "-", "1.000", "0.000%",
-               pct(baseline.llc.missRate()),
-               strfmt("%llu", static_cast<unsigned long long>(
-                   baseline.offChipTraffic())),
-               "1.000", "1.000"});
+               pct(baseline.stats.value("llc.missRate")),
+               offChip(baseline), "1.000", "1.000"});
 
     struct Point
     {
@@ -66,10 +72,10 @@ main(int argc, char **argv)
 
         EnergyResult e;
         if (p.org == "split-doppelganger") {
-            e = energy.split(r.preciseHalf, r.doppHalf, r.doppConfig,
-                             r.runtime);
+            e = energy.split(r.stats, "llc.precise", "llc.dopp",
+                             r.doppConfig);
         } else {
-            e = energy.unified(r.llc, r.doppConfig, r.runtime);
+            e = energy.unified(r.stats, "llc", r.doppConfig);
         }
 
         const double error =
@@ -78,12 +84,10 @@ main(int argc, char **argv)
         table.row({
             p.org,
             strfmt("M=%u, %g data", p.mapBits, p.fraction),
-            strfmt("%.3f", static_cast<double>(r.runtime) /
-                               static_cast<double>(baseline.runtime)),
+            strfmt("%.3f", cycles(r) / cycles(baseline)),
             pct(error, 2),
-            pct(r.llc.missRate()),
-            strfmt("%llu",
-                   static_cast<unsigned long long>(r.offChipTraffic())),
+            pct(r.stats.value("llc.missRate")),
+            offChip(r),
             strfmt("%.3f", e.dynamicPj / baseE.dynamicPj),
             strfmt("%.3f", e.leakagePj / baseE.leakagePj),
         });

@@ -32,8 +32,7 @@ runFamily(const char *workload, double scale)
     base.workload.scale = scale;
     const RunResult baseline = runWorkload(workload, base);
     const EnergyModel energy;
-    const EnergyResult baseE =
-        energy.baseline(baseline.llc, baseline.runtime);
+    const EnergyResult baseE = energy.baseline(baseline.stats, "llc");
 
     TextTable table;
     table.header({"organization", "price error", "runtime",
@@ -53,22 +52,23 @@ runFamily(const char *workload, double scale)
         double dynReduction = 1.0;
         if (org == "split-doppelganger") {
             dynReduction = baseE.dynamicPj /
-                energy.split(r.preciseHalf, r.doppHalf, r.doppConfig,
-                             r.runtime).dynamicPj;
+                energy.split(r.stats, "llc.precise", "llc.dopp",
+                             r.doppConfig).dynamicPj;
         } else if (org == "uniDoppelganger") {
             dynReduction = baseE.dynamicPj /
-                energy.unified(r.llc, r.doppConfig, r.runtime)
-                    .dynamicPj;
+                energy.unified(r.stats, "llc", r.doppConfig).dynamicPj;
         }
+        const double sharing = r.stats.value("run.tagsPerDataEntry");
         table.row({
             org,
             pct(err, 2),
-            strfmt("%.3f", static_cast<double>(r.runtime) /
-                               static_cast<double>(baseline.runtime)),
+            strfmt("%.3f",
+                   static_cast<double>(
+                       r.stats.counter("run.runtimeCycles")) /
+                       static_cast<double>(
+                           baseline.stats.counter("run.runtimeCycles"))),
             org == "dedup" ? "-" : times(dynReduction),
-            r.tagsPerDataEntry > 0.0
-                ? strfmt("%.2f tags/entry", r.tagsPerDataEntry)
-                : "-",
+            sharing > 0.0 ? strfmt("%.2f tags/entry", sharing) : "-",
         });
     }
     table.print(std::string(workload) + " pricing across LLC designs");

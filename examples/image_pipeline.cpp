@@ -53,23 +53,33 @@ main(int argc, char **argv)
 
     const double error =
         workloadOutputError("jpeg", dopp.output, precise.output);
+    // The split's Doppelgänger half counts under "llc.dopp".
+    const StatSnapshot &s = dopp.stats;
+    const u64 evictedEntries = s.counter("llc.dopp.linkedTagsSamples");
 
     std::printf("\n-- results --\n");
     std::printf("mean pixel error:            %s\n",
                 pct(error, 2).c_str());
     std::printf("normalized runtime:          %.3f\n",
-                static_cast<double>(dopp.runtime) /
-                    static_cast<double>(precise.runtime));
+                static_cast<double>(s.counter("run.runtimeCycles")) /
+                    static_cast<double>(
+                        precise.stats.counter("run.runtimeCycles")));
     std::printf("tags per shared data entry:  %.2f (paper avg: 4.4)\n",
-                dopp.tagsPerDataEntry);
+                s.value("run.tagsPerDataEntry"));
     std::printf("avg tags on evicted entries: %.2f\n",
-                dopp.doppHalf.avgLinkedTags());
+                evictedEntries
+                    ? static_cast<double>(
+                          s.counter("llc.dopp.linkedTagsSum")) /
+                        static_cast<double>(evictedEntries)
+                    : 0.0);
     std::printf("LLC misses baseline/dopp:    %llu / %llu\n",
                 static_cast<unsigned long long>(
-                    precise.llc.fetchMisses),
-                static_cast<unsigned long long>(dopp.llc.fetchMisses));
+                    precise.stats.counter("llc.fetchMisses")),
+                static_cast<unsigned long long>(
+                    s.counter("llc.fetchMisses")));
     std::printf("map generations:             %llu (x168 pJ)\n",
-                static_cast<unsigned long long>(dopp.doppHalf.mapGens));
+                static_cast<unsigned long long>(
+                    s.counter("llc.dopp.mapGens")));
     std::printf("\nAn output error of a few percent for a pipeline "
                 "whose pixels, DCT\ncoefficients and output all lived "
                 "in a %gx smaller data array is the\npaper's "

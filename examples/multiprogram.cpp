@@ -34,7 +34,7 @@ record(const std::string &workload, double scale, const char *path)
     const RunResult r = runWorkload(workload, cfg);
     std::printf("recorded %s: %llu accesses\n", workload.c_str(),
                 static_cast<unsigned long long>(
-                    r.hierarchy.accesses));
+                    r.stats.counter("hierarchy.accesses")));
     return path;
 }
 

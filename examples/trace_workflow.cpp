@@ -37,8 +37,9 @@ main(int argc, char **argv)
     const RunResult original = runWorkload(workload, cfg);
     std::printf("recorded %llu accesses (runtime %llu cycles)\n\n",
                 static_cast<unsigned long long>(
-                    original.hierarchy.accesses),
-                static_cast<unsigned long long>(original.runtime));
+                    original.stats.counter("hierarchy.accesses")),
+                static_cast<unsigned long long>(
+                    original.stats.counter("run.runtimeCycles")));
 
     TextTable table;
     table.header({"replayed on", "LLC miss rate", "avg access latency",

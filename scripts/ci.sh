@@ -225,3 +225,37 @@ env "${MEMTIER_ENV[@]}" DOPP_SLICES=4 DOPP_SLICE_HASH=sandybridge \
 }
 echo "ci: memory-tier batch decoded and ran via doppctl serial" \
      "($(wc -l < "$SMOKE_DIR/memtier_batch.jsonl") configs, 4 slices)"
+
+# Run every stat reader once. Benches and examples read counters out
+# of RunResult::stats by name (DESIGN.md §10.2), so a misspelled name
+# is a run-time fatal ("stat snapshot has no entry named ..."), not a
+# compile error: run each table/figure bench at a tiny scale and each
+# example with tiny arguments, and fail on any non-zero exit.
+run_reader() {
+    local name="$1"
+    shift
+    env DOPP_WORKLOAD_SCALE=0.05 "$@" > "$SMOKE_DIR/reader.out" 2>&1 || {
+        echo "ci: stat reader $name exited non-zero:" >&2
+        tail -20 "$SMOKE_DIR/reader.out" >&2
+        exit 1
+    }
+}
+READER_BENCHES=(fig02_threshold_similarity fig07_map_space_savings
+    fig08_compression_comparison fig09_map_space_error_runtime
+    fig10_data_array_error_runtime fig11_energy fig12_offchip_traffic
+    fig13_area fig14_unidopp fig_memtier fig_slices table1_config
+    table2_approx_footprint table3_hardware_cost sec35_stats ablations)
+for b in "${READER_BENCHES[@]}"; do
+    run_reader "bench_$b" "$BUILD_DIR/bench/bench_$b"
+done
+EX="$BUILD_DIR/examples"
+run_reader quickstart "$EX/quickstart"
+run_reader similarity_explorer "$EX/similarity_explorer"
+run_reader image_pipeline "$EX/image_pipeline" 14 0.25
+run_reader design_space_explorer "$EX/design_space_explorer" jpeg 0.05
+run_reader financial_pricing "$EX/financial_pricing" 0.05
+run_reader multiprogram "$EX/multiprogram" kmeans canneal 0.05
+run_reader trace_workflow "$EX/trace_workflow" kmeans 0.05 \
+    "$SMOKE_DIR/reader.dopptrc"
+echo "ci: every stat reader ran (${#READER_BENCHES[@]} benches," \
+     "7 examples)"

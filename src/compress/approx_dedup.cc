@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/hash.hh"
+
 namespace dopp
 {
 
@@ -25,7 +27,7 @@ approxDedupSignature(const u8 *block, const MapParams &params)
         ? range / static_cast<double>(cells)
         : 1.0;
 
-    u64 h = 0xcbf29ce484222325ULL;
+    u64 h = fnv1a64Basis;
     for (unsigned i = 0; i < n; ++i) {
         double v = blockElement(block, params.type, i);
         if (std::isnan(v))
@@ -33,10 +35,8 @@ approxDedupSignature(const u8 *block, const MapParams &params)
         v = std::clamp(v, params.minValue, params.maxValue);
         u64 cell = static_cast<u64>((v - params.minValue) / step);
         cell = std::min(cell, cells - 1);
-        for (unsigned b = 0; b < 8; ++b) {
-            h ^= static_cast<u8>(cell >> (8 * b));
-            h *= 0x100000001b3ULL;
-        }
+        for (unsigned b = 0; b < 8; ++b)
+            h = fnv1a64Step(h, static_cast<u8>(cell >> (8 * b)));
     }
     return h;
 }

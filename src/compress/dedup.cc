@@ -3,17 +3,6 @@
 namespace dopp
 {
 
-u64
-fnv1a64(const u8 *bytes, u64 len)
-{
-    u64 h = 0xcbf29ce484222325ULL;
-    for (u64 i = 0; i < len; ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 DedupLlc::DedupLlc(MainMemory &memory, const DedupConfig &config,
                    StatRegistry *stat_registry,
                    const std::string &stat_group)

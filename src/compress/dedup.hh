@@ -17,12 +17,10 @@
 
 #include "core/dopp_engine.hh"
 #include "sim/llc.hh"
+#include "util/hash.hh"
 
 namespace dopp
 {
-
-/** FNV-1a 64-bit hash of @p len bytes. */
-u64 fnv1a64(const u8 *bytes, u64 len);
 
 /** Configuration of the dedup LLC. */
 struct DedupConfig

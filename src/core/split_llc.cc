@@ -22,12 +22,12 @@ SplitLlc::SplitLlc(MainMemory &memory, const SplitLlcConfig &config,
                    const std::string &stat_group)
     : LastLevelCache(memory, stat_registry, stat_group),
       registry(registry),
-      preciseHalf(std::make_unique<ConventionalLlc>(
+      preciseLlc(std::make_unique<ConventionalLlc>(
           memory, config.preciseBytes, config.preciseWays,
           config.preciseLatency, &registry, ReplPolicy::LRU,
           &statRegistry(),
           statGroupPath() + ".precise")),
-      doppHalf(makeDoppEngine(memory, config.dopp, &registry,
+      doppLlc(makeDoppEngine(memory, config.dopp, &registry,
                               &statRegistry(),
                               statGroupPath() + ".dopp")),
       degradedFillsCtr(statGroup().group("route").counter(
@@ -43,8 +43,8 @@ SplitLlc::SplitLlc(MainMemory &memory, const SplitLlcConfig &config,
 void
 SplitLlc::setBackInvalidate(BackInvalidateFn fn)
 {
-    preciseHalf->setBackInvalidate(fn);
-    doppHalf->setBackInvalidate(fn);
+    preciseLlc->setBackInvalidate(fn);
+    doppLlc->setBackInvalidate(fn);
 }
 
 LastLevelCache::FetchResult
@@ -53,53 +53,53 @@ SplitLlc::fetch(Addr addr, u8 *data)
     if (registry.isApprox(addr)) {
         // Blocks the guardrail routed precise stay coherent: serve
         // them from the precise half until it evicts them.
-        if (preciseHalf->contains(addr))
-            return preciseHalf->fetch(addr, data);
+        if (preciseLlc->contains(addr))
+            return preciseLlc->fetch(addr, data);
         if (guardrail && guardrail->degraded() &&
-            !doppHalf->contains(addr)) {
+            !doppLlc->contains(addr)) {
             // Degraded: new approximate fills go to the precise half
             // (exact storage) until the error estimate recovers.
             // Doppelgänger-resident blocks keep hitting there.
             ++degradedFillsCtr;
-            return preciseHalf->fetch(addr, data);
+            return preciseLlc->fetch(addr, data);
         }
-        return doppHalf->fetch(addr, data);
+        return doppLlc->fetch(addr, data);
     }
-    return preciseHalf->fetch(addr, data);
+    return preciseLlc->fetch(addr, data);
 }
 
 void
 SplitLlc::writeback(Addr addr, const u8 *data)
 {
-    if (registry.isApprox(addr) && !preciseHalf->contains(addr))
-        doppHalf->writeback(addr, data);
+    if (registry.isApprox(addr) && !preciseLlc->contains(addr))
+        doppLlc->writeback(addr, data);
     else
-        preciseHalf->writeback(addr, data);
+        preciseLlc->writeback(addr, data);
 }
 
 bool
 SplitLlc::contains(Addr addr) const
 {
     if (registry.isApprox(addr)) {
-        return doppHalf->contains(addr) ||
-            preciseHalf->contains(addr);
+        return doppLlc->contains(addr) ||
+            preciseLlc->contains(addr);
     }
-    return preciseHalf->contains(addr);
+    return preciseLlc->contains(addr);
 }
 
 void
 SplitLlc::forEachBlock(
     const std::function<void(const LlcBlockInfo &)> &visit) const
 {
-    preciseHalf->forEachBlock(visit);
-    doppHalf->forEachBlock(visit);
+    preciseLlc->forEachBlock(visit);
+    doppLlc->forEachBlock(visit);
 }
 
 void
 SplitLlc::flush()
 {
-    preciseHalf->flush();
-    doppHalf->flush();
+    preciseLlc->flush();
+    doppLlc->flush();
 }
 
 void
@@ -109,7 +109,7 @@ SplitLlc::setFaultInjector(FaultInjector *fi)
     // models a conventional ECC-protected cache. The split's own
     // llcStats never counts injections, so the aggregate counts each
     // fault exactly once (in the Doppelgänger half).
-    doppHalf->setFaultInjector(fi);
+    doppLlc->setFaultInjector(fi);
 }
 
 void
@@ -118,8 +118,8 @@ SplitLlc::setHotPathProfile(HotPathProfile *p)
     // Both halves accumulate into one profile: a split approximate
     // access pays the precise-half probe (containment check) plus the
     // Doppelgänger path, and the breakdown should show both.
-    preciseHalf->setHotPathProfile(p);
-    doppHalf->setHotPathProfile(p);
+    preciseLlc->setHotPathProfile(p);
+    doppLlc->setHotPathProfile(p);
 }
 
 void
@@ -128,7 +128,7 @@ SplitLlc::setGuardrail(QorGuardrail *g)
     // The split consults degraded() for routing; the Doppelgänger half
     // feeds the error estimate. degradedFills is counted only here.
     guardrail = g;
-    doppHalf->setGuardrail(g);
+    doppLlc->setGuardrail(g);
 }
 
 const LlcStats &
@@ -137,7 +137,7 @@ SplitLlc::stats() const
     // Sum of both halves plus the split's own routing counters
     // (degradedFills); each event is counted in exactly one of the
     // three blocks.
-    combined = addStats(preciseHalf->stats(), doppHalf->stats());
+    combined = addStats(preciseLlc->stats(), doppLlc->stats());
     combined.degradedFills += degradedFillsCtr.value();
     return combined;
 }
@@ -145,8 +145,8 @@ SplitLlc::stats() const
 void
 SplitLlc::resetStats()
 {
-    preciseHalf->resetStats();
-    doppHalf->resetStats();
+    preciseLlc->resetStats();
+    doppLlc->resetStats();
     degradedFillsCtr.reset();
 }
 

@@ -65,19 +65,19 @@ class SplitLlc : public LastLevelCache
     void resetStats() override;
 
     /** The precise half, for per-structure energy accounting. */
-    const ConventionalLlc &precise() const { return *preciseHalf; }
+    const ConventionalLlc &precise() const { return *preciseLlc; }
 
     /** The Doppelgänger half (optimized or reference engine, per
      * DoppConfig::referenceImpl). */
-    const DoppEngine &doppelganger() const { return *doppHalf; }
+    const DoppEngine &doppelganger() const { return *doppLlc; }
 
     /** Non-const access for tests. */
-    DoppEngine &doppelganger() { return *doppHalf; }
+    DoppEngine &doppelganger() { return *doppLlc; }
 
   private:
     const ApproxRegistry &registry;
-    std::unique_ptr<ConventionalLlc> preciseHalf;
-    std::unique_ptr<DoppEngine> doppHalf;
+    std::unique_ptr<ConventionalLlc> preciseLlc;
+    std::unique_ptr<DoppEngine> doppLlc;
     Counter &degradedFillsCtr; ///< fills routed precise while degraded
     mutable LlcStats combined;
 };

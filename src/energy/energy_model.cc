@@ -4,10 +4,13 @@ namespace dopp
 {
 
 double
-EnergyModel::arrayPj(const SramCost &cost, const ArrayCounters &c)
+EnergyModel::arrayPj(const SramCost &cost, const StatSnapshot &snap,
+                     const std::string &array)
 {
-    return cost.readEnergyPj * static_cast<double>(c.reads) +
-        cost.writeEnergyPj * static_cast<double>(c.writes);
+    return cost.readEnergyPj *
+            static_cast<double>(snap.counter(array + ".reads")) +
+        cost.writeEnergyPj *
+            static_cast<double>(snap.counter(array + ".writes"));
 }
 
 double
@@ -17,86 +20,8 @@ EnergyModel::leakagePj(const LlcCost &llc, Tick cycles)
     return llc.leakageMw * static_cast<double>(cycles);
 }
 
-EnergyResult
-EnergyModel::baseline(const LlcStats &stats, Tick cycles, u64 entries,
-                      u32 ways) const
-{
-    const LlcCost llc = baselineLlcCost(model, entries, ways);
-    const StructureCost &s = llc.structures.front();
-
-    EnergyResult r;
-    r.dynamicPj = arrayPj(s.tagPart, stats.tagArray) +
-        arrayPj(s.dataPart, stats.dataArray);
-    r.leakagePj = leakagePj(llc, cycles);
-    return r;
-}
-
-EnergyResult
-EnergyModel::split(const LlcStats &precise, const LlcStats &dopp,
-                   const DoppConfig &cfg, Tick cycles, u64 precise_entries,
-                   u32 precise_ways) const
-{
-    const LlcCost llc =
-        splitLlcCost(model, precise_entries, precise_ways, cfg);
-    const StructureCost &pc = llc.structures[0];
-    const StructureCost &tag = llc.structures[1];
-    const StructureCost &dat = llc.structures[2];
-
-    EnergyResult r;
-    r.dynamicPj = arrayPj(pc.tagPart, precise.tagArray) +
-        arrayPj(pc.dataPart, precise.dataArray) +
-        arrayPj(tag.tagPart, dopp.tagArray) +
-        arrayPj(dat.tagPart, dopp.mtagArray) +
-        arrayPj(dat.dataPart, dopp.dataArray);
-    r.mapGenPj = mapGenEnergyPj * static_cast<double>(dopp.mapGens);
-    r.dynamicPj += r.mapGenPj;
-    r.leakagePj = leakagePj(llc, cycles);
-    return r;
-}
-
-EnergyResult
-EnergyModel::unified(const LlcStats &stats, const DoppConfig &cfg,
-                     Tick cycles) const
-{
-    const LlcCost llc = uniLlcCost(model, cfg);
-    const StructureCost &tag = llc.structures[0];
-    const StructureCost &dat = llc.structures[1];
-
-    EnergyResult r;
-    r.dynamicPj = arrayPj(tag.tagPart, stats.tagArray) +
-        arrayPj(dat.tagPart, stats.mtagArray) +
-        arrayPj(dat.dataPart, stats.dataArray);
-    r.mapGenPj = mapGenEnergyPj * static_cast<double>(stats.mapGens);
-    r.dynamicPj += r.mapGenPj;
-    r.leakagePj = leakagePj(llc, cycles);
-    return r;
-}
-
 namespace
 {
-
-/** Read/write counters of array @p prefix from a registry snapshot. */
-ArrayCounters
-arrayFromSnapshot(const StatSnapshot &snap, const std::string &prefix)
-{
-    ArrayCounters c;
-    c.reads = snap.counter(prefix + ".reads");
-    c.writes = snap.counter(prefix + ".writes");
-    return c;
-}
-
-/** The LlcStats fields the energy model consumes, from a snapshot. */
-LlcStats
-energyStatsFromSnapshot(const StatSnapshot &snap,
-                        const std::string &group)
-{
-    LlcStats s;
-    s.tagArray = arrayFromSnapshot(snap, group + ".tagArray");
-    s.mtagArray = arrayFromSnapshot(snap, group + ".mtagArray");
-    s.dataArray = arrayFromSnapshot(snap, group + ".dataArray");
-    s.mapGens = snap.counter(group + ".mapGens");
-    return s;
-}
 
 Tick
 runtimeFromSnapshot(const StatSnapshot &snap)
@@ -110,8 +35,14 @@ EnergyResult
 EnergyModel::baseline(const StatSnapshot &snap, const std::string &group,
                       u64 entries, u32 ways) const
 {
-    return baseline(energyStatsFromSnapshot(snap, group),
-                    runtimeFromSnapshot(snap), entries, ways);
+    const LlcCost llc = baselineLlcCost(model, entries, ways);
+    const StructureCost &s = llc.structures.front();
+
+    EnergyResult r;
+    r.dynamicPj = arrayPj(s.tagPart, snap, group + ".tagArray") +
+        arrayPj(s.dataPart, snap, group + ".dataArray");
+    r.leakagePj = leakagePj(llc, runtimeFromSnapshot(snap));
+    return r;
 }
 
 EnergyResult
@@ -120,18 +51,42 @@ EnergyModel::split(const StatSnapshot &snap,
                    const std::string &dopp_group, const DoppConfig &cfg,
                    u64 precise_entries, u32 precise_ways) const
 {
-    return split(energyStatsFromSnapshot(snap, precise_group),
-                 energyStatsFromSnapshot(snap, dopp_group), cfg,
-                 runtimeFromSnapshot(snap), precise_entries,
-                 precise_ways);
+    const LlcCost llc =
+        splitLlcCost(model, precise_entries, precise_ways, cfg);
+    const StructureCost &pc = llc.structures[0];
+    const StructureCost &tag = llc.structures[1];
+    const StructureCost &dat = llc.structures[2];
+
+    EnergyResult r;
+    r.dynamicPj = arrayPj(pc.tagPart, snap, precise_group + ".tagArray") +
+        arrayPj(pc.dataPart, snap, precise_group + ".dataArray") +
+        arrayPj(tag.tagPart, snap, dopp_group + ".tagArray") +
+        arrayPj(dat.tagPart, snap, dopp_group + ".mtagArray") +
+        arrayPj(dat.dataPart, snap, dopp_group + ".dataArray");
+    r.mapGenPj = mapGenEnergyPj *
+        static_cast<double>(snap.counter(dopp_group + ".mapGens"));
+    r.dynamicPj += r.mapGenPj;
+    r.leakagePj = leakagePj(llc, runtimeFromSnapshot(snap));
+    return r;
 }
 
 EnergyResult
 EnergyModel::unified(const StatSnapshot &snap, const std::string &group,
                      const DoppConfig &cfg) const
 {
-    return unified(energyStatsFromSnapshot(snap, group), cfg,
-                   runtimeFromSnapshot(snap));
+    const LlcCost llc = uniLlcCost(model, cfg);
+    const StructureCost &tag = llc.structures[0];
+    const StructureCost &dat = llc.structures[1];
+
+    EnergyResult r;
+    r.dynamicPj = arrayPj(tag.tagPart, snap, group + ".tagArray") +
+        arrayPj(dat.tagPart, snap, group + ".mtagArray") +
+        arrayPj(dat.dataPart, snap, group + ".dataArray");
+    r.mapGenPj = mapGenEnergyPj *
+        static_cast<double>(snap.counter(group + ".mapGens"));
+    r.dynamicPj += r.mapGenPj;
+    r.leakagePj = leakagePj(llc, runtimeFromSnapshot(snap));
+    return r;
 }
 
 MemTierEnergy

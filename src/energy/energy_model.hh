@@ -68,6 +68,13 @@ MemTierEnergy memTierEnergy(const MemTierConfig &tier,
 /**
  * Converts LLC statistics into energy for the three organizations the
  * paper evaluates. Core clock is 1 GHz (Table 1), so cycles = ns.
+ *
+ * Every method reads the per-structure access counts out of a run's
+ * registry snapshot (RunResult::stats) by dotted structure name:
+ * @p group names the group the organization's counters live under
+ * ("llc", "llc.precise", "llc.dopp"), and the runtime comes from
+ * "run.runtimeCycles". Fatal if a needed counter is missing from the
+ * snapshot.
  */
 class EnergyModel
 {
@@ -75,37 +82,15 @@ class EnergyModel
     EnergyModel() = default;
 
     /** Baseline conventional LLC energy. */
-    EnergyResult baseline(const LlcStats &stats, Tick cycles,
-                          u64 entries = 32 * 1024, u32 ways = 16) const;
-
-    /**
-     * Split organization energy: @p precise and @p dopp are the two
-     * halves' stats, @p cfg the Doppelgänger geometry.
-     */
-    EnergyResult split(const LlcStats &precise, const LlcStats &dopp,
-                       const DoppConfig &cfg, Tick cycles,
-                       u64 precise_entries = 16 * 1024,
-                       u32 precise_ways = 16) const;
-
-    /** uniDoppelgänger energy. */
-    EnergyResult unified(const LlcStats &stats, const DoppConfig &cfg,
-                         Tick cycles) const;
-
-    /**
-     * @name Snapshot-based overloads
-     * Pull the per-structure access counts out of a run's registry
-     * snapshot (RunResult::stats) by dotted structure name instead of
-     * a typed LlcStats: @p group names the group the organization's
-     * counters live under ("llc", "llc.precise", "llc.dopp"), and the
-     * runtime comes from "run.runtimeCycles". Fatal if a needed
-     * counter is missing from the snapshot.
-     */
-    /// @{
     EnergyResult baseline(const StatSnapshot &snap,
                           const std::string &group,
                           u64 entries = 32 * 1024,
                           u32 ways = 16) const;
 
+    /**
+     * Split organization energy: @p precise_group and @p dopp_group
+     * hold the two halves' counters, @p cfg the Doppelgänger geometry.
+     */
     EnergyResult split(const StatSnapshot &snap,
                        const std::string &precise_group,
                        const std::string &dopp_group,
@@ -113,16 +98,18 @@ class EnergyModel
                        u64 precise_entries = 16 * 1024,
                        u32 precise_ways = 16) const;
 
+    /** uniDoppelgänger energy. */
     EnergyResult unified(const StatSnapshot &snap,
                          const std::string &group,
                          const DoppConfig &cfg) const;
-    /// @}
 
     const CactiLite &cacti() const { return model; }
 
   private:
-    /** read/write counters × a subarray's per-access energies. */
-    static double arrayPj(const SramCost &cost, const ArrayCounters &c);
+    /** @p array's ".reads"/".writes" counters in @p snap × a
+     * subarray's per-access energies. */
+    static double arrayPj(const SramCost &cost, const StatSnapshot &snap,
+                          const std::string &array);
 
     /** leakage of @p llc over @p cycles ns. */
     static double leakagePj(const LlcCost &llc, Tick cycles);

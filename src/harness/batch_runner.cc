@@ -13,6 +13,7 @@
 
 #include "harness/journal.hh"
 #include "util/env.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "workloads/runtime.hh"
@@ -31,18 +32,6 @@ batchJobs(unsigned jobs)
 
 namespace
 {
-
-/** 64-bit FNV-1a (retry-jitter seeding; journal.cc keeps its own). */
-u64
-fnv1a64(const std::string &s)
-{
-    u64 h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 /**
  * One monitor thread arming cooperative deadlines for in-flight runs.

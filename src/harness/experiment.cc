@@ -320,17 +320,16 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
     // carry one Doppelgänger engine per slice; occupancy is the
     // whole-LLC ratio over all of them (identical to the single-engine
     // value when there is exactly one).
-    const std::vector<const DoppEngine *> doppViews = built.dopps;
     StatGroup runGroup = statReg.group("run");
     runGroup.counterFn(
         "runtimeCycles", [&rt] { return rt.runtime(); },
         "slowest core's cycles");
     runGroup.formula(
         "tagsPerDataEntry",
-        [doppViews] {
+        [dopps = built.dopps] {
             u64 tags = 0;
             u64 entries = 0;
-            for (const DoppEngine *d : doppViews) {
+            for (const DoppEngine *d : dopps) {
                 tags += d->tagCount();
                 entries += d->dataCount();
             }
@@ -373,46 +372,13 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
     RunResult r;
     r.workload = workload_name;
     r.organization = cfg.llcName;
-    r.runtime = rt.runtime();
     r.output = workload->output();
     r.stats = statReg.snapshot();
-    r.llc = llc->stats();
-    if (!built.splits.empty()) {
-        for (const SplitLlc *sp : built.splits) {
-            r.preciseHalf = addStats(r.preciseHalf,
-                                     sp->precise().stats());
-            r.doppHalf = addStats(r.doppHalf,
-                                  sp->doppelganger().stats());
-        }
-    } else if (!doppViews.empty()) {
-        r.doppHalf = llc->stats();
-    }
-    r.hierarchy = system.stats();
-    r.memReads = memory.reads();
-    r.memWrites = memory.writes();
     r.doppConfig = built.doppConfig;
-    if (injector) {
-        r.fault = injector->stats();
+    if (injector)
         r.faultTrace = injector->events();
-    }
-    if (guard) {
-        r.guardrailDegradations = guard->degradationCount();
-        r.guardrailDegradedOps = guard->degradedOps();
-        r.guardrailEstimate = guard->estimate();
+    if (guard)
         r.degradedIntervals = guard->intervals();
-    }
-    {
-        u64 tags = 0;
-        u64 entries = 0;
-        for (const DoppEngine *d : doppViews) {
-            tags += d->tagCount();
-            entries += d->dataCount();
-        }
-        if (entries > 0) {
-            r.tagsPerDataEntry = static_cast<double>(tags) /
-                static_cast<double>(entries);
-        }
-    }
     maybeAppendStatsJson(r);
     return r;
 }

@@ -2,8 +2,8 @@
  * @file
  * Experiment harness: builds the Table 1 system around a chosen LLC
  * organization, runs one benchmark on it, and collects everything the
- * evaluation needs (runtime, output, LLC/hierarchy stats, off-chip
- * traffic, periodic snapshots for the characterization figures).
+ * evaluation needs (output, the run's stat snapshot, periodic LLC
+ * snapshots for the characterization figures).
  */
 
 #ifndef DOPP_HARNESS_EXPERIMENT_HH
@@ -255,49 +255,33 @@ struct RunResult
     bool failed = false;
     std::string error;
 
-    Tick runtime = 0;               ///< slowest core's cycles
     std::vector<double> output;     ///< application final output
 
     /**
-     * End-of-run snapshot of the run's full StatRegistry: every
-     * counter any layer registered, under its dotted name ("llc.*",
-     * "hierarchy.*", "mem.*", "fault.*", "qor.*", "run.*"). This is
-     * the authoritative record; the typed fields below are
-     * compatibility views derived from the same counters.
+     * End-of-run snapshot of the run's full StatRegistry, the only
+     * record of what the run counted: every stat any layer
+     * registered, under its dotted name. Among them "run.runtimeCycles"
+     * (slowest core's cycles) and "run.tagsPerDataEntry" (end-of-run
+     * occupancy), "llc.*" (aggregate LLC; "llc.precise.*" and
+     * "llc.dopp.*" for the decoupled organizations' halves),
+     * "hierarchy.*", "mem.reads"/"mem.writes" (off-chip blocks), and,
+     * when configured, "fault.*" (injector tallies) and "qor.*"
+     * (guardrail). Read with StatSnapshot::counter/value/has.
      */
     StatSnapshot stats;
-
-    LlcStats llc;                   ///< aggregate LLC stats
-    LlcStats preciseHalf;           ///< split only: precise half
-    LlcStats doppHalf;              ///< split only: Doppelgänger half
-    HierarchyStats hierarchy;
-    u64 memReads = 0;               ///< off-chip demand reads (blocks)
-    u64 memWrites = 0;              ///< off-chip writebacks (blocks)
 
     /** Geometry actually used (for the energy model). */
     DoppConfig doppConfig;
 
-    /** End-of-run occupancy: tags per valid data entry. */
-    double tagsPerDataEntry = 0.0;
-
-    /** @name Fault-campaign results (zero/empty when not configured) */
+    /** @name Fault-campaign traces (empty when not configured) */
     /// @{
-
-    /** Injector tallies: per-domain injections, detections, repairs. */
-    FaultStats fault;
 
     /** Full deterministic fault trace, in injection order. */
     std::vector<FaultEvent> faultTrace;
 
-    u64 guardrailDegradations = 0; ///< times the guardrail tripped
-    u64 guardrailDegradedOps = 0;  ///< observations spent degraded
-    double guardrailEstimate = 0.0; ///< final EWMA error estimate
-
     /** Degradation intervals in guardrail-observation time. */
     std::vector<DegradedInterval> degradedIntervals;
     /// @}
-
-    u64 offChipTraffic() const { return memReads + memWrites; }
 };
 
 /**

@@ -3,8 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "sim/hierarchy.hh"
-#include "sim/llc.hh"
+#include "util/hash.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -14,124 +13,9 @@ namespace dopp
 namespace
 {
 
-/** 64-bit FNV-1a over @p s. */
-u64
-fnv1a64(const std::string &s)
-{
-    u64 h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 // The JSON parser lives in util/json.hh (shared with the campaign
 // service's spool codec); numbers keep their raw tokens so integral
 // stats reload as exact u64s.
-
-// ---------------------------------------------------------------------
-// Compatibility-view reconstruction (snapshot -> typed RunResult)
-// ---------------------------------------------------------------------
-
-/** Optional counter read: @p fallback when @p name is absent. */
-u64
-snapCounter(const StatSnapshot &s, const std::string &name,
-            u64 fallback = 0)
-{
-    for (const StatValue &v : s.values()) {
-        if (v.name == name)
-            return v.integral ? v.u : static_cast<u64>(v.d);
-    }
-    return fallback;
-}
-
-double
-snapReal(const StatSnapshot &s, const std::string &name,
-         double fallback = 0.0)
-{
-    for (const StatValue &v : s.values()) {
-        if (v.name == name)
-            return v.asDouble();
-    }
-    return fallback;
-}
-
-bool
-snapHas(const StatSnapshot &s, const std::string &prefix)
-{
-    for (const StatValue &v : s.values()) {
-        if (v.name.size() > prefix.size() &&
-            v.name.compare(0, prefix.size(), prefix) == 0 &&
-            v.name[prefix.size()] == '.') {
-            return true;
-        }
-    }
-    return false;
-}
-
-LlcStats
-llcStatsFromSnapshot(const StatSnapshot &s, const std::string &prefix)
-{
-    LlcStats out;
-    for (const LlcStatField &f : llcStatFields())
-        f.ref(out) = snapCounter(s, prefix + "." + f.name);
-    return out;
-}
-
-/**
- * Re-derive every typed compatibility view on @p r from the
- * authoritative snapshot, mirroring what runWorkload fills in at the
- * end of a live run (experiment.cc). Stats a custom organization
- * registered under other group names stay in the snapshot only.
- */
-void
-deriveCompatViews(RunResult &r)
-{
-    const StatSnapshot &s = r.stats;
-
-    r.llc = llcStatsFromSnapshot(s, "llc");
-    if (snapHas(s, "llc.precise"))
-        r.preciseHalf = llcStatsFromSnapshot(s, "llc.precise");
-    // uniDoppelgänger's own counters live under llc.dopp too, so this
-    // covers both decoupled organizations (cf. runWorkload's
-    // doppHalf assignment).
-    if (snapHas(s, "llc.dopp"))
-        r.doppHalf = llcStatsFromSnapshot(s, "llc.dopp");
-
-    r.hierarchy.accesses = snapCounter(s, "hierarchy.accesses");
-    r.hierarchy.loads = snapCounter(s, "hierarchy.loads");
-    r.hierarchy.stores = snapCounter(s, "hierarchy.stores");
-    r.hierarchy.l1Hits = snapCounter(s, "hierarchy.l1.hits");
-    r.hierarchy.l1Misses = snapCounter(s, "hierarchy.l1.misses");
-    r.hierarchy.l2Hits = snapCounter(s, "hierarchy.l2.hits");
-    r.hierarchy.l2Misses = snapCounter(s, "hierarchy.l2.misses");
-    r.hierarchy.upgrades = snapCounter(s, "hierarchy.upgrades");
-    r.hierarchy.remoteFetches =
-        snapCounter(s, "hierarchy.remoteFetches");
-    r.hierarchy.invalidationsSent =
-        snapCounter(s, "hierarchy.invalidationsSent");
-
-    r.memReads = snapCounter(s, "mem.reads");
-    r.memWrites = snapCounter(s, "mem.writes");
-
-    for (unsigned d = 0; d < faultDomainCount; ++d) {
-        r.fault.injected[d] = snapCounter(
-            s, std::string("fault.injected.") +
-                   faultDomainName(static_cast<FaultDomain>(d)));
-    }
-    r.fault.detected = snapCounter(s, "fault.detected");
-    r.fault.repairs = snapCounter(s, "fault.repairs");
-    r.fault.tagsDropped = snapCounter(s, "fault.tagsDropped");
-    r.fault.entriesDropped = snapCounter(s, "fault.entriesDropped");
-
-    r.guardrailDegradations = snapCounter(s, "qor.degradations");
-    r.guardrailDegradedOps = snapCounter(s, "qor.degradedOps");
-    r.guardrailEstimate = snapReal(s, "qor.estimate");
-
-    r.runtime = snapCounter(s, "run.runtimeCycles");
-    r.tagsPerDataEntry = snapReal(s, "run.tagsPerDataEntry");
-}
 
 constexpr u64 journalSchemaVersion = 1;
 
@@ -376,8 +260,6 @@ parseJournalRecord(const std::string &line, std::string &fingerprint,
         entries.push_back(std::move(sv));
     }
     r.stats = StatSnapshot::fromValues(std::move(entries));
-
-    deriveCompatViews(r);
     result = std::move(r);
     return true;
 }

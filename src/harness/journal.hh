@@ -16,11 +16,11 @@
  * What a record carries: workload, organization, failure state, the
  * full ordered StatRegistry snapshot (exact u64 counters, shortest-
  * round-trip reals), the application output vector and the
- * Doppelgänger geometry. The typed compatibility views on RunResult
- * (LlcStats, HierarchyStats, fault tallies, guardrail scalars) are
- * re-derived from the snapshot on load. NOT persisted: the raw
- * fault-event trace and the guardrail's degradation intervals —
- * campaigns that analyse those re-run without a journal.
+ * Doppelgänger geometry. The snapshot is RunResult's only stat
+ * record, so a loaded record is the live RunResult minus what the
+ * journal does NOT persist: the raw fault-event trace and the
+ * guardrail's degradation intervals — campaigns that analyse those
+ * re-run without a journal.
  *
  * Corruption tolerance (loadJournal): a truncated or otherwise
  * unparseable line, an unknown schema version or column, or a record
@@ -82,8 +82,7 @@ std::string journalRecordJson(const std::string &fingerprint,
 
 /**
  * Parse one journal line. On success fills @p fingerprint and
- * @p result (compatibility views re-derived from the snapshot) and
- * returns true; on any malformation fills @p why and returns false.
+ * @p result and returns true; on any malformation fills @p why and returns false.
  */
 bool parseJournalRecord(const std::string &line,
                         std::string &fingerprint, RunResult &result,

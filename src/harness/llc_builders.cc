@@ -56,8 +56,7 @@ buildSplitDopp(MainMemory &memory, const ApproxRegistry &registry,
     built.doppConfig = sc.dopp;
     auto ptr =
         std::make_unique<SplitLlc>(memory, sc, registry, &stats, group);
-    built.split = ptr.get();
-    built.dopp = &ptr->doppelganger();
+    built.dopps = {&ptr->doppelganger()};
     built.llc = std::move(ptr);
     return built;
 }
@@ -71,7 +70,7 @@ buildUniDopp(MainMemory &memory, const ApproxRegistry &registry,
     built.doppConfig = uniDoppConfig(cfg);
     auto ptr = makeDoppEngine(memory, built.doppConfig, &registry,
                               &stats, group + ".dopp");
-    built.dopp = ptr.get();
+    built.dopps = {ptr.get()};
     registerLlcStatsView(stats.group(group),
                          [llc = ptr.get()] { return llc->stats(); });
     built.llc = std::move(ptr);
@@ -138,7 +137,7 @@ buildUniDoppBdi(MainMemory &memory, const ApproxRegistry &registry,
     built.doppConfig = dc;
     auto ptr = std::make_unique<UniDoppBdiLlc>(memory, dc, &registry,
                                                &stats, group);
-    built.dopp = &ptr->inner();
+    built.dopps = {&ptr->inner()};
     registerLlcStatsView(stats.group(group),
                          [llc = ptr.get()] { return llc->stats(); });
     built.llc = std::move(ptr);

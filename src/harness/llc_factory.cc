@@ -39,18 +39,13 @@ factory()
     return storage();
 }
 
-/** Fill the splits/dopps vectors from a builder's single pointers
- * (builders predate the vectors; custom ones may fill them). */
+/** @p built, after checking the builder returned an LLC. */
 LlcBuilt
-withViewVectors(LlcBuilt built, const std::string &name)
+checkedBuild(LlcBuilt built, const std::string &name)
 {
     if (!built.llc)
         fatal("llc factory: builder '%s' returned no LLC",
               name.c_str());
-    if (built.splits.empty() && built.split)
-        built.splits.push_back(built.split);
-    if (built.dopps.empty() && built.dopp)
-        built.dopps.push_back(built.dopp);
     return built;
 }
 
@@ -108,7 +103,7 @@ buildLlc(const std::string &name, MainMemory &memory,
     if (sc.count == 0) {
         // Legacy direct build: the organization registers under "llc"
         // itself, exactly as before the sliced front end existed.
-        return withViewVectors(
+        return checkedBuild(
             builder(memory, registry, cfg, stats, "llc"), name);
     }
 
@@ -133,15 +128,10 @@ buildLlc(const std::string &name, MainMemory &memory,
     for (u32 i = 0; i < sc.count; ++i) {
         const std::string group =
             sc.count == 1 ? "llc" : "llc.slice" + std::to_string(i);
-        LlcBuilt b = withViewVectors(
+        LlcBuilt b = checkedBuild(
             builder(memory, registry, sliceCfg, stats, group), name);
-        if (i == 0) {
-            agg.split = b.split;
-            agg.dopp = b.dopp;
+        if (i == 0)
             agg.doppConfig = b.doppConfig;
-        }
-        agg.splits.insert(agg.splits.end(), b.splits.begin(),
-                          b.splits.end());
         agg.dopps.insert(agg.dopps.end(), b.dopps.begin(),
                          b.dopps.end());
         slices.push_back(std::move(b.llc));
@@ -153,7 +143,7 @@ buildLlc(const std::string &name, MainMemory &memory,
     if (sc.count > 1) {
         // Merged aggregate: every per-slice stat reappears summed
         // under "llc" with exactly the unsliced name set, so report
-        // layers and compatibility views keep working unchanged.
+        // layers keep working unchanged.
         stats.registerGroupMerge("llc", childGroups);
         registerLlcFormulas(
             stats.group("llc"),

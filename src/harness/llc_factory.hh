@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/dopp_engine.hh"
-#include "core/split_llc.hh"
 #include "sim/llc.hh"
 #include "sim/memory.hh"
 #include "util/stats.hh"
@@ -34,19 +33,9 @@ struct LlcBuilt
 {
     std::unique_ptr<LastLevelCache> llc;
 
-    /** Set when the organization is the split one (per-half stats).
-     * Sliced runs: the first slice's (see @ref splits). */
-    const SplitLlc *split = nullptr;
-
-    /** Set when a Doppelgänger engine is reachable (occupancy).
-     * Sliced runs: the first slice's (see @ref dopps). */
-    const DoppEngine *dopp = nullptr;
-
-    /** Every split container in the build: empty for non-split
-     * organizations, one entry unsliced, one per slice sliced. */
-    std::vector<const SplitLlc *> splits;
-
-    /** Every reachable Doppelgänger engine, likewise. */
+    /** Every reachable Doppelgänger engine (run.tagsPerDataEntry):
+     * empty for organizations without one, one entry unsliced, one
+     * per slice sliced. */
     std::vector<const DoppEngine *> dopps;
 
     /** Geometry actually used, for the energy model; defaulted for

@@ -25,40 +25,13 @@ HierCounters::HierCounters(StatGroup group)
 {
     group.formula(
         "l2Mpka",
-        [this] { return view().l2Mpka(); },
+        [this] {
+            const u64 n = accesses.value();
+            return n ? 1000.0 * static_cast<double>(l2Misses.value()) /
+                    static_cast<double>(n)
+                     : 0.0;
+        },
         "L2 misses per thousand core accesses");
-}
-
-HierarchyStats
-HierCounters::view() const
-{
-    HierarchyStats s;
-    s.accesses = accesses.value();
-    s.loads = loads.value();
-    s.stores = stores.value();
-    s.l1Hits = l1Hits.value();
-    s.l1Misses = l1Misses.value();
-    s.l2Hits = l2Hits.value();
-    s.l2Misses = l2Misses.value();
-    s.upgrades = upgrades.value();
-    s.remoteFetches = remoteFetches.value();
-    s.invalidationsSent = invalidationsSent.value();
-    return s;
-}
-
-void
-HierCounters::reset()
-{
-    accesses.reset();
-    loads.reset();
-    stores.reset();
-    l1Hits.reset();
-    l1Misses.reset();
-    l2Hits.reset();
-    l2Misses.reset();
-    upgrades.reset();
-    remoteFetches.reset();
-    invalidationsSent.reset();
 }
 
 // ---------------------------------------------------------------------

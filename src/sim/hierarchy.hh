@@ -56,28 +56,6 @@ struct HierarchyConfig
     Tick remotePenalty = 6;
 };
 
-/** Aggregate hierarchy counters (per run). */
-struct HierarchyStats
-{
-    u64 accesses = 0;
-    u64 loads = 0;
-    u64 stores = 0;
-    u64 l1Hits = 0;
-    u64 l1Misses = 0;
-    u64 l2Hits = 0;
-    u64 l2Misses = 0;
-    u64 upgrades = 0;        ///< write hits needing ownership
-    u64 remoteFetches = 0;   ///< blocks pulled out of a remote M copy
-    u64 invalidationsSent = 0;
-
-    double
-    l2Mpka() const
-    {
-        return accesses ? 1000.0 * static_cast<double>(l2Misses) /
-            static_cast<double>(accesses) : 0.0;
-    }
-};
-
 /** Registry-backed hierarchy counters (one instance per run). */
 struct HierCounters
 {
@@ -93,12 +71,6 @@ struct HierCounters
     Counter &upgrades;
     Counter &remoteFetches;
     Counter &invalidationsSent;
-
-    /** Compatibility view: HierarchyStats snapshot of the counters. */
-    HierarchyStats view() const;
-
-    /** Zero every counter. */
-    void reset();
 };
 
 /**
@@ -279,17 +251,6 @@ class MemorySystem
      */
     bool checkInvariants(std::string *why = nullptr) const;
 
-    /** Per-run statistics (compatibility view of the registry). */
-    const HierarchyStats &
-    stats() const
-    {
-        statsView = ctr->view();
-        return statsView;
-    }
-
-    /** Zero hierarchy statistics (cache contents untouched). */
-    void resetStats() { ctr->reset(); }
-
     /** Per-core private cache access counts, for hierarchy energy. */
     u64 l1Accesses() const;
     u64 l2Accesses() const;
@@ -353,7 +314,6 @@ class MemorySystem
     CoherenceDirectory directory;
     std::unique_ptr<StatRegistry> ownedStats; ///< when none is passed
     std::unique_ptr<HierCounters> ctr;
-    mutable HierarchyStats statsView; ///< storage behind stats()
 };
 
 } // namespace dopp

@@ -126,7 +126,8 @@ struct ArrayCounterRefs
  * one Counter per u64 in the struct, registered under one stat group
  * at construction. LLC hot paths bump these handles; LlcStats itself
  * is reduced to the *compatibility view* view() produces for
- * aggregation, reports and the energy model's struct-based overloads.
+ * LastLevelCache::stats() and the derived "llc.*" formulas; above the
+ * LLC interface every reader uses the registry snapshot.
  * A unit test pins the registered names against llcStatFields(), so
  * the view and the registry schema cannot drift apart.
  */

@@ -1,5 +1,6 @@
 #include "trace.hh"
 
+#include <cerrno>
 #include <cstring>
 #include <memory>
 
@@ -10,7 +11,14 @@ namespace dopp
 
 const char traceMagic[8] = {'D', 'O', 'P', 'P', 'T', 'R', 'C', '1'};
 
-TraceWriter::TraceWriter(const std::string &path)
+namespace
+{
+
+constexpr u64 headerBytes = sizeof(traceMagic) + sizeof(u64);
+
+} // namespace
+
+TraceWriter::TraceWriter(const std::string &path) : path_(path)
 {
     file = std::fopen(path.c_str(), "wb");
     if (!file)
@@ -32,7 +40,8 @@ TraceWriter::append(const TraceRecord &record)
     DOPP_ASSERT(file);
     DOPP_ASSERT(record.size >= 1 && record.size <= 8);
     if (std::fwrite(&record, sizeof(record), 1, file) != 1)
-        fatal("trace write failed");
+        fatal("trace '%s': write failed: %s", path_.c_str(),
+              std::strerror(errno));
     ++records;
 }
 
@@ -41,17 +50,21 @@ TraceWriter::close()
 {
     if (!file)
         return;
-    // Patch the record count into the header.
-    std::fseek(file, sizeof(traceMagic), SEEK_SET);
-    std::fwrite(&records, sizeof(records), 1, file);
-    std::fclose(file);
+    std::FILE *f = file;
     file = nullptr;
+    // Patch the record count into the header. Records are buffered,
+    // so a full or failing device surfaces here: the seek flushes
+    // them, and fclose flushes the count.
+    const bool patched = std::fseek(f, sizeof(traceMagic), SEEK_SET) == 0 &&
+        std::fwrite(&records, sizeof(records), 1, f) == 1;
+    if (std::fclose(f) != 0 || !patched) {
+        fatal("trace '%s': write failed on close: %s", path_.c_str(),
+              std::strerror(errno));
+    }
 }
 
 TraceReader::TraceReader(const std::string &path) : path_(path)
 {
-    constexpr u64 headerBytes = sizeof(traceMagic) + sizeof(u64);
-
     file = std::fopen(path.c_str(), "rb");
     if (!file)
         fatal("trace '%s': cannot open for reading", path.c_str());
@@ -116,34 +129,36 @@ TraceReader::next(TraceRecord &record)
         fatal("trace '%s': read failed at record %llu", path_.c_str(),
               static_cast<unsigned long long>(consumed));
     }
+    ++consumed;
     if (record.size < 1 || record.size > 8) {
-        fatal("trace '%s': record %llu (offset %llu): access size %u "
-              "out of range 1..8", path_.c_str(),
-              static_cast<unsigned long long>(consumed),
-              static_cast<unsigned long long>(
-                  sizeof(traceMagic) + sizeof(u64) +
-                  consumed * sizeof(TraceRecord)),
+        fatal("%s: access size %u out of range 1..8", where().c_str(),
               static_cast<unsigned>(record.size));
     }
     if (record.isWrite > 1) {
-        fatal("trace '%s': record %llu (offset %llu): isWrite flag %u "
-              "is neither 0 nor 1", path_.c_str(),
-              static_cast<unsigned long long>(consumed),
-              static_cast<unsigned long long>(
-                  sizeof(traceMagic) + sizeof(u64) +
-                  consumed * sizeof(TraceRecord)),
+        fatal("%s: isWrite flag %u is neither 0 nor 1", where().c_str(),
               static_cast<unsigned>(record.isWrite));
     }
-    ++consumed;
+    if (blockOffset(record.addr) + record.size > blockBytes) {
+        fatal("%s: %u-byte access at %#llx straddles a %u-byte block",
+              where().c_str(), static_cast<unsigned>(record.size),
+              static_cast<unsigned long long>(record.addr), blockBytes);
+    }
     return true;
+}
+
+std::string
+TraceReader::where() const
+{
+    const u64 index = consumed - 1;
+    return "trace '" + path_ + "': record " + std::to_string(index) +
+        " (offset " +
+        std::to_string(headerBytes + index * sizeof(TraceRecord)) + ")";
 }
 
 void
 TraceReader::rewind()
 {
-    std::fseek(file,
-               static_cast<long>(sizeof(traceMagic) + sizeof(u64)),
-               SEEK_SET);
+    std::fseek(file, static_cast<long>(headerBytes), SEEK_SET);
     consumed = 0;
 }
 
@@ -194,6 +209,10 @@ replayTrace(TraceReader &trace, MemorySystem &system)
     ReplayStats stats;
     TraceRecord rec;
     while (trace.next(rec)) {
+        if (rec.core >= system.numCores()) {
+            fatal("%s: core %u out of range 0..%u", trace.where().c_str(),
+                  static_cast<unsigned>(rec.core), system.numCores() - 1);
+        }
         u64 payload = rec.payload;
         const Tick lat =
             system.access(rec.core, rec.addr, rec.isWrite != 0,

@@ -47,6 +47,8 @@ class TraceWriter
   public:
     /** Open @p path for writing; fatal on failure. */
     explicit TraceWriter(const std::string &path);
+
+    /** Closes the file; fatal, naming the path, if that fails. */
     ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
@@ -58,10 +60,16 @@ class TraceWriter
     /** Records written so far. */
     u64 count() const { return records; }
 
-    /** Finalize the header and close; called by the destructor too. */
+    /**
+     * Flush, finalize the header and close; called by the destructor
+     * too. Fatal, naming the path, when the records, the count or the
+     * close cannot be written (a full disk, /dev/full): a trace that
+     * reports count() records has them on disk.
+     */
     void close();
 
   private:
+    std::string path_;
     std::FILE *file = nullptr;
     u64 records = 0;
 };
@@ -71,9 +79,13 @@ class TraceWriter
  *
  * Hardened against malformed input: a missing/short/garbage header, a
  * file whose size disagrees with the promised record count (truncated
- * or with trailing bytes) and records with out-of-range fields are all
- * fatal, with the file name, byte offset / record index and reason in
- * the message — a corrupt trace can never be half-replayed silently.
+ * or with trailing bytes) and records with out-of-range fields (size
+ * outside 1..8, isWrite neither 0 nor 1, an access straddling a 64 B
+ * block) are all fatal, with the file name, byte offset / record index
+ * and reason in the message — a corrupt trace can never be
+ * half-replayed silently, and never reaches the hierarchy's asserts.
+ * Fields whose range depends on the replaying machine (the core) are
+ * checked by replayTrace in the same format.
  */
 class TraceReader
 {
@@ -90,6 +102,10 @@ class TraceReader
 
     /** Read and validate the next record. @return false at end. */
     bool next(TraceRecord &record);
+
+    /** "trace '<path>': record N (offset B)" for the record next()
+     * last returned, the prefix of every per-record error. */
+    std::string where() const;
 
     /** Rewind to the first record. */
     void rewind();
@@ -119,7 +135,9 @@ struct ReplayStats
 
 /**
  * Replay @p trace against @p system from its current (typically cold)
- * state. Write payloads are applied; read data is discarded.
+ * state. Write payloads are applied; read data is discarded. A record
+ * whose core is outside system.numCores() is fatal (TraceReader::where
+ * names it).
  */
 ReplayStats replayTrace(TraceReader &trace, MemorySystem &system);
 

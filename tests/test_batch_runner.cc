@@ -70,13 +70,8 @@ expectIdentical(const RunResult &a, const RunResult &b)
     ASSERT_EQ(a.output.size(), b.output.size());
     for (size_t i = 0; i < a.output.size(); ++i)
         EXPECT_EQ(a.output[i], b.output[i]) << "output element " << i;
-    EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memWrites, b.memWrites);
-    EXPECT_EQ(a.tagsPerDataEntry, b.tagsPerDataEntry);
-    EXPECT_EQ(a.guardrailDegradations, b.guardrailDegradations);
-    EXPECT_EQ(a.guardrailDegradedOps, b.guardrailDegradedOps);
-    EXPECT_EQ(a.guardrailEstimate, b.guardrailEstimate);
+    // Every counter, runtime, occupancy and guardrail scalar included.
+    EXPECT_EQ(a.stats, b.stats);
     ASSERT_EQ(a.faultTrace.size(), b.faultTrace.size());
     for (size_t i = 0; i < a.faultTrace.size(); ++i) {
         EXPECT_EQ(a.faultTrace[i].op, b.faultTrace[i].op);
@@ -181,13 +176,13 @@ TEST(BatchRunner, ThrowingRunFailsWithoutKillingPool)
     const std::vector<RunResult> results = runBatch(configs, opt);
     ASSERT_EQ(results.size(), 3u);
     EXPECT_FALSE(results[0].failed);
-    EXPECT_GT(results[0].runtime, 0u);
+    EXPECT_GT(results[0].stats.counter("run.runtimeCycles"), 0u);
     EXPECT_TRUE(results[1].failed);
     EXPECT_EQ(results[1].error, "snapshot hook exploded");
     EXPECT_EQ(results[1].workload, "kmeans");
     EXPECT_EQ(results[1].organization, "split-doppelganger");
     EXPECT_FALSE(results[2].failed);
-    EXPECT_GT(results[2].runtime, 0u);
+    EXPECT_GT(results[2].stats.counter("run.runtimeCycles"), 0u);
 }
 
 TEST(BatchRunner, MissingWorkloadNameFailsThatRunOnly)
@@ -268,7 +263,7 @@ TEST(BatchRunner, ThreadedCancellationPartitionsCleanly)
         if (r.failed) {
             EXPECT_EQ(r.error, "cancelled");
         } else {
-            EXPECT_GT(r.runtime, 0u);
+            EXPECT_GT(r.stats.counter("run.runtimeCycles"), 0u);
             ++ok;
         }
     }

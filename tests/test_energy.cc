@@ -251,17 +251,46 @@ TEST(HardwareCost, MapBitsAffectTagWidth)
 // Energy model arithmetic.
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** The snapshot a run leaves: each (group, stats) pair's counters
+ * under its group name, and @p cycles as run.runtimeCycles. */
+StatSnapshot
+runSnapshot(const std::vector<std::pair<std::string, LlcStats>> &groups,
+            Tick cycles)
+{
+    StatRegistry reg;
+    for (const auto &[name, s] : groups)
+        registerLlcStatsView(reg.group(name), [s = s] { return s; });
+    reg.group("run").counterFn("runtimeCycles",
+                               [cycles] { return cycles; });
+    return reg.snapshot();
+}
+
+/** A split run's snapshot: @p precise and @p dopp as its halves. */
+StatSnapshot
+splitSnapshot(const LlcStats &precise, const LlcStats &dopp, Tick cycles)
+{
+    return runSnapshot({{"llc.precise", precise}, {"llc.dopp", dopp}},
+                       cycles);
+}
+
+} // namespace
+
 TEST(EnergyModel, BaselineEnergyScalesWithAccesses)
 {
     const EnergyModel em;
     LlcStats s;
     s.tagArray.reads = 1000;
     s.dataArray.reads = 1000;
-    const EnergyResult one = em.baseline(s, 1000);
+    const EnergyResult one =
+        em.baseline(runSnapshot({{"llc", s}}, 1000), "llc");
     LlcStats s2 = s;
     s2.tagArray.reads = 2000;
     s2.dataArray.reads = 2000;
-    const EnergyResult two = em.baseline(s2, 1000);
+    const EnergyResult two =
+        em.baseline(runSnapshot({{"llc", s2}}, 1000), "llc");
     EXPECT_NEAR(two.dynamicPj / one.dynamicPj, 2.0, 1e-9);
     EXPECT_DOUBLE_EQ(one.leakagePj, two.leakagePj);
 }
@@ -270,8 +299,10 @@ TEST(EnergyModel, LeakageScalesWithRuntime)
 {
     const EnergyModel em;
     LlcStats s;
-    const EnergyResult a = em.baseline(s, 1000);
-    const EnergyResult b = em.baseline(s, 3000);
+    const EnergyResult a =
+        em.baseline(runSnapshot({{"llc", s}}, 1000), "llc");
+    const EnergyResult b =
+        em.baseline(runSnapshot({{"llc", s}}, 3000), "llc");
     EXPECT_NEAR(b.leakagePj / a.leakagePj, 3.0, 1e-9);
 }
 
@@ -281,8 +312,9 @@ TEST(EnergyModel, MapGenChargedAt168pJ)
     LlcStats precise;
     LlcStats dopp;
     dopp.mapGens = 1000;
-    const EnergyResult e =
-        em.split(precise, dopp, DoppConfig{}, 0);
+    const EnergyResult e = em.split(splitSnapshot(precise, dopp, 0),
+                                    "llc.precise", "llc.dopp",
+                                    DoppConfig{});
     EXPECT_DOUBLE_EQ(e.mapGenPj, 168.0 * 1000);
     EXPECT_DOUBLE_EQ(e.dynamicPj, e.mapGenPj);
 }
@@ -295,15 +327,18 @@ TEST(EnergyModel, SplitPerAccessCheaperThanBaseline)
     LlcStats base;
     base.tagArray.reads = 1;
     base.dataArray.reads = 1;
-    const double basePj = em.baseline(base, 0).dynamicPj;
+    const double basePj =
+        em.baseline(runSnapshot({{"llc", base}}, 0), "llc").dynamicPj;
 
     LlcStats precise;
     LlcStats dopp;
     dopp.tagArray.reads = 1;
     dopp.mtagArray.reads = 1;
     dopp.dataArray.reads = 1;
-    const double doppPj =
-        em.split(precise, dopp, DoppConfig{}, 0).dynamicPj;
+    const double doppPj = em.split(splitSnapshot(precise, dopp, 0),
+                                   "llc.precise", "llc.dopp",
+                                   DoppConfig{})
+                              .dynamicPj;
     EXPECT_GT(basePj / doppPj, 3.0);
 }
 
@@ -316,12 +351,15 @@ TEST(EnergyModel, UnifiedUsesUniStructures)
     uni.tagEntries = 32 * 1024;
     uni.dataEntries = 16 * 1024;
     uni.unified = true;
-    const double uniTagPj = em.unified(s, uni, 0).dynamicPj;
+    const double uniTagPj =
+        em.unified(runSnapshot({{"llc", s}}, 0), "llc", uni).dynamicPj;
     // The 316 KB uni tag array costs more per read than the 154 KB
     // split tag array.
     LlcStats precise;
     const double splitTagPj =
-        em.split(precise, s, DoppConfig{}, 0).dynamicPj;
+        em.split(splitSnapshot(precise, s, 0), "llc.precise", "llc.dopp",
+                 DoppConfig{})
+            .dynamicPj;
     EXPECT_GT(uniTagPj, splitTagPj);
 }
 

@@ -512,7 +512,7 @@ TEST(FaultHarness, CampaignIsDeterministic)
     const RunResult a = runWorkload("blackscholes", cfg);
     const RunResult b = runWorkload("blackscholes", cfg);
 
-    EXPECT_GT(a.fault.totalInjected(), 0u);
+    EXPECT_GT(a.stats.counter("fault.injected.total"), 0u);
     ASSERT_EQ(a.faultTrace.size(), b.faultTrace.size());
     for (size_t i = 0; i < a.faultTrace.size(); ++i) {
         EXPECT_EQ(a.faultTrace[i].op, b.faultTrace[i].op);
@@ -523,10 +523,8 @@ TEST(FaultHarness, CampaignIsDeterministic)
     ASSERT_EQ(a.output.size(), b.output.size());
     for (size_t i = 0; i < a.output.size(); ++i)
         EXPECT_DOUBLE_EQ(a.output[i], b.output[i]);
-    EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.guardrailDegradations, b.guardrailDegradations);
-    for (const LlcStatField &f : llcStatFields())
-        EXPECT_EQ(f.value(a.llc), f.value(b.llc)) << f.name;
+    // Runtime, guardrail, fault and every LLC counter.
+    EXPECT_EQ(a.stats, b.stats);
 }
 
 TEST(FaultHarness, GuardrailReportsDegradationIntervals)
@@ -542,17 +540,17 @@ TEST(FaultHarness, GuardrailReportsDegradationIntervals)
     cfg.qor.minDwell = 8;
 
     const RunResult r = runWorkload("kmeans", cfg);
-    EXPECT_GT(r.fault.totalInjected(), 0u);
-    EXPECT_GT(r.guardrailDegradations, 0u);
-    EXPECT_GT(r.llc.degradedFills, 0u);
-    EXPECT_EQ(r.degradedIntervals.empty(),
-              r.guardrailDegradations == 0);
+    const u64 degradations = r.stats.counter("qor.degradations");
+    EXPECT_GT(r.stats.counter("fault.injected.total"), 0u);
+    EXPECT_GT(degradations, 0u);
+    EXPECT_GT(r.stats.counter("llc.degradedFills"), 0u);
+    EXPECT_EQ(r.degradedIntervals.empty(), degradations == 0);
     u64 sum = 0;
     for (const auto &iv : r.degradedIntervals) {
         EXPECT_GE(iv.endOp, iv.beginOp);
         sum += iv.endOp - iv.beginOp;
     }
-    EXPECT_EQ(sum, r.guardrailDegradedOps);
+    EXPECT_EQ(sum, r.stats.counter("qor.degradedOps"));
 }
 
 } // namespace dopp

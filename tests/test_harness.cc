@@ -110,32 +110,33 @@ TEST(Harness, BaselineRunProducesStats)
     const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     EXPECT_EQ(r.workload, "kmeans");
     EXPECT_EQ(r.organization, "baseline");
-    EXPECT_GT(r.runtime, 0u);
+    EXPECT_GT(r.stats.counter("run.runtimeCycles"), 0u);
     EXPECT_FALSE(r.output.empty());
-    EXPECT_GT(r.llc.fetches, 0u);
-    EXPECT_GT(r.hierarchy.accesses, 0u);
-    EXPECT_GT(r.offChipTraffic(), 0u);
+    EXPECT_GT(r.stats.counter("llc.fetches"), 0u);
+    EXPECT_GT(r.stats.counter("hierarchy.accesses"), 0u);
+    EXPECT_GT(r.stats.counter("mem.reads") + r.stats.counter("mem.writes"),
+              0u);
 }
 
 TEST(Harness, RunIsDeterministic)
 {
     const RunResult a = runWorkload("jmeint", tinyRun("split-doppelganger"));
     const RunResult b = runWorkload("jmeint", tinyRun("split-doppelganger"));
-    EXPECT_EQ(a.runtime, b.runtime);
     EXPECT_EQ(a.output, b.output);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.llc.fetchMisses, b.llc.fetchMisses);
+    EXPECT_EQ(a.stats, b.stats);
 }
 
 TEST(Harness, SplitRunSeparatesHalves)
 {
     const RunResult r =
         runWorkload("jpeg", tinyRun("split-doppelganger"));
-    EXPECT_GT(r.doppHalf.fetches, 0u); // jpeg is ~all approximate
-    EXPECT_EQ(r.llc.fetches,
-              r.doppHalf.fetches + r.preciseHalf.fetches);
-    EXPECT_GT(r.doppHalf.mapGens, 0u);
-    EXPECT_GT(r.tagsPerDataEntry, 0.0);
+    const StatSnapshot &s = r.stats;
+    EXPECT_GT(s.counter("llc.dopp.fetches"), 0u); // jpeg is ~all approx
+    EXPECT_EQ(s.counter("llc.fetches"),
+              s.counter("llc.dopp.fetches") +
+                  s.counter("llc.precise.fetches"));
+    EXPECT_GT(s.counter("llc.dopp.mapGens"), 0u);
+    EXPECT_GT(s.value("run.tagsPerDataEntry"), 0.0);
 }
 
 TEST(Harness, UniRunReportsDoppConfig)
@@ -152,7 +153,7 @@ TEST(Harness, DedupRunWorks)
     const RunResult r =
         runWorkload("blackscholes", tinyRun("dedup"));
     EXPECT_EQ(r.organization, "dedup");
-    EXPECT_GT(r.llc.fetches, 0u);
+    EXPECT_GT(r.stats.counter("llc.fetches"), 0u);
 }
 
 TEST(Harness, SnapshotHookDelivers)
@@ -199,7 +200,7 @@ TEST(ResultsIo, CsvContainsKeyCounters)
         runWorkload("jpeg", tinyRun("split-doppelganger"));
     const std::string row = runResultCsvRow(r);
     std::ostringstream expect;
-    expect << r.runtime;
+    expect << r.stats.counter("run.runtimeCycles");
     EXPECT_NE(row.find(expect.str()), std::string::npos);
     EXPECT_NE(runResultCsvHeader(r).find("llc.dopp.mapGens"),
               std::string::npos);
@@ -282,14 +283,12 @@ TEST(ResultsIo, LoadCsvRoundTrips)
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].workload, "blackscholes");
     EXPECT_EQ(rows[0].organization, r.organization);
-    EXPECT_EQ(rows[0].value("run.runtimeCycles"),
-              static_cast<double>(r.runtime));
-    EXPECT_EQ(rows[0].value("llc.fetches"),
-              static_cast<double>(r.llc.fetches));
-    EXPECT_EQ(rows[0].value("llc.faultsInjected"),
-              static_cast<double>(r.llc.faultsInjected));
-    EXPECT_EQ(rows[0].value("llc.faultsRepaired"),
-              static_cast<double>(r.llc.faultsRepaired));
+    for (const char *name : {"run.runtimeCycles", "llc.fetches",
+                             "llc.faultsInjected", "llc.faultsRepaired"}) {
+        EXPECT_EQ(rows[0].value(name),
+                  static_cast<double>(r.stats.counter(name)))
+            << name;
+    }
 }
 
 TEST(ResultsIoDeathTest, LoadMissingFileIsFatal)
@@ -358,12 +357,15 @@ TEST(Harness, FaultCountersReachRunResult)
     cfg.qor.minDwell = 8;
     const RunResult r = runWorkload("kmeans", cfg);
 
-    EXPECT_GT(r.fault.totalInjected(), 0u);
-    EXPECT_EQ(r.faultTrace.size(), r.fault.totalInjected());
-    EXPECT_EQ(r.llc.faultsDetected, r.fault.detected);
-    EXPECT_EQ(r.llc.faultsRepaired, r.fault.repairs);
-    EXPECT_EQ(r.llc.repairTagsDropped, r.fault.tagsDropped);
-    EXPECT_EQ(r.llc.repairEntriesDropped, r.fault.entriesDropped);
+    const StatSnapshot &s = r.stats;
+    EXPECT_GT(s.counter("fault.injected.total"), 0u);
+    EXPECT_EQ(r.faultTrace.size(), s.counter("fault.injected.total"));
+    EXPECT_EQ(s.counter("llc.faultsDetected"), s.counter("fault.detected"));
+    EXPECT_EQ(s.counter("llc.faultsRepaired"), s.counter("fault.repairs"));
+    EXPECT_EQ(s.counter("llc.repairTagsDropped"),
+              s.counter("fault.tagsDropped"));
+    EXPECT_EQ(s.counter("llc.repairEntriesDropped"),
+              s.counter("fault.entriesDropped"));
 }
 
 } // namespace dopp

@@ -25,8 +25,15 @@ class HierarchyTest : public ::testing::Test
   protected:
     HierarchyTest()
         : llc(mem, 2 * 1024 * 1024, 16, 6, nullptr),
-          sys(HierarchyConfig{}, llc, mem)
+          sys(HierarchyConfig{}, llc, mem, &stats, "hierarchy")
     {
+    }
+
+    /** Hierarchy counter @p name ("l1.hits") read from the registry. */
+    u64
+    stat(const std::string &name)
+    {
+        return stats.snapshot().counter("hierarchy." + name);
     }
 
     u32
@@ -47,6 +54,7 @@ class HierarchyTest : public ::testing::Test
 
     MainMemory mem;
     ConventionalLlc llc;
+    StatRegistry stats;
     MemorySystem sys;
 };
 
@@ -112,7 +120,7 @@ TEST_F(HierarchyTest, PingPongWritesStayCoherent)
         write32(i % 4, 0x2000, i);
         EXPECT_EQ(read32((i + 1) % 4, 0x2000), i);
     }
-    EXPECT_GT(sys.stats().remoteFetches + sys.stats().upgrades, 0u);
+    EXPECT_GT(stat("remoteFetches") + stat("upgrades"), 0u);
 }
 
 TEST_F(HierarchyTest, RemoteFetchCharged)
@@ -122,7 +130,7 @@ TEST_F(HierarchyTest, RemoteFetchCharged)
     read32(1, 0x1000, &lat);
     // Remote M copy adds the remote penalty on top of the LLC path.
     EXPECT_GE(lat, 1u + 3u + 6u + HierarchyConfig{}.remotePenalty);
-    EXPECT_EQ(sys.stats().remoteFetches, 1u);
+    EXPECT_EQ(stat("remoteFetches"), 1u);
 }
 
 TEST_F(HierarchyTest, UpgradeCountsOnSharedWrite)
@@ -130,8 +138,8 @@ TEST_F(HierarchyTest, UpgradeCountsOnSharedWrite)
     read32(0, 0x1000);
     read32(1, 0x1000);
     write32(0, 0x1000, 9);
-    EXPECT_GE(sys.stats().upgrades, 1u);
-    EXPECT_GE(sys.stats().invalidationsSent, 1u);
+    EXPECT_GE(stat("upgrades"), 1u);
+    EXPECT_GE(stat("invalidationsSent"), 1u);
 }
 
 TEST_F(HierarchyTest, StatsCountHitsAndMisses)
@@ -139,12 +147,11 @@ TEST_F(HierarchyTest, StatsCountHitsAndMisses)
     read32(0, 0x1000);
     read32(0, 0x1000);
     read32(0, 0x1040);
-    const HierarchyStats &s = sys.stats();
-    EXPECT_EQ(s.accesses, 3u);
-    EXPECT_EQ(s.loads, 3u);
-    EXPECT_EQ(s.l1Hits, 1u);
-    EXPECT_EQ(s.l1Misses, 2u);
-    EXPECT_EQ(s.l2Misses, 2u);
+    EXPECT_EQ(stat("accesses"), 3u);
+    EXPECT_EQ(stat("loads"), 3u);
+    EXPECT_EQ(stat("l1.hits"), 1u);
+    EXPECT_EQ(stat("l1.misses"), 2u);
+    EXPECT_EQ(stat("l2.misses"), 2u);
 }
 
 TEST_F(HierarchyTest, DrainWritesDirtyDataToMemory)

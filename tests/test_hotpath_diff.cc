@@ -207,8 +207,10 @@ runOne(const std::string &org, bool reference, const DiffOpts &opt)
     r.contents = dumpContents(*llc);
     if (opt.fault.enabled())
         r.faultTrace = injector.events();
-    if (built.dopp)
-        r.invariantsOk = built.dopp->checkInvariants(&r.invariantsWhy);
+    for (const DoppEngine *d : built.dopps) {
+        if (r.invariantsOk)
+            r.invariantsOk = d->checkInvariants(&r.invariantsWhy);
+    }
     return r;
 }
 

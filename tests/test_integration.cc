@@ -77,7 +77,7 @@ TEST(Integration, DoppStoresFewerDataBlocksThanTags)
         runWorkload("jpeg", mkConfig("split-doppelganger"));
     // Approximate similarity: multiple tags per data entry on average
     // (the paper reports 4.4 on its mix).
-    EXPECT_GT(r.tagsPerDataEntry, 1.05);
+    EXPECT_GT(r.stats.value("run.tagsPerDataEntry"), 1.05);
 }
 
 TEST(Integration, SplitEnergyBelowBaseline)
@@ -87,9 +87,9 @@ TEST(Integration, SplitEnergyBelowBaseline)
         runWorkload("jpeg", mkConfig("baseline"));
     const RunResult dopp =
         runWorkload("jpeg", mkConfig("split-doppelganger"));
-    const EnergyResult be = em.baseline(base.llc, base.runtime);
-    const EnergyResult de = em.split(dopp.preciseHalf, dopp.doppHalf,
-                                     dopp.doppConfig, dopp.runtime);
+    const EnergyResult be = em.baseline(base.stats, "llc");
+    const EnergyResult de = em.split(dopp.stats, "llc.precise", "llc.dopp",
+                                     dopp.doppConfig);
     EXPECT_GT(be.dynamicPj / de.dynamicPj, 1.5);
     EXPECT_GT(be.leakagePj / de.leakagePj, 1.1);
 }
@@ -100,8 +100,9 @@ TEST(Integration, RuntimeNearBaselineAtQuarterArray)
         runWorkload("blackscholes", mkConfig("baseline"));
     const RunResult dopp =
         runWorkload("blackscholes", mkConfig("split-doppelganger"));
-    const double norm = static_cast<double>(dopp.runtime) /
-        static_cast<double>(base.runtime);
+    const double norm =
+        static_cast<double>(dopp.stats.counter("run.runtimeCycles")) /
+        static_cast<double>(base.stats.counter("run.runtimeCycles"));
     EXPECT_LT(norm, 1.25);
     EXPECT_GT(norm, 0.8);
 }
@@ -128,8 +129,11 @@ TEST(Integration, OffChipTrafficComparableToBaseline)
         runWorkload("ferret", mkConfig("baseline"));
     const RunResult dopp =
         runWorkload("ferret", mkConfig("split-doppelganger"));
-    const double norm = static_cast<double>(dopp.offChipTraffic()) /
-        static_cast<double>(base.offChipTraffic());
+    auto traffic = [](const RunResult &r) {
+        return static_cast<double>(r.stats.counter("mem.reads") +
+                                   r.stats.counter("mem.writes"));
+    };
+    const double norm = traffic(dopp) / traffic(base);
     EXPECT_LT(norm, 1.5); // Fig 12: minimal impact
 }
 
@@ -139,10 +143,14 @@ TEST(Integration, EvictionStatsPopulated)
     // at reduced workload scale.
     const RunResult r = runWorkload(
         "canneal", mkConfig("split-doppelganger", 0.2, 14, 0.03125));
-    EXPECT_GT(r.doppHalf.evictions + r.doppHalf.dataEvictions, 0u);
-    EXPECT_GT(r.doppHalf.mapGens, 0u);
+    const StatSnapshot &s = r.stats;
+    EXPECT_GT(s.counter("llc.dopp.evictions") +
+                  s.counter("llc.dopp.dataEvictions"),
+              0u);
+    EXPECT_GT(s.counter("llc.dopp.mapGens"), 0u);
     // The paper's avg-linked-tags statistic is measurable.
-    EXPECT_GT(r.doppHalf.avgLinkedTags(), 0.0);
+    EXPECT_GT(s.counter("llc.dopp.linkedTagsSamples"), 0u);
+    EXPECT_GT(s.counter("llc.dopp.linkedTagsSum"), 0u);
 }
 
 TEST(Integration, HigherScaleMoreAccesses)
@@ -151,7 +159,8 @@ TEST(Integration, HigherScaleMoreAccesses)
         runWorkload("kmeans", mkConfig("baseline", 0.1));
     const RunResult big =
         runWorkload("kmeans", mkConfig("baseline", 0.3));
-    EXPECT_GT(big.hierarchy.accesses, small.hierarchy.accesses);
+    EXPECT_GT(big.stats.counter("hierarchy.accesses"),
+              small.stats.counter("hierarchy.accesses"));
 }
 
 TEST(Integration, AllWorkloadsRunOnAllOrganizations)
@@ -163,7 +172,7 @@ TEST(Integration, AllWorkloadsRunOnAllOrganizations)
                 runWorkload(name, mkConfig(org, 0.05));
             EXPECT_FALSE(r.output.empty())
                 << name << " on " << org;
-            EXPECT_GT(r.runtime, 0u);
+            EXPECT_GT(r.stats.counter("run.runtimeCycles"), 0u);
         }
     }
 }

@@ -532,7 +532,6 @@ TEST(NewOrgs, ReferenceEngineIsBitIdentical)
         const RunResult b = runWorkload(ref);
         EXPECT_EQ(a.stats, b.stats) << org;
         EXPECT_EQ(a.output, b.output) << org;
-        EXPECT_EQ(a.runtime, b.runtime) << org;
     }
 }
 

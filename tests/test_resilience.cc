@@ -307,7 +307,7 @@ TEST(Journal, FingerprintsArePinned)
 
 TEST(Journal, RecordRoundTripsBitExactly)
 {
-    // A faulted + guardrailed split run exercises every compat view.
+    // A faulted + guardrailed split run registers every stat group.
     RunConfig cfg = tinyConfig("blackscholes", "split-doppelganger");
     cfg.fault.dataRate = 0.01;
     cfg.fault.tagMetaRate = 0.01;
@@ -328,37 +328,60 @@ TEST(Journal, RecordRoundTripsBitExactly)
     EXPECT_EQ(back.workload, live.workload);
     EXPECT_EQ(back.organization, live.organization);
 
-    // The authoritative snapshot survives exactly — so the CSV row
-    // (built purely from it) is byte-identical.
+    // The snapshot, the run's only stat record, survives exactly — so
+    // the CSV row (built purely from it) is byte-identical.
     EXPECT_EQ(back.stats, live.stats);
     EXPECT_EQ(runResultCsvRow(back), runResultCsvRow(live));
 
-    // Output vector and the typed compatibility views.
     EXPECT_EQ(back.output, live.output);
-    EXPECT_EQ(back.runtime, live.runtime);
-    EXPECT_EQ(back.tagsPerDataEntry, live.tagsPerDataEntry);
-    EXPECT_EQ(back.memReads, live.memReads);
-    EXPECT_EQ(back.memWrites, live.memWrites);
-    for (const LlcStatField &f : llcStatFields()) {
-        SCOPED_TRACE(f.name);
-        EXPECT_EQ(f.get(back.llc), f.get(live.llc));
-        EXPECT_EQ(f.get(back.preciseHalf), f.get(live.preciseHalf));
-        EXPECT_EQ(f.get(back.doppHalf), f.get(live.doppHalf));
-    }
-    EXPECT_EQ(back.hierarchy.accesses, live.hierarchy.accesses);
-    EXPECT_EQ(back.hierarchy.l1Hits, live.hierarchy.l1Hits);
-    EXPECT_EQ(back.hierarchy.l2Misses, live.hierarchy.l2Misses);
-    for (unsigned d = 0; d < faultDomainCount; ++d)
-        EXPECT_EQ(back.fault.injected[d], live.fault.injected[d]);
-    EXPECT_EQ(back.fault.detected, live.fault.detected);
-    EXPECT_EQ(back.guardrailDegradations, live.guardrailDegradations);
-    EXPECT_EQ(back.guardrailDegradedOps, live.guardrailDegradedOps);
-    EXPECT_EQ(back.guardrailEstimate, live.guardrailEstimate);
     EXPECT_EQ(back.doppConfig.tagEntries, live.doppConfig.tagEntries);
     EXPECT_EQ(back.doppConfig.dataEntries,
               live.doppConfig.dataEntries);
     EXPECT_EQ(back.doppConfig.mapBits, live.doppConfig.mapBits);
     EXPECT_EQ(back.doppConfig.unified, live.doppConfig.unified);
+}
+
+TEST(Journal, ParentJournalStillResumes)
+{
+    // DOPP_V1_JOURNAL was written by runBatchResumable (jobs=1) of the
+    // release whose RunResult still carried typed copies of the
+    // counters. Its records hold only the snapshot, so every config
+    // must resume from them, equal to a fresh run.
+    std::vector<RunConfig> configs = {
+        tinyConfig("kmeans", "baseline"),
+        tinyConfig("blackscholes", "split-doppelganger"),
+        tinyConfig("jpeg", "uniDoppelganger"),
+    };
+    configs[1].fault.dataRate = 0.01;
+    configs[1].fault.tagMetaRate = 0.01;
+    configs[1].qor.budget = 0.001;
+    configs[1].qor.window = 16;
+    configs[1].qor.minDwell = 8;
+    configs[2].sliceCount = 4;
+
+    // Resuming appends nothing, but work on a copy all the same.
+    TempPath journal;
+    {
+        std::ofstream out(journal.path, std::ios::binary);
+        out << readFile(DOPP_V1_JOURNAL);
+    }
+    BatchOptions opt;
+    opt.jobs = 1;
+    const BatchOutcome outcome =
+        runBatchResumable(configs, journal.path, opt);
+    EXPECT_EQ(outcome.runsResumed, 3u);
+    EXPECT_EQ(outcome.runsExecuted, 0u);
+    ASSERT_EQ(outcome.results.size(), configs.size());
+
+    for (size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(configs[i].workloadName + "/" + configs[i].llcName);
+        const RunResult fresh = runWorkload(configs[i]);
+        const RunResult &resumed = outcome.results[i];
+        EXPECT_FALSE(resumed.failed);
+        EXPECT_EQ(resumed.stats, fresh.stats);
+        EXPECT_EQ(resumed.output, fresh.output);
+        EXPECT_EQ(runResultCsvRow(resumed), runResultCsvRow(fresh));
+    }
 }
 
 TEST(Journal, MissingFileLoadsEmpty)
@@ -699,7 +722,7 @@ TEST(Resilience, WatchdogTimesOutWedgedRunWithoutKillingPool)
     EXPECT_EQ(results[0].error, "timeout");
     EXPECT_EQ(results[0].workload, "kmeans");
     ASSERT_FALSE(results[1].failed) << results[1].error;
-    EXPECT_GT(results[1].runtime, 0u);
+    EXPECT_GT(results[1].stats.counter("run.runtimeCycles"), 0u);
 
     const StatSnapshot snap = reg.snapshot();
     EXPECT_EQ(snap.counter("batch.runsTimedOut"), 1u);
@@ -751,7 +774,7 @@ TEST(Resilience, TransientFailureRetriesToSuccess)
     const std::vector<RunResult> results = runBatch({flaky}, opt);
 
     ASSERT_FALSE(results[0].failed) << results[0].error;
-    EXPECT_GT(results[0].runtime, 0u);
+    EXPECT_GT(results[0].stats.counter("run.runtimeCycles"), 0u);
     const StatSnapshot snap = reg.snapshot();
     EXPECT_EQ(snap.counter("batch.runsRetried"), 1u);
     EXPECT_EQ(snap.counter("batch.runsExecuted"), 2u);

@@ -367,17 +367,7 @@ TEST(SchemaDrift, CoreGroupsArePresentForEveryOrganization)
         EXPECT_TRUE(r.stats.has("mem.writes")) << org;
         EXPECT_TRUE(r.stats.has("run.runtimeCycles"))
             << org;
-        // The compatibility views read the same counters the
-        // snapshot records.
-        EXPECT_EQ(r.stats.counter("llc.fetches"), r.llc.fetches)
-            << org;
-        EXPECT_EQ(r.stats.counter("hierarchy.accesses"),
-                  r.hierarchy.accesses)
-            << org;
-        EXPECT_EQ(r.stats.counter("mem.reads"), r.memReads)
-            << org;
-        EXPECT_EQ(r.stats.counter("run.runtimeCycles"), r.runtime)
-            << org;
+        EXPECT_TRUE(r.stats.has("run.tagsPerDataEntry")) << org;
     }
 }
 
@@ -390,9 +380,6 @@ TEST(SchemaDrift, SplitRegistersHalvesAndAggregate)
     EXPECT_EQ(r.stats.counter("llc.fetches"),
               r.stats.counter("llc.precise.fetches") +
                   r.stats.counter("llc.dopp.fetches"));
-    EXPECT_EQ(r.stats.counter("llc.precise.fetches"),
-              r.preciseHalf.fetches);
-    EXPECT_EQ(r.stats.counter("llc.dopp.fetches"), r.doppHalf.fetches);
 }
 
 TEST(SchemaDrift, MixedSchemasMergeIntoUnionColumns)
@@ -445,10 +432,7 @@ TEST(SchemaDrift, FaultAndQorGroupsExportWhenConfigured)
     EXPECT_TRUE(r.stats.has("qor.observations"));
     EXPECT_TRUE(r.stats.has("qor.estimate"));
     EXPECT_TRUE(r.stats.has("qor.substitutionError.count"));
-    EXPECT_EQ(r.stats.counter("fault.injected.total"),
-              r.fault.totalInjected());
-    EXPECT_EQ(r.stats.counter("qor.degradations"),
-              r.guardrailDegradations);
+    EXPECT_TRUE(r.stats.has("qor.degradations"));
 
     // Clean runs carry no fault/qor groups at all.
     const RunResult clean = runWorkload(tinyRun("split-doppelganger"));

@@ -126,7 +126,7 @@ TEST(Trace, HarnessCapturesWorkloadRun)
     const RunResult run = runWorkload("kmeans", cfg);
 
     TraceReader rd(tmp.path);
-    EXPECT_EQ(rd.count(), run.hierarchy.accesses);
+    EXPECT_EQ(rd.count(), run.stats.counter("hierarchy.accesses"));
 
     // Every record is well-formed.
     TraceRecord r;
@@ -137,7 +137,7 @@ TEST(Trace, HarnessCapturesWorkloadRun)
         EXPECT_LT(r.core, 4);
         writes += r.isWrite;
     }
-    EXPECT_EQ(writes, run.hierarchy.stores);
+    EXPECT_EQ(writes, run.stats.counter("hierarchy.stores"));
 }
 
 TEST(Trace, ReplayReproducesHierarchyBehaviour)
@@ -156,18 +156,23 @@ TEST(Trace, ReplayReproducesHierarchyBehaviour)
     MainMemory mem;
     ApproxRegistry reg;
     ConventionalLlc llc(mem, 2 * 1024 * 1024, 16, 6, &reg);
-    MemorySystem sys(HierarchyConfig{}, llc, mem);
+    StatRegistry replayStats;
+    MemorySystem sys(HierarchyConfig{}, llc, mem, &replayStats,
+                     "hierarchy");
     TraceReader rd(tmp.path);
     const ReplayStats stats = replayTrace(rd, sys);
+    const StatSnapshot replayed = replayStats.snapshot();
 
-    EXPECT_EQ(stats.accesses, run.hierarchy.accesses);
-    EXPECT_EQ(stats.writes, run.hierarchy.stores);
-    EXPECT_EQ(sys.stats().l1Hits, run.hierarchy.l1Hits);
-    EXPECT_EQ(sys.stats().l2Misses, run.hierarchy.l2Misses);
-    EXPECT_EQ(llc.stats().fetchMisses, run.llc.fetchMisses);
+    EXPECT_EQ(stats.accesses, run.stats.counter("hierarchy.accesses"));
+    EXPECT_EQ(stats.writes, run.stats.counter("hierarchy.stores"));
+    EXPECT_EQ(replayed.counter("hierarchy.l1.hits"),
+              run.stats.counter("hierarchy.l1.hits"));
+    EXPECT_EQ(replayed.counter("hierarchy.l2.misses"),
+              run.stats.counter("hierarchy.l2.misses"));
+    EXPECT_EQ(llc.stats().fetchMisses, run.stats.counter("llc.fetchMisses"));
     // Trace replay sees the same addresses but pokes no initial data,
     // so only *traffic counts* are compared, not values.
-    EXPECT_EQ(mem.reads(), run.memReads);
+    EXPECT_EQ(mem.reads(), run.stats.counter("mem.reads"));
 }
 
 TEST(Trace, ReplayOnDifferentLlcDiffers)
@@ -284,12 +289,13 @@ TEST(Trace, MultiprogramReplayRunsOnSharedLlc)
     MemorySystem sys(HierarchyConfig{}, llc, mem);
     TraceReader rd(merged.path);
     const ReplayStats stats = replayTrace(rd, sys);
-    EXPECT_EQ(stats.accesses,
-              ra.hierarchy.accesses + rb.hierarchy.accesses);
+    EXPECT_EQ(stats.accesses, ra.stats.counter("hierarchy.accesses") +
+                                  rb.stats.counter("hierarchy.accesses"));
     // The shared run misses at least as much as either alone would
     // have at the same size (disjoint address spaces only compete).
     EXPECT_GE(llc.stats().fetchMisses,
-              std::max(ra.llc.fetchMisses, rb.llc.fetchMisses));
+              std::max(ra.stats.counter("llc.fetchMisses"),
+                       rb.stats.counter("llc.fetchMisses")));
 }
 
 TEST(TraceDeathTest, InterleaveRejectsTooManyPrograms)
@@ -439,6 +445,62 @@ TEST(TraceDeathTest, BadIsWriteFlagIsFatal)
     TraceRecord r;
     EXPECT_EXIT(rd.next(r), ::testing::ExitedWithCode(1),
                 "isWrite flag 255 is neither 0 nor 1");
+}
+
+TEST(TraceDeathTest, BlockStraddlingRecordIsFatal)
+{
+    TempTrace tmp;
+    {
+        TraceWriter w(tmp.path);
+        TraceRecord r;
+        r.addr = 0x1000;
+        w.append(r);
+        r.addr = 0x103e; // bytes 0x103e..0x1041 cross into the next block
+        w.append(r);
+    }
+    TraceReader rd(tmp.path);
+    TraceRecord r;
+    EXPECT_TRUE(rd.next(r));
+    EXPECT_EXIT(rd.next(r), ::testing::ExitedWithCode(1),
+                "trace '.*': record 1 \\(offset 40\\): 4-byte access at "
+                "0x103e straddles a 64-byte block");
+}
+
+TEST(TraceDeathTest, ReplayRejectsCoreOutsideTheSystem)
+{
+    TempTrace tmp;
+    {
+        TraceWriter w(tmp.path);
+        TraceRecord r;
+        r.addr = 0x1000;
+        w.append(r);
+        r.core = 4; // the Table 1 system has cores 0..3
+        w.append(r);
+    }
+    MainMemory mem;
+    ConventionalLlc llc(mem, 2 * 1024 * 1024, 16, 6, nullptr);
+    MemorySystem sys(HierarchyConfig{}, llc, mem);
+    TraceReader rd(tmp.path);
+    EXPECT_EXIT(replayTrace(rd, sys), ::testing::ExitedWithCode(1),
+                "trace '.*': record 1 \\(offset 40\\): core 4 out of "
+                "range 0..3");
+}
+
+TEST(TraceDeathTest, FailedFlushOnCloseIsFatal)
+{
+    // /dev/full accepts the open and every buffered fwrite, then
+    // fails the flush with ENOSPC.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is not available";
+    auto writeTen = [] {
+        TraceWriter w("/dev/full");
+        TraceRecord r;
+        for (int i = 0; i < 10; ++i)
+            w.append(r);
+        w.close();
+    };
+    EXPECT_EXIT(writeTen(), ::testing::ExitedWithCode(1),
+                "trace '/dev/full': write failed on close");
 }
 
 } // namespace dopp
