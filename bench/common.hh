@@ -60,13 +60,6 @@
 namespace dopp::bench
 {
 
-/** Strict env read: unset gives @p fallback, garbage is fatal. */
-inline u64
-envU64(const char *name, u64 fallback)
-{
-    return ::dopp::envU64(name, fallback);
-}
-
 inline u64
 snapshotPeriod()
 {
@@ -146,8 +139,8 @@ runCampaign(const std::vector<RunConfig> &configs)
     BatchOptions opt;
     opt.cancel = installBatchSignalHandler();
     opt.runTimeoutMs = envU64("DOPP_RUN_TIMEOUT_MS", 0);
-    opt.maxRetries =
-        static_cast<unsigned>(envU64("DOPP_MAX_RETRIES", 0));
+    opt.maxRetries = static_cast<unsigned>(
+        envU64("DOPP_MAX_RETRIES", 0, std::numeric_limits<unsigned>::max()));
     opt.onProgress = [](const BatchProgress &p) {
         std::fprintf(stderr, "[bench] %zu/%zu %s on %s%s%s\n",
                      p.completed, p.total, p.result.workload.c_str(),

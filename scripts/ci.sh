@@ -131,35 +131,21 @@ echo "ci: bench_perf smoke + schema check passed"
 
 # Differential hot-path suite: the optimized structure-of-arrays
 # Doppelgänger engine must stay bit-identical to the frozen reference
-# implementation. Run it serial and 4-wide so the contract holds under
-# the threaded batch runner too. HotpathDiff enumerates every
-# registered organization (including uniDoppBdi/gdish/approxDedup);
-# NewOrgs adds the factory-organization registration, counter and
-# ref-vs-opt pins alongside it. HierarchyDiff holds the optimized
-# MemorySystem to the frozen reference hierarchy (DESIGN.md §18), and
-# MemArena holds the page-arena MainMemory to a block-map model.
+# implementation kept under tests/. Run it serial and 4-wide so the
+# contract holds under the threaded batch runner too.
+# HotpathDiff compares every engine-backed organization with its
+# ".ref" twin; RefEngineEndToEnd runs bench_fig12's configurations
+# through runWorkload on both and compares snapshot, output and CSV
+# row; NewOrgs adds the factory-organization registration, counter
+# and ref-vs-opt pins. HierarchyDiff holds the optimized MemorySystem
+# to the frozen reference hierarchy (DESIGN.md §18), and MemArena
+# holds the page-arena MainMemory to a block-map model.
+DIFF_SUITES='HotpathDiff|TagPool|NewOrgs|RefEngineEndToEnd|HierarchyDiff|MemArena'
 DOPP_JOBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j "$(nproc)" -R 'HotpathDiff|TagPool|NewOrgs|HierarchyDiff|MemArena'
+    -j "$(nproc)" -R "$DIFF_SUITES"
 DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j "$(nproc)" -R 'HotpathDiff|TagPool|NewOrgs|HierarchyDiff|MemArena'
+    -j "$(nproc)" -R "$DIFF_SUITES"
 echo "ci: differential hot-path suites passed (jobs=1 and jobs=4)"
-
-# Reference-vs-optimized stdout diff on a real figure bench: flip the
-# whole process to the reference engine via DOPP_REFERENCE_IMPL and
-# require byte-identical report output — the end-to-end version of the
-# differential suite's bit-identity contract.
-env DOPP_WORKLOAD_SCALE=0.05 DOPP_REFERENCE_IMPL=1 \
-    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$SMOKE_DIR/fig12_ref.txt"
-env DOPP_WORKLOAD_SCALE=0.05 DOPP_REFERENCE_IMPL=0 \
-    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$SMOKE_DIR/fig12_opt.txt"
-diff "$SMOKE_DIR/fig12_ref.txt" "$SMOKE_DIR/fig12_opt.txt" || {
-    echo "ci: bench_fig12 output diverged between reference and" \
-         "optimized engines" >&2
-    exit 1
-}
-echo "ci: reference-vs-optimized bench stdout diff passed"
 
 # Sliced-LLC identity gates (DESIGN.md §15). Two byte-identical diffs:
 #  - unsliced vs DOPP_SLICES=1: a single-slice SlicedLlc front end

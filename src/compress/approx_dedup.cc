@@ -45,7 +45,8 @@ ApproxDedupLlc::ApproxDedupLlc(MainMemory &memory,
                                const ApproxDedupConfig &config,
                                const ApproxRegistry *registry,
                                StatRegistry *stat_registry,
-                               const std::string &stat_group)
+                               const std::string &stat_group,
+                               DoppEngineMaker make_engine)
     : LastLevelCache(memory, stat_registry, stat_group)
 {
     DoppConfig dc;
@@ -57,12 +58,10 @@ ApproxDedupLlc::ApproxDedupLlc(MainMemory &memory,
     dc.hitLatency = config.hitLatency;
     dc.unified = false;
     dc.mapOverride = approxDedupSignature;
-    dc.referenceImpl = config.referenceImpl;
     // Unlike DedupLlc's content hash, the signature depends on the
     // region annotations (type, declared range), so the engine gets
     // the registry and resolves MapParams per block.
-    engine = makeDoppEngine(memory, dc, registry, stat_registry,
-                            stat_group);
+    engine = make_engine(memory, dc, registry, stat_registry, stat_group);
 }
 
 void

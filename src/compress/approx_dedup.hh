@@ -53,9 +53,6 @@ struct ApproxDedupConfig
     u32 dataWays = 16;
     unsigned mapBits = 14; ///< 2^⌈mapBits/2⌉ grid cells per element
     Tick hitLatency = 6;
-
-    /** Use the reference (AoS) engine; see DoppConfig::referenceImpl. */
-    bool referenceImpl = false;
 };
 
 /**
@@ -69,7 +66,8 @@ class ApproxDedupLlc : public LastLevelCache
     ApproxDedupLlc(MainMemory &memory, const ApproxDedupConfig &config,
                    const ApproxRegistry *registry,
                    StatRegistry *stat_registry = nullptr,
-                   const std::string &stat_group = "llc");
+                   const std::string &stat_group = "llc",
+                   DoppEngineMaker make_engine = makeDoppEngine);
 
     FetchResult fetch(Addr addr, u8 *data) override;
     void writeback(Addr addr, const u8 *data) override;

@@ -5,7 +5,8 @@ namespace dopp
 
 DedupLlc::DedupLlc(MainMemory &memory, const DedupConfig &config,
                    StatRegistry *stat_registry,
-                   const std::string &stat_group)
+                   const std::string &stat_group,
+                   DoppEngineMaker make_engine)
     : LastLevelCache(memory, stat_registry, stat_group)
 {
     DoppConfig dc;
@@ -18,11 +19,9 @@ DedupLlc::DedupLlc(MainMemory &memory, const DedupConfig &config,
     dc.mapOverride = [](const u8 *block, const MapParams &) {
         return fnv1a64(block, blockBytes);
     };
-    dc.referenceImpl = config.referenceImpl;
     // The engine owns every counter; register it under the dedup
     // cache's own group so "llc.*" names resolve to engine activity.
-    engine = makeDoppEngine(memory, dc, nullptr, stat_registry,
-                            stat_group);
+    engine = make_engine(memory, dc, nullptr, stat_registry, stat_group);
 }
 
 void

@@ -30,9 +30,6 @@ struct DedupConfig
     u32 dataEntries = 16 * 1024;
     u32 dataWays = 16;
     Tick hitLatency = 6;
-
-    /** Use the reference (AoS) engine; see DoppConfig::referenceImpl. */
-    bool referenceImpl = false;
 };
 
 /**
@@ -44,7 +41,8 @@ class DedupLlc : public LastLevelCache
   public:
     DedupLlc(MainMemory &memory, const DedupConfig &config,
              StatRegistry *stat_registry = nullptr,
-             const std::string &stat_group = "llc");
+             const std::string &stat_group = "llc",
+             DoppEngineMaker make_engine = makeDoppEngine);
 
     FetchResult fetch(Addr addr, u8 *data) override;
     void writeback(Addr addr, const u8 *data) override;

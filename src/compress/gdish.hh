@@ -115,8 +115,7 @@ struct GdishLlcConfig
 };
 
 /** Conventional-geometry LLC sharing words through a global
- * dictionary. Lossless; ignores DoppConfig::referenceImpl (there is
- * one implementation, so the differential oracle holds trivially). */
+ * dictionary. Lossless. */
 class GdishLlc : public LastLevelCache
 {
   public:

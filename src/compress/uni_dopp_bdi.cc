@@ -10,15 +10,16 @@ UniDoppBdiLlc::UniDoppBdiLlc(MainMemory &memory,
                              const DoppConfig &config,
                              const ApproxRegistry *registry,
                              StatRegistry *stat_registry,
-                             const std::string &stat_group)
+                             const std::string &stat_group,
+                             DoppEngineMaker make_engine)
     : LastLevelCache(memory, stat_registry, stat_group)
 {
     DOPP_ASSERT(config.unified);
     // Engine counters live under "<group>.dopp" like the plain
     // uniDoppelgänger builder arranges; the B∆I accounting gets its
     // own "<group>.bdi" subgroup so slice merges pick both up.
-    engine = makeDoppEngine(memory, config, registry, stat_registry,
-                            stat_group + ".dopp");
+    engine = make_engine(memory, config, registry, stat_registry,
+                         stat_group + ".dopp");
 
     StatGroup g = statGroup().group("bdi");
     const UniDoppBdiLlc *self = this;

@@ -48,7 +48,8 @@ class UniDoppBdiLlc : public LastLevelCache
     UniDoppBdiLlc(MainMemory &memory, const DoppConfig &config,
                   const ApproxRegistry *registry,
                   StatRegistry *stat_registry = nullptr,
-                  const std::string &stat_group = "llc");
+                  const std::string &stat_group = "llc",
+                  DoppEngineMaker make_engine = makeDoppEngine);
 
     FetchResult fetch(Addr addr, u8 *data) override;
     void writeback(Addr addr, const u8 *data) override;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/doppelganger_cache.hh"
-#include "core/doppelganger_ref.hh"
 #include "util/logging.hh"
 
 namespace dopp
@@ -91,10 +90,6 @@ makeDoppEngine(MainMemory &memory, const DoppConfig &config,
                StatRegistry *stat_registry,
                const std::string &stat_group)
 {
-    if (config.referenceImpl) {
-        return std::make_unique<RefDoppelgangerCache>(
-            memory, config, registry, stat_registry, stat_group);
-    }
     return std::make_unique<DoppelgangerCache>(
         memory, config, registry, stat_registry, stat_group);
 }

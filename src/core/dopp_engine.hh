@@ -1,27 +1,13 @@
 /**
  * @file
- * Shared contract of the two Doppelgänger-engine implementations.
+ * The Doppelgänger engine interface, DoppConfig, and the pieces every
+ * engine shares: the map-parameter region cache and the map-function
+ * dispatch (a plain function pointer, no std::function).
  *
- * The repository carries the decoupled tag/data engine twice:
- *
- *  - DoppelgangerCache (doppelganger_cache.hh) — the *optimized*
- *    hot path: structure-of-arrays set directories (SetAssocDir),
- *    index-pooled intrusive tag lists in flat per-field arenas, and
- *    no std::function on the per-access path.
- *  - RefDoppelgangerCache (doppelganger_ref.hh) — the *reference*
- *    implementation: the original array-of-structs layout, kept
- *    bit-for-bit as the behavioural oracle.
- *
- * Both produce bit-identical StatRegistry snapshots, final contents
- * and fault traces for any access sequence; the differential harness
- * (tests/test_hotpath_diff.cc) and a ci.sh bench-stdout diff enforce
- * that. `DoppConfig::referenceImpl` (or DOPP_REFERENCE_IMPL=1 through
- * the factory builders) selects the engine via makeDoppEngine().
- *
- * This header also hosts the pieces both engines share: DoppConfig,
- * the map-parameter region cache, and the map-function dispatch
- * (a plain function pointer — the std::function hop the optimized
- * path eliminated lives on in neither engine).
+ * The simulator has one engine, DoppelgangerCache
+ * (doppelganger_cache.hh). The interface stays virtual so tests can
+ * swap in the frozen reference engine kept under tests/ through
+ * DoppEngineMaker.
  */
 
 #ifndef DOPP_CORE_DOPP_ENGINE_HH
@@ -101,22 +87,13 @@ struct DoppConfig
      * tags associated to a data entry"). Ablate with bench_ablations.
      */
     bool tagCountAwareData = false;
-
-    /**
-     * Build the reference (array-of-structs) engine instead of the
-     * optimized structure-of-arrays one. Results are bit-identical by
-     * contract, so the switch is excluded from journal fingerprints —
-     * it only trades simulator speed for the behavioural oracle.
-     * Honored by makeDoppEngine() and the factory builders.
-     */
-    bool referenceImpl = false;
 };
 
 /**
  * Abstract Doppelgänger engine: the LastLevelCache surface plus the
  * introspection API tests, stats views and the fault subsystem use.
  * Holds the configuration, the per-region MapParams cache and the
- * map-function dispatch shared by both implementations.
+ * map-function dispatch.
  */
 class DoppEngine : public LastLevelCache
 {
@@ -241,16 +218,19 @@ class DoppEngine : public LastLevelCache
     MapParams defaultParams;
 };
 
-/**
- * Construct the engine @p config selects: the optimized
- * DoppelgangerCache, or RefDoppelgangerCache when
- * `config.referenceImpl` is set.
- */
+/** Construct a DoppelgangerCache. */
 std::unique_ptr<DoppEngine>
 makeDoppEngine(MainMemory &memory, const DoppConfig &config,
                const ApproxRegistry *registry,
                StatRegistry *stat_registry = nullptr,
                const std::string &stat_group = "llc.dopp");
+
+/** Builds the engine an organization wraps: makeDoppEngine, or a
+ * test's reference engine. */
+using DoppEngineMaker = std::unique_ptr<DoppEngine> (*)(
+    MainMemory &memory, const DoppConfig &config,
+    const ApproxRegistry *registry, StatRegistry *stat_registry,
+    const std::string &stat_group);
 
 } // namespace dopp
 

@@ -14,9 +14,8 @@
  *    against the stored map tags. Each data entry holds the map tag, a
  *    pointer to the head of its tag list, and the 64 B data block.
  *
- * This is the *optimized* engine (see dopp_engine.hh for the contract
- * and the reference twin). The simulator-side layout differs from the
- * figures while modeling the same hardware:
+ * The simulator-side layout differs from the figures while modeling
+ * the same hardware:
  *
  *  - Both lookup structures are SetAssocDir structure-of-arrays
  *    directories: a whole set's address tags (or MTags) occupy one
@@ -73,8 +72,9 @@ namespace dopp
  *    frees its data entry. LRU in both arrays by default.
  *
  * Every observable — StatRegistry snapshots, final contents, fault
- * draw/record traces, replacement decisions — is bit-identical to
- * RefDoppelgangerCache by contract (tests/test_hotpath_diff.cc).
+ * draw/record traces, replacement decisions — is bit-identical to the
+ * frozen reference engine kept under tests/, run as the ".ref"
+ * organizations by tests/test_hotpath_diff.cc.
  */
 class DoppelgangerCache : public DoppEngine
 {

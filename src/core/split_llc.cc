@@ -19,7 +19,8 @@ addStats(const LlcStats &a, const LlcStats &b)
 SplitLlc::SplitLlc(MainMemory &memory, const SplitLlcConfig &config,
                    const ApproxRegistry &registry,
                    StatRegistry *stat_registry,
-                   const std::string &stat_group)
+                   const std::string &stat_group,
+                   DoppEngineMaker make_engine)
     : LastLevelCache(memory, stat_registry, stat_group),
       registry(registry),
       preciseLlc(std::make_unique<ConventionalLlc>(
@@ -27,9 +28,8 @@ SplitLlc::SplitLlc(MainMemory &memory, const SplitLlcConfig &config,
           config.preciseLatency, &registry, ReplPolicy::LRU,
           &statRegistry(),
           statGroupPath() + ".precise")),
-      doppLlc(makeDoppEngine(memory, config.dopp, &registry,
-                              &statRegistry(),
-                              statGroupPath() + ".dopp")),
+      doppLlc(make_engine(memory, config.dopp, &registry,
+                          &statRegistry(), statGroupPath() + ".dopp")),
       degradedFillsCtr(statGroup().group("route").counter(
           "degradedFills",
           "approximate fills routed precise while degraded"))

@@ -42,11 +42,13 @@ class SplitLlc : public LastLevelCache
      *        under @p stat_group ".precise" / ".dopp", the split's
      *        routing counters under ".route", and an aggregate
      *        whole-LLC view directly under @p stat_group
+     * @param make_engine builds the Doppelgänger half
      */
     SplitLlc(MainMemory &memory, const SplitLlcConfig &config,
              const ApproxRegistry &registry,
              StatRegistry *stat_registry = nullptr,
-             const std::string &stat_group = "llc");
+             const std::string &stat_group = "llc",
+             DoppEngineMaker make_engine = makeDoppEngine);
 
     FetchResult fetch(Addr addr, u8 *data) override;
     void writeback(Addr addr, const u8 *data) override;
@@ -67,8 +69,7 @@ class SplitLlc : public LastLevelCache
     /** The precise half, for per-structure energy accounting. */
     const ConventionalLlc &precise() const { return *preciseLlc; }
 
-    /** The Doppelgänger half (optimized or reference engine, per
-     * DoppConfig::referenceImpl). */
+    /** The Doppelgänger half. */
     const DoppEngine &doppelganger() const { return *doppLlc; }
 
     /** Non-const access for tests. */

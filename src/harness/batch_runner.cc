@@ -27,7 +27,8 @@ batchJobs(unsigned jobs)
     if (jobs)
         return jobs;
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    return static_cast<unsigned>(envU64("DOPP_JOBS", hw));
+    return static_cast<unsigned>(
+        envU64("DOPP_JOBS", hw, std::numeric_limits<unsigned>::max()));
 }
 
 namespace
@@ -105,9 +106,10 @@ class Watchdog
                     earliest = it;
             }
             // Re-scan after every wake: arm() may have added an
-            // earlier deadline, disarm() may have removed this one.
-            if (cv.wait_until(lock, earliest->second.deadline) !=
-                std::cv_status::timeout) {
+            // earlier deadline, disarm() may have removed this one —
+            // so wait on a copy, never on the entry itself.
+            const Clock::time_point deadline = earliest->second.deadline;
+            if (cv.wait_until(lock, deadline) != std::cv_status::timeout) {
                 continue;
             }
             const auto now = Clock::now();

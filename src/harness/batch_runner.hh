@@ -8,13 +8,15 @@
  * Determinism contract (see DESIGN.md §9): every run is a pure function
  * of its own RunConfig — workload inputs are seeded from
  * cfg.workload.seed, the fault trace from cfg.fault.seed, and
- * runWorkload reads no environment or global mutable state — so the
- * per-config RunResults of a batch are bit-identical for any job count
- * (including the serial jobs=1 path) and any submission order. The
- * resilience layer leans on the same contract twice over: a journaled
- * result can replace a re-execution bit-for-bit, and a retried run is
- * re-seeded identically, so its outcome is still a pure function of the
- * config.
+ * runWorkload reads no global mutable state and, besides the output
+ * path DOPP_STATS_JSON, only DOPP_SLICES and DOPP_SLICE_HASH (through
+ * resolvedSliceConfig, for unset sliceCount/sliceHash), which every
+ * run of a process sees alike — so the per-config RunResults of a
+ * batch are bit-identical for any job count (including the serial
+ * jobs=1 path) and any submission order. The resilience layer leans
+ * on the same contract twice over: a journaled result can replace a
+ * re-execution bit-for-bit, and a retried run is re-seeded
+ * identically, so its outcome is still a pure function of the config.
  *
  * Robustness: a run that throws is reported as a failed RunResult
  * (failed=true, error=what()) without disturbing the pool or the other

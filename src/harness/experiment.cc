@@ -86,10 +86,12 @@ resolvedSliceConfig(const RunConfig &cfg)
 {
     SliceConfig s;
     // Explicit > environment > default, matching DOPP_JOBS. envU64
-    // rejects 0 and garbage outright, naming the variable.
+    // rejects 0, garbage and values past u32 outright, naming the
+    // variable.
     s.count = cfg.sliceCount
         ? cfg.sliceCount
-        : static_cast<u32>(envU64("DOPP_SLICES", 0));
+        : static_cast<u32>(envU64("DOPP_SLICES", 0,
+                                  std::numeric_limits<u32>::max()));
     s.mapSpace = cfg.mapSpaceMode;
     if (!cfg.sliceHash.empty()) {
         s.hash = sliceHashFromName(cfg.sliceHash);
@@ -125,11 +127,6 @@ doppConfigFor(const RunConfig &cfg, bool unified)
     d.tagCountAwareData = cfg.tagCountAwareData;
     d.hitLatency = cfg.llcLatency;
     d.unified = unified;
-    // Engine selection: per-run switch, or DOPP_REFERENCE_IMPL=1 to
-    // flip a whole process (ci.sh uses it to diff bench output between
-    // the reference and optimized engines without a rebuild).
-    d.referenceImpl =
-        cfg.doppReference || envFlag("DOPP_REFERENCE_IMPL", false);
     return d;
 }
 

@@ -87,18 +87,6 @@ struct RunConfig
     bool tagCountAwareData = false;
 
     /**
-     * Build Doppelgänger engines as the reference (array-of-structs)
-     * implementation instead of the optimized structure-of-arrays one
-     * (see dopp_engine.hh). Results are bit-identical by contract —
-     * the differential suite enforces it — so, like the observation
-     * hooks below, this switch is excluded from the journal config
-     * fingerprint (harness/journal.hh): it must never make two
-     * otherwise-equal runs look different. The factory builders also
-     * honor DOPP_REFERENCE_IMPL=1 from the environment.
-     */
-    bool doppReference = false;
-
-    /**
      * @name Sliced LLC front end (sim/sliced_llc.hh, DESIGN.md §15)
      * Resolution order for sliceCount/sliceHash is explicit >
      * environment > default (resolvedSliceConfig), the same contract
@@ -188,9 +176,9 @@ struct RunConfig
  * The rule: a field that can change a completed run's RunResult goes
  * here (partition fields in visitPartitionFields); an observation-only
  * field (tracePath, snapshotPeriod, onSnapshot, abortFlag,
- * abortPollAccesses, doppReference) does not. The workload name,
- * organization, partition list and slice layout are resolved values
- * the consumers encode by hand.
+ * abortPollAccesses) does not. The workload name, organization,
+ * partition list and slice layout are resolved values the consumers
+ * encode by hand.
  */
 template <typename Cfg, typename Visitor>
 void

@@ -1,13 +1,14 @@
 /**
  * @file
- * Builders of the five built-in LLC organizations. Each builder
+ * Builders of the eight built-in LLC organizations. Each builder
  * constructs its organization against the run's StatRegistry under
  * the group path the factory hands it ("llc" for a direct build,
  * "llc.sliceN" per slice of a sliced build): organizations whose
  * counters live directly under the group (baseline, bdi, dedup) add
  * the derived formulas there; organizations whose counters live in
  * subgroups (split, uniDoppelgänger) expose an aggregate whole-LLC
- * view under the group instead.
+ * view under the group instead. The five that wrap a Doppelgänger
+ * engine build it with the DoppEngineMaker they are registered with.
  */
 
 #include <algorithm>
@@ -29,7 +30,7 @@ namespace
 LlcBuilt
 buildBaseline(MainMemory &memory, const ApproxRegistry &registry,
               const RunConfig &cfg, StatRegistry &stats,
-              const std::string &group)
+              const std::string &group, DoppEngineMaker)
 {
     LlcBuilt built;
     auto ptr = std::make_unique<ConventionalLlc>(
@@ -44,7 +45,7 @@ buildBaseline(MainMemory &memory, const ApproxRegistry &registry,
 LlcBuilt
 buildSplitDopp(MainMemory &memory, const ApproxRegistry &registry,
                const RunConfig &cfg, StatRegistry &stats,
-               const std::string &group)
+               const std::string &group, DoppEngineMaker make_engine)
 {
     SplitLlcConfig sc;
     sc.preciseBytes = cfg.baselineBytes / 2;
@@ -54,8 +55,8 @@ buildSplitDopp(MainMemory &memory, const ApproxRegistry &registry,
 
     LlcBuilt built;
     built.doppConfig = sc.dopp;
-    auto ptr =
-        std::make_unique<SplitLlc>(memory, sc, registry, &stats, group);
+    auto ptr = std::make_unique<SplitLlc>(memory, sc, registry, &stats,
+                                          group, make_engine);
     built.dopps = {&ptr->doppelganger()};
     built.llc = std::move(ptr);
     return built;
@@ -64,12 +65,12 @@ buildSplitDopp(MainMemory &memory, const ApproxRegistry &registry,
 LlcBuilt
 buildUniDopp(MainMemory &memory, const ApproxRegistry &registry,
              const RunConfig &cfg, StatRegistry &stats,
-             const std::string &group)
+             const std::string &group, DoppEngineMaker make_engine)
 {
     LlcBuilt built;
     built.doppConfig = uniDoppConfig(cfg);
-    auto ptr = makeDoppEngine(memory, built.doppConfig, &registry,
-                              &stats, group + ".dopp");
+    auto ptr = make_engine(memory, built.doppConfig, &registry, &stats,
+                           group + ".dopp");
     built.dopps = {ptr.get()};
     registerLlcStatsView(stats.group(group),
                          [llc = ptr.get()] { return llc->stats(); });
@@ -80,7 +81,7 @@ buildUniDopp(MainMemory &memory, const ApproxRegistry &registry,
 LlcBuilt
 buildBdi(MainMemory &memory, const ApproxRegistry &registry,
          const RunConfig &cfg, StatRegistry &stats,
-         const std::string &group)
+         const std::string &group, DoppEngineMaker)
 {
     BdiLlcConfig bc;
     bc.sizeBytes = cfg.baselineBytes;
@@ -99,7 +100,7 @@ buildBdi(MainMemory &memory, const ApproxRegistry &registry,
 LlcBuilt
 buildDedup(MainMemory &memory, const ApproxRegistry &,
            const RunConfig &cfg, StatRegistry &stats,
-           const std::string &group)
+           const std::string &group, DoppEngineMaker make_engine)
 {
     DedupConfig dc;
     dc.tagEntries = static_cast<u32>(cfg.baselineBytes / blockBytes);
@@ -108,12 +109,10 @@ buildDedup(MainMemory &memory, const ApproxRegistry &,
         static_cast<double>(dc.tagEntries) * cfg.dataFraction);
     dc.dataWays = cfg.llcWays;
     dc.hitLatency = cfg.llcLatency;
-    // Same engine-selection rule as the Doppelgänger organizations so
-    // the differential suite can flip all five builders at once.
-    dc.referenceImpl = splitDoppConfig(cfg).referenceImpl;
 
     LlcBuilt built;
-    auto ptr = std::make_unique<DedupLlc>(memory, dc, &stats, group);
+    auto ptr = std::make_unique<DedupLlc>(memory, dc, &stats, group,
+                                          make_engine);
     registerLlcFormulas(stats.group(group),
                         [llc = ptr.get()] { return llc->stats(); });
     built.llc = std::move(ptr);
@@ -123,7 +122,7 @@ buildDedup(MainMemory &memory, const ApproxRegistry &,
 LlcBuilt
 buildUniDoppBdi(MainMemory &memory, const ApproxRegistry &registry,
                 const RunConfig &cfg, StatRegistry &stats,
-                const std::string &group)
+                const std::string &group, DoppEngineMaker make_engine)
 {
     DoppConfig dc = uniDoppConfig(cfg);
     // B∆I-compressed entries let the same data-array silicon carry
@@ -136,7 +135,7 @@ buildUniDoppBdi(MainMemory &memory, const ApproxRegistry &registry,
     LlcBuilt built;
     built.doppConfig = dc;
     auto ptr = std::make_unique<UniDoppBdiLlc>(memory, dc, &registry,
-                                               &stats, group);
+                                               &stats, group, make_engine);
     built.dopps = {&ptr->inner()};
     registerLlcStatsView(stats.group(group),
                          [llc = ptr.get()] { return llc->stats(); });
@@ -147,7 +146,7 @@ buildUniDoppBdi(MainMemory &memory, const ApproxRegistry &registry,
 LlcBuilt
 buildGdish(MainMemory &memory, const ApproxRegistry &registry,
            const RunConfig &cfg, StatRegistry &stats,
-           const std::string &group)
+           const std::string &group, DoppEngineMaker)
 {
     GdishLlcConfig gc;
     gc.sizeBytes = cfg.baselineBytes;
@@ -166,7 +165,7 @@ buildGdish(MainMemory &memory, const ApproxRegistry &registry,
 LlcBuilt
 buildApproxDedup(MainMemory &memory, const ApproxRegistry &registry,
                  const RunConfig &cfg, StatRegistry &stats,
-                 const std::string &group)
+                 const std::string &group, DoppEngineMaker make_engine)
 {
     ApproxDedupConfig ac;
     ac.tagEntries = static_cast<u32>(cfg.baselineBytes / blockBytes);
@@ -176,31 +175,62 @@ buildApproxDedup(MainMemory &memory, const ApproxRegistry &registry,
     ac.dataWays = cfg.llcWays;
     ac.mapBits = cfg.mapBits; // tolerance knob: 2^⌈mapBits/2⌉ cells
     ac.hitLatency = cfg.llcLatency;
-    ac.referenceImpl = splitDoppConfig(cfg).referenceImpl;
 
     LlcBuilt built;
-    auto ptr = std::make_unique<ApproxDedupLlc>(memory, ac, &registry,
-                                                &stats, group);
+    auto ptr = std::make_unique<ApproxDedupLlc>(
+        memory, ac, &registry, &stats, group, make_engine);
     registerLlcFormulas(stats.group(group),
                         [llc = ptr.get()] { return llc->stats(); });
     built.llc = std::move(ptr);
     return built;
 }
 
+/** The built-ins in registration order, which registeredLlcNames()
+ * and every sweep over it (bench_fig_slices) follow. */
+const struct
+{
+    const char *name;
+    LlcBuilt (*build)(MainMemory &, const ApproxRegistry &,
+                      const RunConfig &, StatRegistry &,
+                      const std::string &, DoppEngineMaker);
+    bool wrapsEngine;
+} builtins[] = {
+    {"baseline", buildBaseline, false},
+    {"split-doppelganger", buildSplitDopp, true},
+    {"uniDoppelganger", buildUniDopp, true},
+    {"dedup", buildDedup, true},
+    {"bdi", buildBdi, false},
+    {"uniDoppBdi", buildUniDoppBdi, true},
+    {"gdish", buildGdish, false},
+    {"approxDedup", buildApproxDedup, true},
+};
+
+void
+registerBuiltins(const std::string &suffix, DoppEngineMaker maker,
+                 bool engines_only)
+{
+    for (const auto &b : builtins) {
+        if (engines_only && !b.wrapsEngine)
+            continue;
+        registerLlc(b.name + suffix, [build = b.build, maker](auto &...a) {
+            return build(a..., maker);
+        });
+    }
+}
+
 } // namespace
+
+void
+registerDoppEngineLlcs(const std::string &suffix, DoppEngineMaker maker)
+{
+    registerBuiltins(suffix, maker, true);
+}
 
 void
 registerBuiltinLlcs()
 {
     static const bool once = [] {
-        registerLlc("baseline", buildBaseline);
-        registerLlc("split-doppelganger", buildSplitDopp);
-        registerLlc("uniDoppelganger", buildUniDopp);
-        registerLlc("dedup", buildDedup);
-        registerLlc("bdi", buildBdi);
-        registerLlc("uniDoppBdi", buildUniDoppBdi);
-        registerLlc("gdish", buildGdish);
-        registerLlc("approxDedup", buildApproxDedup);
+        registerBuiltins("", makeDoppEngine, false);
         return true;
     }();
     (void)once;

@@ -91,6 +91,11 @@ LlcBuilt buildLlc(const std::string &name, MainMemory &memory,
  * the factory itself; callable from tests that enumerate names. */
 void registerBuiltinLlcs();
 
+/** Register the five built-ins that wrap a Doppelgänger engine again,
+ * as name + @p suffix, built with @p maker (tests: ".ref"). */
+void registerDoppEngineLlcs(const std::string &suffix,
+                            DoppEngineMaker maker);
+
 } // namespace dopp
 
 #endif // DOPP_HARNESS_LLC_FACTORY_HH

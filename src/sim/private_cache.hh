@@ -9,9 +9,8 @@
  * bytes live in a SetAssocDir, the 64-byte blocks in a separate arena
  * indexed by the same flattened `set * ways + way` slot. A probe reads
  * only the set's key run and flag bytes; the data is touched only on a
- * hit. Replacement decisions are bit-identical to the SetAssocArray
- * layout this replaced (the hierarchy differential suite,
- * tests/test_hierarchy_diff.cc, pins that end to end).
+ * hit. The hierarchy differential suite (tests/test_hierarchy_diff.cc)
+ * holds it bit-identical to the frozen test reference hierarchy.
  */
 
 #ifndef DOPP_SIM_PRIVATE_CACHE_HH

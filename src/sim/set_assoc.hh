@@ -1,11 +1,8 @@
 /**
  * @file
- * Generic set-associative array with pluggable replacement.
- *
- * Used for every lookup structure in the repository: private L1/L2
- * caches, the baseline LLC, the Doppelgänger tag array, the MTag array
- * and the dedup hash array. The entry type supplies `valid` and `tag`
- * fields; the array manages indexing and replacement metadata.
+ * Set-associative directory with pluggable replacement, the lookup
+ * structure of every cache (private L1/L2, the LLCs, the Doppelgänger
+ * tag and MTag arrays), and the address-to-(set, tag) slicer.
  */
 
 #ifndef DOPP_SIM_SET_ASSOC_HH
@@ -21,7 +18,7 @@
 namespace dopp
 {
 
-/** Replacement policy selector for a SetAssocArray. */
+/** Replacement policy selector for a SetAssocDir. */
 enum class ReplPolicy : u8
 {
     LRU,    ///< least-recently-used (the paper's policy, Sec 3.5)
@@ -42,188 +39,14 @@ replPolicyName(ReplPolicy p)
 }
 
 /**
- * Set-associative array of entries with LRU/FIFO/RANDOM replacement.
- *
- * @tparam Entry must expose `bool valid` and `u64 tag` members; all
- * other fields are the client's business.
- */
-template <typename Entry>
-class SetAssocArray
-{
-  public:
-    /**
-     * @param num_sets number of sets (any positive count; address-
-     *        indexed clients additionally require a power of two via
-     *        AddrSlicer, but map-indexed arrays may be fractional)
-     * @param num_ways associativity
-     * @param policy victim-selection policy
-     */
-    SetAssocArray(u32 num_sets, u32 num_ways,
-                  ReplPolicy policy = ReplPolicy::LRU)
-        : numSets(num_sets), numWays(num_ways), policy(policy),
-          slots(static_cast<size_t>(num_sets) * num_ways),
-          stamps(static_cast<size_t>(num_sets) * num_ways, 0),
-          rng(0xD0BBE16A)
-    {
-        if (num_sets == 0)
-            fatal("set count must be non-zero");
-        if (num_ways == 0)
-            fatal("associativity must be non-zero");
-    }
-
-    u32 sets() const { return numSets; }
-    u32 ways() const { return numWays; }
-
-    /** Entry at (@p set, @p way); bounds-checked in debug builds. */
-    Entry &
-    at(u32 set, u32 way)
-    {
-        DOPP_ASSERT(set < numSets && way < numWays);
-        return slots[static_cast<size_t>(set) * numWays + way];
-    }
-
-    const Entry &
-    at(u32 set, u32 way) const
-    {
-        DOPP_ASSERT(set < numSets && way < numWays);
-        return slots[static_cast<size_t>(set) * numWays + way];
-    }
-
-    /**
-     * Find the valid entry in @p set whose tag equals @p tag.
-     * Does not touch replacement state.
-     * @return way index, or -1 if not present.
-     */
-    int
-    findWay(u32 set, u64 tag) const
-    {
-        for (u32 w = 0; w < numWays; ++w) {
-            const Entry &e = at(set, w);
-            if (e.valid && e.tag == tag)
-                return static_cast<int>(w);
-        }
-        return -1;
-    }
-
-    /**
-     * Choose a victim way in @p set: an invalid way if one exists,
-     * otherwise per the replacement policy.
-     */
-    u32
-    victimWay(u32 set)
-    {
-        for (u32 w = 0; w < numWays; ++w) {
-            if (!at(set, w).valid)
-                return w;
-        }
-        if (policy == ReplPolicy::RANDOM)
-            return static_cast<u32>(rng.below(numWays));
-        // LRU and FIFO: smallest stamp.
-        u32 victim = 0;
-        u64 best = stamp(set, 0);
-        for (u32 w = 1; w < numWays; ++w) {
-            if (stamp(set, w) < best) {
-                best = stamp(set, w);
-                victim = w;
-            }
-        }
-        return victim;
-    }
-
-    /** Record a use of (@p set, @p way); LRU only (FIFO ignores it). */
-    void
-    touch(u32 set, u32 way)
-    {
-        if (policy == ReplPolicy::LRU)
-            setStamp(set, way, ++clock);
-    }
-
-    /** Record an insertion at (@p set, @p way); updates all policies. */
-    void
-    touchInsert(u32 set, u32 way)
-    {
-        setStamp(set, way, ++clock);
-    }
-
-    /**
-     * Set the validity of (@p set, @p way). All validity transitions
-     * must flow through here (or invalidateAll) so the maintained
-     * valid-entry counter stays exact; writing `entry.valid` directly
-     * desyncs validCount(). A no-op when the state already matches.
-     */
-    void
-    setValid(u32 set, u32 way, bool v)
-    {
-        Entry &e = at(set, way);
-        if (e.valid == v)
-            return;
-        if (v)
-            ++numValid;
-        else
-            --numValid;
-        e.valid = v;
-    }
-
-    /** Invalidate every entry (replacement state is reset too). */
-    void
-    invalidateAll()
-    {
-        for (auto &s : slots)
-            s.valid = false;
-        for (auto &st : stamps)
-            st = 0;
-        clock = 0;
-        numValid = 0;
-    }
-
-    /** Count of valid entries across the whole array (maintained
-     * incrementally; O(1)). */
-    u64
-    validCount() const
-    {
-        return numValid;
-    }
-
-  private:
-    u64
-    stamp(u32 set, u32 way) const
-    {
-        return stamps[static_cast<size_t>(set) * numWays + way];
-    }
-
-    void
-    setStamp(u32 set, u32 way, u64 v)
-    {
-        stamps[static_cast<size_t>(set) * numWays + way] = v;
-    }
-
-    u32 numSets;
-    u32 numWays;
-    ReplPolicy policy;
-    std::vector<Entry> slots;
-    std::vector<u64> stamps;
-    u64 clock = 0;
-    u64 numValid = 0;
-    Rng rng;
-};
-
-/**
- * Structure-of-arrays set-associative *directory*: the hot-path
- * companion of SetAssocArray. Where SetAssocArray interleaves every
- * client field with the lookup key (so a 16-way probe strides one
- * whole entry per way), SetAssocDir stores only what a probe touches —
- * a contiguous per-set run of 64-bit keys plus one flag byte per way —
- * so a full-set compare reads two or three cache lines and the
- * compiler can unroll/vectorize the key loop. Client payloads (map
- * values, list links, data blocks) live in the owner's own parallel
- * arrays, indexed by the same flattened `set * ways + way` slot.
- *
- * Replacement semantics are bit-identical to SetAssocArray: the same
- * insertion-order invalid-way scan, the same monotonically increasing
- * stamp clock for LRU/FIFO, and the same Rng seed and draw sequence
- * for RANDOM — a client migrated from SetAssocArray to SetAssocDir
- * makes exactly the same victim choices (the hot-path differential
- * suite, tests/test_hotpath_diff.cc, pins this end to end).
+ * Structure-of-arrays set-associative *directory*. It stores only
+ * what a probe touches — a contiguous per-set run of 64-bit keys plus
+ * one flag byte per way — so a full-set compare reads two or three
+ * cache lines and the compiler can unroll/vectorize the key loop.
+ * Client payloads (map values, list links, data blocks) live in the
+ * owner's own parallel arrays, indexed by the same flattened
+ * `set * ways + way` slot. Victim choices match the frozen test
+ * references' array-of-structs array (tests/set_assoc_array.hh).
  *
  * Flag byte layout: bit 0 is the valid bit and is owned by the
  * directory (all transitions flow through setValid/invalidateAll so
@@ -284,7 +107,7 @@ class SetAssocDir
     }
 
     /** Set validity, keeping the incremental valid count exact. A
-     * no-op when the state already matches (mirrors SetAssocArray). */
+     * no-op when the state already matches. */
     void
     setValid(i32 idx, bool v)
     {
@@ -337,8 +160,7 @@ class SetAssocDir
         return -1;
     }
 
-    /** Victim way in @p set: first invalid way, else per policy
-     * (identical choice sequence to SetAssocArray::victimWay). */
+    /** Victim way in @p set: first invalid way, else per policy. */
     u32
     victimWay(u32 set)
     {

@@ -1,5 +1,6 @@
 #include "env.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -10,19 +11,27 @@ namespace dopp
 {
 
 u64
-envU64(const char *name, u64 fallback)
+parseU64(const char *name, const char *text, u64 lo, u64 hi)
 {
-    const char *v = std::getenv(name);
-    if (!v)
-        return fallback;
     errno = 0;
     char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0' || errno == ERANGE || v[0] == '-' ||
-        parsed == 0) {
-        fatal("%s='%s' is not a positive integer", name, v);
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    // strtoull skips blanks and negates after a '-' ("-1" is 2^64-1):
+    // only a run of plain digits is a value.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+        fatal("%s='%s' is not %s integer in [%llu, %llu]", name, text,
+              lo ? "a positive" : "an", static_cast<unsigned long long>(lo),
+              static_cast<unsigned long long>(hi));
     }
-    return static_cast<u64>(parsed);
+    return static_cast<u64>(v);
+}
+
+u64
+envU64(const char *name, u64 fallback, u64 hi)
+{
+    const char *v = std::getenv(name);
+    return v ? parseU64(name, v, 1, hi) : fallback;
 }
 
 double

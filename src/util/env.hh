@@ -1,17 +1,18 @@
 /**
  * @file
- * Strict environment-variable parsing for tuning knobs.
+ * Strict parsing for tuning knobs (environment variables and flags).
  *
  * An unset variable yields the fallback; a set variable must parse
- * completely as a positive value of the requested type, otherwise the
+ * completely as an in-range value of the requested type, otherwise the
  * run dies with a fatal error naming the variable. Silently mapping
- * garbage (DOPP_JOBS=abc) or out-of-range values to the fallback hides
- * misconfigured sweeps, so we refuse instead.
+ * garbage (DOPP_JOBS=abc) or out-of-range values to the fallback, or
+ * wrapping them, hides misconfigured sweeps, so we refuse instead.
  */
 
 #ifndef DOPP_UTIL_ENV_HH
 #define DOPP_UTIL_ENV_HH
 
+#include <limits>
 #include <string>
 
 #include "types.hh"
@@ -20,11 +21,15 @@ namespace dopp
 {
 
 /**
- * Read @p name as a positive integer. Unset: @p fallback. Set but not
- * a whole positive decimal number (garbage, negative, zero, trailing
- * junk, overflow): fatal, naming the variable and the bad value.
+ * Parse knob @p name's value @p text as a whole decimal number in
+ * [@p lo, @p hi] (@p hi: the destination type's maximum); anything
+ * else (empty, a sign, junk, out of range) is fatal, naming both.
  */
-u64 envU64(const char *name, u64 fallback);
+u64 parseU64(const char *name, const char *text, u64 lo, u64 hi);
+
+/** Read @p name as parseU64(name, value, 1, @p hi). Unset: @p fallback. */
+u64 envU64(const char *name, u64 fallback,
+           u64 hi = std::numeric_limits<u64>::max());
 
 /**
  * Read @p name as a positive double. Unset: @p fallback. Set but not

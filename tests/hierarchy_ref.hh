@@ -18,8 +18,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "set_assoc_array.hh"
 #include "sim/hierarchy.hh"
-#include "sim/set_assoc.hh"
 
 namespace dopp
 {

@@ -12,6 +12,9 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+
+#include <unistd.h>
 
 #include "harness/batch_runner.hh"
 #include "harness/results_io.hh"
@@ -337,6 +340,65 @@ TEST(BatchRunnerDeathTest, GarbageJobsEnvIsFatal)
             batchJobs(0);
         },
         ::testing::ExitedWithCode(1), "not a positive integer");
+}
+
+TEST(BatchRunnerDeathTest, OverRangeSlicesEnvIsFatal)
+{
+    // 2^32 used to wrap to 0 (unsliced) and 2^32 + 4 to 4 slices.
+    EXPECT_EXIT(
+        {
+            setenv("DOPP_SLICES", "4294967296", 1);
+            resolvedSliceConfig(RunConfig{});
+        },
+        ::testing::ExitedWithCode(1),
+        "DOPP_SLICES='4294967296' is not a positive integer in "
+        "\\[1, 4294967295\\]");
+}
+
+namespace
+{
+
+/** Exec doppd --oneshot on an empty spool with @p flag = @p value. */
+void
+execDoppd(const char *flag, const char *value,
+          const char *extra_flag = nullptr, const char *extra = nullptr)
+{
+    const std::string spool = ::testing::TempDir() + "doppd_flags";
+    execl(DOPPD_PATH, "doppd", "--spool", spool.c_str(), "--oneshot",
+          flag, value, extra_flag, extra, static_cast<char *>(nullptr));
+}
+
+} // namespace
+
+TEST(DoppdDeathTest, EmptyNegativeAndOverRangeValuesAreFatal)
+{
+    // Each of these used to parse (as 0, 2^64-1 and 0) and exit 0; a
+    // --lease-ms of 2^64-1 means a dead worker's claims never expire.
+    EXPECT_EXIT(execDoppd("--workers", ""), ::testing::ExitedWithCode(1),
+                "--workers='' is not an integer");
+    EXPECT_EXIT(execDoppd("--lease-ms", "-1"),
+                ::testing::ExitedWithCode(1),
+                "--lease-ms='-1' is not an integer");
+    EXPECT_EXIT(execDoppd("--workers", "4294967296"),
+                ::testing::ExitedWithCode(1),
+                "--workers='4294967296' is not an integer in "
+                "\\[0, 4294967295\\]");
+    EXPECT_EXIT(execDoppd("--max-runtime-ms", "18446744073709551616"),
+                ::testing::ExitedWithCode(1),
+                "--max-runtime-ms='18446744073709551616' is not an "
+                "integer");
+}
+
+TEST(DoppdDeathTest, HeartbeatPastHalfTheLeaseIsFatal)
+{
+    // heartbeat * 2 wrapped to 0 and slipped past the lease check.
+    EXPECT_EXIT(execDoppd("--heartbeat-ms", "9223372036854775808",
+                          "--lease-ms", "4000"),
+                ::testing::ExitedWithCode(1),
+                "must be at most half of --lease-ms");
+    EXPECT_EXIT(execDoppd("--heartbeat-ms", "3000", "--lease-ms", "4000"),
+                ::testing::ExitedWithCode(1),
+                "must be at most half of --lease-ms");
 }
 
 } // namespace dopp

@@ -3,11 +3,14 @@
  * Differential hot-path harness: the optimized structure-of-arrays
  * Doppelgänger engine (core/doppelganger_cache.hh) must be
  * bit-identical to the frozen reference implementation
- * (core/doppelganger_ref.hh) — same StatRegistry snapshot, same final
+ * (doppelganger_ref.hh) — same StatRegistry snapshot, same final
  * cache contents, same fault trace — for any access sequence. Every
- * test here drives both engines with the same seeded randomized
- * operation stream and asserts exact equality, including under fault
- * injection and an active QoR guardrail.
+ * organization that wraps the engine is compared against its ".ref"
+ * twin, which differs only in the engine it builds. The HotpathDiff
+ * tests drive both with the same seeded randomized operation stream
+ * and assert exact equality, including under fault injection and an
+ * active QoR guardrail; RefEngineEndToEnd runs the Fig 12 sweep's
+ * configurations through runWorkload on both.
  *
  * Also hosts the property-based invariant fuzzer for the index-pooled
  * tag lists (TagPool*): checkInvariants() after every mutation, with
@@ -23,13 +26,15 @@
 #include <string>
 #include <vector>
 
-#include "core/doppelganger_cache.hh"
-#include "core/doppelganger_ref.hh"
+#include "doppelganger_ref.hh"
 #include "fault/fault_injector.hh"
 #include "fault/qor_guardrail.hh"
+#include "harness/batch_runner.hh"
 #include "harness/experiment.hh"
 #include "harness/llc_factory.hh"
+#include "harness/results_io.hh"
 #include "util/random.hh"
+#include "workloads/workload.hh"
 
 namespace dopp
 {
@@ -138,8 +143,8 @@ struct DiffResult
 };
 
 /**
- * Build organization @p org with the engine @p reference selects and
- * drive it with the DiffOpts-seeded randomized stream: a fetch/
+ * Build organization @p org, or its ".ref" twin when @p reference is
+ * set, and drive it with the DiffOpts-seeded randomized stream: a fetch/
  * writeback/contains mix with occasional full flushes, over a
  * footprint whose lower half is an annotated F32 region (upper half
  * takes the precise paths).
@@ -163,11 +168,11 @@ runOne(const std::string &org, bool reference, const DiffOpts &opt)
     RunConfig cfg;
     cfg.workloadName = "hotpath-diff";
     cfg.baselineBytes = opt.baselineBytes;
-    cfg.doppReference = reference;
 
     StatRegistry statReg;
-    registerBuiltinLlcs();
-    LlcBuilt built = buildLlc(org, mem, registry, cfg, statReg);
+    registerRefLlcs();
+    LlcBuilt built = buildLlc(reference ? org + ".ref" : org, mem,
+                              registry, cfg, statReg);
     LastLevelCache *llc = built.llc.get();
     llc->setBackInvalidate(statelessBackInvalidate);
 
@@ -241,12 +246,18 @@ expectIdentical(const std::string &org, const DiffOpts &opt)
     }
 }
 
-/** All registered organizations, in registration order. */
+/** The organizations with a ".ref" twin, in registration order. */
 std::vector<std::string>
 allOrgs()
 {
-    registerBuiltinLlcs();
-    return registeredLlcNames();
+    registerRefLlcs();
+    std::vector<std::string> orgs;
+    for (const std::string &name : registeredLlcNames()) {
+        if (llcRegistered(name + ".ref"))
+            orgs.push_back(name);
+    }
+    EXPECT_EQ(orgs.size(), 5u);
+    return orgs;
 }
 
 /** Small engine geometry for the pool fuzzer (64 tags, 16 data). */
@@ -374,24 +385,6 @@ TEST(HotpathDiff, GuardrailBitIdentical)
         expectIdentical(org, opt);
 }
 
-TEST(HotpathDiff, ReferenceSwitchSelectsEngine)
-{
-    MainMemory mem;
-    DoppConfig cfg = fuzzConfig(false);
-
-    cfg.referenceImpl = false;
-    auto fast = makeDoppEngine(mem, cfg, nullptr);
-    EXPECT_NE(dynamic_cast<DoppelgangerCache *>(fast.get()), nullptr);
-    EXPECT_EQ(dynamic_cast<RefDoppelgangerCache *>(fast.get()),
-              nullptr);
-
-    cfg.referenceImpl = true;
-    auto ref = makeDoppEngine(mem, cfg, nullptr);
-    EXPECT_NE(dynamic_cast<RefDoppelgangerCache *>(ref.get()),
-              nullptr);
-    EXPECT_EQ(dynamic_cast<DoppelgangerCache *>(ref.get()), nullptr);
-}
-
 // ---------------------------------------------------------------------
 // Property-based fuzzer for the index-pooled tag lists.
 // ---------------------------------------------------------------------
@@ -471,11 +464,10 @@ TEST(TagPoolFuzz, ReferenceAndOptimizedAgreeUnderFuzz)
 {
     // The fuzzer itself is differential: the same seeded stream on
     // both engines must leave identical stats and contents.
-    auto run = [](bool reference) {
+    auto run = [](DoppEngineMaker make_engine) {
         MainMemory mem;
-        DoppConfig cfg = fuzzConfig(false);
-        cfg.referenceImpl = reference;
-        auto engine = makeDoppEngine(mem, cfg, nullptr);
+        auto engine = make_engine(mem, fuzzConfig(false), nullptr,
+                                  nullptr, "llc.dopp");
         fuzzPools(*engine, 4000, 0xF0025);
         LlcStats s = engine->stats();
         return std::make_pair(s.fetchHits + 3 * s.fetchMisses +
@@ -484,10 +476,69 @@ TEST(TagPoolFuzz, ReferenceAndOptimizedAgreeUnderFuzz)
                                   13 * s.dataEvictions,
                               dumpContents(*engine));
     };
-    const auto ref = run(true);
-    const auto fast = run(false);
+    const auto ref = run(makeRefDoppEngine);
+    const auto fast = run(makeDoppEngine);
     EXPECT_EQ(ref.first, fast.first);
     EXPECT_EQ(ref.second, fast.second);
+}
+
+// ---------------------------------------------------------------------
+// End to end: bench_fig12's sweep through runWorkload, X against X.ref.
+// ---------------------------------------------------------------------
+
+TEST(RefEngineEndToEnd, Fig12GridMatches)
+{
+    // Fig 12's engine-backed configurations at scale 0.05, plus
+    // uniDoppelganger and dedup so every ".ref" organization runs;
+    // each unsliced and over four slices. Runs go through the batch
+    // runner, so DOPP_JOBS sets how many run at once.
+    struct Point
+    {
+        const char *org;
+        double dataFraction;
+    };
+    const Point points[] = {
+        {"split-doppelganger", 0.5}, {"split-doppelganger", 0.25},
+        {"split-doppelganger", 0.125}, {"uniDoppBdi", 0.25},
+        {"approxDedup", 0.25}, {"uniDoppelganger", 0.25},
+        {"dedup", 0.25},
+    };
+    registerRefLlcs();
+    std::vector<RunConfig> configs;
+    for (const std::string &kernel : workloadNames()) {
+        for (const Point &p : points) {
+            for (u32 slices : {0u, 4u}) {
+                for (const char *suffix : {"", ".ref"}) {
+                    RunConfig cfg;
+                    cfg.workloadName = kernel;
+                    cfg.llcName = std::string(p.org) + suffix;
+                    cfg.dataFraction = p.dataFraction;
+                    cfg.sliceCount = slices;
+                    cfg.workload.scale = 0.05;
+                    configs.push_back(cfg);
+                }
+            }
+        }
+    }
+    const std::vector<RunResult> results = runBatch(configs);
+    ASSERT_EQ(results.size(), configs.size());
+    for (size_t i = 0; i < results.size(); i += 2) {
+        const RunConfig &cfg = configs[i];
+        SCOPED_TRACE(cfg.workloadName + " " + cfg.llcName + " @" +
+                     std::to_string(cfg.dataFraction) + " slices " +
+                     std::to_string(cfg.sliceCount));
+        const RunResult &fast = results[i];
+        RunResult ref = results[i + 1];
+        ASSERT_FALSE(fast.failed) << fast.error;
+        ASSERT_FALSE(ref.failed) << ref.error;
+        EXPECT_TRUE(fast.stats == ref.stats)
+            << "optimized snapshot:\n" << fast.stats.json()
+            << "\nreference snapshot:\n" << ref.stats.json();
+        EXPECT_EQ(fast.output, ref.output);
+        EXPECT_EQ(ref.organization, cfg.llcName + ".ref");
+        ref.organization = fast.organization;
+        EXPECT_EQ(runResultCsvRow(fast), runResultCsvRow(ref));
+    }
 }
 
 } // namespace dopp

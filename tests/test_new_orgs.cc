@@ -19,6 +19,7 @@
 #include "compress/approx_dedup.hh"
 #include "compress/gdish.hh"
 #include "compress/uni_dopp_bdi.hh"
+#include "doppelganger_ref.hh"
 #include "fault/fault_injector.hh"
 #include "harness/experiment.hh"
 #include "harness/journal.hh"
@@ -521,13 +522,13 @@ TEST(NewOrgs, RunWorkloadProducesTrafficAndOrgCounters)
 
 TEST(NewOrgs, ReferenceEngineIsBitIdentical)
 {
-    // The engine-backed organizations must be invariant under the
-    // reference/optimized switch (the differential oracle covers the
-    // full matrix; this is the quick in-suite pin).
+    // The engine-backed organizations must match their ".ref" twins,
+    // built on the frozen reference engine (the differential oracle
+    // covers the full matrix; this is the quick in-suite pin).
+    registerRefLlcs();
     for (const char *org : {"uniDoppBdi", "approxDedup"}) {
-        RunConfig opt = tinyNamed(org);
-        RunConfig ref = tinyNamed(org);
-        ref.doppReference = true;
+        const RunConfig opt = tinyNamed(org);
+        const RunConfig ref = tinyNamed(std::string(org) + ".ref");
         const RunResult a = runWorkload(opt);
         const RunResult b = runWorkload(ref);
         EXPECT_EQ(a.stats, b.stats) << org;

@@ -1,13 +1,14 @@
 /**
  * @file
- * Unit tests for the generic set-associative array and address slicer.
+ * Unit tests for the set-associative directory, the test-only
+ * reference array it must match, and the address slicer.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "sim/set_assoc.hh"
+#include "set_assoc_array.hh"
 
 namespace dopp
 {

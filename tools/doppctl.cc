@@ -21,11 +21,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "harness/campaign_service.hh"
 #include "harness/results_io.hh"
+#include "util/env.hh"
 #include "util/fileio.hh"
 #include "util/logging.hh"
 
@@ -75,14 +76,11 @@ parseArgs(int argc, char **argv, int first)
             a.name = value();
         else if (arg == "--out")
             a.out = value();
-        else if (arg == "--timeout-ms") {
-            char *end = nullptr;
-            a.timeoutMs = std::strtoull(value(), &end, 10);
-            if (!end || *end != '\0')
-                usage();
-        } else {
+        else if (arg == "--timeout-ms")
+            a.timeoutMs = parseU64("--timeout-ms", value(), 0,
+                                   std::numeric_limits<u64>::max());
+        else
             usage();
-        }
     }
     return a;
 }

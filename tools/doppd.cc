@@ -21,10 +21,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "harness/campaign_service.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 using namespace dopp;
@@ -44,14 +45,13 @@ usage()
     std::exit(2);
 }
 
-u64
-parseU64(const char *flag, const char *value)
+/** Strict flag value: whole digits that fit in @p T, else fatal. */
+template <typename T>
+T
+flagValue(const char *flag, const char *value)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (!end || *end != '\0')
-        fatal("%s: '%s' is not a number", flag, value);
-    return static_cast<u64>(v);
+    return static_cast<T>(
+        parseU64(flag, value, 0, std::numeric_limits<T>::max()));
 }
 
 } // namespace
@@ -70,30 +70,28 @@ main(int argc, char **argv)
         if (arg == "--spool")
             opts.spoolRoot = value();
         else if (arg == "--workers")
-            opts.workers =
-                static_cast<unsigned>(parseU64("--workers", value()));
+            opts.workers = flagValue<unsigned>("--workers", value());
         else if (arg == "--jobs")
-            opts.jobs =
-                static_cast<unsigned>(parseU64("--jobs", value()));
+            opts.jobs = flagValue<unsigned>("--jobs", value());
         else if (arg == "--lease-ms")
-            opts.leaseMs = parseU64("--lease-ms", value());
+            opts.leaseMs = flagValue<u64>("--lease-ms", value());
         else if (arg == "--heartbeat-ms")
-            opts.heartbeatMs = parseU64("--heartbeat-ms", value());
+            opts.heartbeatMs = flagValue<u64>("--heartbeat-ms", value());
         else if (arg == "--scan-ms")
-            opts.scanMs = parseU64("--scan-ms", value());
+            opts.scanMs = flagValue<u64>("--scan-ms", value());
         else if (arg == "--max-failures")
-            opts.maxFailures = static_cast<unsigned>(
-                parseU64("--max-failures", value()));
+            opts.maxFailures =
+                flagValue<unsigned>("--max-failures", value());
         else if (arg == "--oneshot")
             opts.exitWhenIdle = true;
         else if (arg == "--max-runtime-ms")
-            opts.maxRuntimeMs = parseU64("--max-runtime-ms", value());
+            opts.maxRuntimeMs = flagValue<u64>("--max-runtime-ms", value());
         else
             usage();
     }
     if (opts.spoolRoot.empty())
         usage();
-    if (opts.heartbeatMs * 2 > opts.leaseMs) {
+    if (opts.heartbeatMs > opts.leaseMs / 2) {
         fatal("--heartbeat-ms %llu must be at most half of "
               "--lease-ms %llu, or live leases get stolen",
               static_cast<unsigned long long>(opts.heartbeatMs),
