@@ -245,3 +245,27 @@ run_reader trace_workflow "$EX/trace_workflow" kmeans 0.05 \
     "$SMOKE_DIR/reader.dopptrc"
 echo "ci: every stat reader ran (${#READER_BENCHES[@]} benches," \
      "7 examples)"
+
+# Full-scale result gate. The tier-1 suite runs the kernels at small
+# scales; perfbench (the benchmark of record, perfbench/README.md)
+# holds every run of its three workloads, at full scale and above, to
+# stored per-run digests of the snapshot and output. Run its selftest,
+# then one short untraced pass per workload, and require the last
+# line's JSON to report "correct": true. perfbench builds its own
+# Release tree in .bench_build/.
+json_correct() {
+    python3 - "$1" << 'PY'
+import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)
+PY
+}
+python3 perfbench/run.py --selftest
+for wl in fig12-grid miss-bound tiered-writes; do
+    last="$(python3 perfbench/run.py --workload "$wl" --seed 0 \
+                --seconds 1 --trace 0 | tail -1)"
+    json_correct "$last" || {
+        echo "ci: perfbench $wl does not match its oracle: $last" >&2
+        exit 1
+    }
+done
+echo "ci: perfbench selftest and full-scale oracle passed"

@@ -127,14 +127,13 @@ MemorySystem::MemorySystem(const HierarchyConfig &config,
                            const std::string &stat_group)
     : cfg(config), llcRef(llc),
       ownedStats(stat_registry ? nullptr
-                               : std::make_unique<StatRegistry>())
+                               : std::make_unique<StatRegistry>()),
+      ctr((stat_registry ? *stat_registry : *ownedStats).group(stat_group))
 {
     if (cfg.numCores == 0 || cfg.numCores > 8)
         fatal("unsupported core count %u", cfg.numCores);
-    StatRegistry &reg =
-        stat_registry ? *stat_registry : *ownedStats;
-    StatGroup group = reg.group(stat_group);
-    ctr = std::make_unique<HierCounters>(group);
+    StatGroup group =
+        (stat_registry ? *stat_registry : *ownedStats).group(stat_group);
     group.counterFn(
         "l1.accesses", [this] { return l1Accesses(); },
         "total L1 accesses across cores");
@@ -177,7 +176,7 @@ MemorySystem::invalidateOthers(DirEntry &de, CoreId except, u8 *merged)
         de.sharers &= static_cast<u8>(~coreBit(c));
         if (de.owner == static_cast<int>(c))
             de.owner = -1;
-        ++ctr->invalidationsSent;
+        ++ctr.invalidationsSent;
     }
     return dirty;
 }
@@ -185,8 +184,17 @@ MemorySystem::invalidateOthers(DirEntry &de, CoreId except, u8 *merged)
 bool
 MemorySystem::backInvalidate(Addr addr, u8 *data)
 {
+    // The directory names every core that can hold a copy: sharers are
+    // exactly the cores whose L2 holds the block, and L1 ⊆ L2
+    // (checkInvariants). A block without an entry is in no private
+    // cache, so only the sharers are probed, in ascending core order.
+    DirEntry *de = directory.find(addr);
+    if (!de)
+        return false;
     bool dirty = false;
     for (u32 c = 0; c < cfg.numCores; ++c) {
+        if (!(de->sharers & coreBit(c)))
+            continue;
         PrivateCache &c1 = l1[c];
         PrivateCache &c2 = l2[c];
         const Slot s1 = c1.find(addr);
@@ -200,14 +208,14 @@ MemorySystem::backInvalidate(Addr addr, u8 *data)
         }
         if (s1 >= 0) {
             c1.invalidateSlot(s1);
-            ++ctr->invalidationsSent;
+            ++ctr.invalidationsSent;
         }
         if (s2 >= 0) {
             c2.invalidateSlot(s2);
-            ++ctr->invalidationsSent;
+            ++ctr.invalidationsSent;
         }
     }
-    directory.erase(addr);
+    directory.erase(de);
     return dirty;
 }
 
@@ -295,7 +303,7 @@ MemorySystem::fetchIntoPrivate(CoreId core, Addr addr, bool for_write,
     if (remote && remote->owner >= 0 &&
         remote->owner != static_cast<int>(core)) {
         const CoreId owner = static_cast<CoreId>(remote->owner);
-        ++ctr->remoteFetches;
+        ++ctr.remoteFetches;
         lat += cfg.remotePenalty;
 
         PrivateCache &o1 = l1[owner];
@@ -349,7 +357,7 @@ MemorySystem::acquireOwnership(CoreId core, Addr baddr, Slot l1_slot)
     if (de.owner != static_cast<int>(core)) {
         // Upgrade: obtain ownership via the directory. invalidateOthers
         // makes no LLC call and never erases, so @p de stays valid.
-        ++ctr->upgrades;
+        ++ctr.upgrades;
         lat += cfg.remotePenalty;
         BlockData merged;
         if (invalidateOthers(de, core, merged.data()))
@@ -369,19 +377,16 @@ MemorySystem::accessSlow(CoreId core, Addr baddr, unsigned off,
     PrivateCache &c1 = l1[core];
     Slot s = l1_slot;
     if (s < 0) {
-        ++c1.misses;
-        ++ctr->l1Misses;
+        ++ctr.l1Misses;
         lat += cfg.l2Latency;
         PrivateCache &c2 = l2[core];
-        ++c2.accesses;
 
         const Slot s2 = c2.lookup(baddr);
         if (s2 >= 0) {
-            ++ctr->l2Hits;
+            ++ctr.l2Hits;
             s = fillL1(core, baddr, c2.data(s2));
         } else {
-            ++c2.misses;
-            ++ctr->l2Misses;
+            ++ctr.l2Misses;
             lat += fetchIntoPrivate(core, baddr, is_write, s);
         }
     }
@@ -501,24 +506,6 @@ MemorySystem::checkInvariants(std::string *why) const
         });
     }
     return ok;
-}
-
-u64
-MemorySystem::l1Accesses() const
-{
-    u64 n = 0;
-    for (const PrivateCache &cache : l1)
-        n += cache.accesses;
-    return n;
-}
-
-u64
-MemorySystem::l2Accesses() const
-{
-    u64 n = 0;
-    for (const PrivateCache &cache : l2)
-        n += cache.accesses;
-    return n;
 }
 
 } // namespace dopp

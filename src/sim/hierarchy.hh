@@ -208,16 +208,15 @@ class MemorySystem
         DOPP_ASSERT(size > 0 && size <= blockBytes);
         DOPP_ASSERT(blockAlign(addr) == blockAlign(addr + size - 1));
 
-        ++ctr->accesses;
-        ++(is_write ? ctr->stores : ctr->loads);
+        ++ctr.accesses;
+        ++(is_write ? ctr.stores : ctr.loads);
 
         const Addr baddr = blockAlign(addr);
         const unsigned off = blockOffset(addr);
         PrivateCache &c1 = l1[core];
-        ++c1.accesses;
         const PrivateCache::Slot s = c1.lookup(baddr);
         if (s >= 0) {
-            ++ctr->l1Hits;
+            ++ctr.l1Hits;
             if (!is_write) {
                 std::memcpy(data, c1.data(s) + off, size);
                 return cfg.l1Latency;
@@ -251,9 +250,10 @@ class MemorySystem
      */
     bool checkInvariants(std::string *why = nullptr) const;
 
-    /** Per-core private cache access counts, for hierarchy energy. */
-    u64 l1Accesses() const;
-    u64 l2Accesses() const;
+    /** Private cache access counts summed over cores, for hierarchy
+     * energy: every access probes an L1, every L1 miss an L2. */
+    u64 l1Accesses() const { return ctr.accesses.value(); }
+    u64 l2Accesses() const { return ctr.l1Misses.value(); }
 
     /** Underlying LLC, e.g. for snapshots. */
     LastLevelCache &llc() { return llcRef; }
@@ -281,7 +281,8 @@ class MemorySystem
      * @return whether a dirty copy was merged. */
     bool invalidateOthers(DirEntry &de, CoreId except, u8 *merged);
 
-    /** The LLC's inclusive back-invalidation hook. */
+    /** The LLC's inclusive back-invalidation hook: invalidates the
+     * copies in the directory's sharers only, then erases the entry. */
     bool backInvalidate(Addr addr, u8 *data);
 
     /** L2 victim handler: maintains L2⊇L1 inclusion and writebacks. */
@@ -313,7 +314,7 @@ class MemorySystem
     std::vector<PrivateCache> l2;
     CoherenceDirectory directory;
     std::unique_ptr<StatRegistry> ownedStats; ///< when none is passed
-    std::unique_ptr<HierCounters> ctr;
+    HierCounters ctr;
 };
 
 } // namespace dopp

@@ -145,10 +145,6 @@ class PrivateCache
     u32 sets() const { return dir.sets(); }
     u32 ways() const { return dir.ways(); }
 
-    /** Access counters for the energy model. */
-    u64 accesses = 0;
-    u64 misses = 0;
-
   private:
     /** One cache-line-aligned data block. */
     struct alignas(64) Block

@@ -12,6 +12,7 @@
  * size [32].
  */
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -75,45 +76,60 @@ class Fluidanimate : public Workload
             return std::clamp(c, 0, static_cast<int>(cells) - 1);
         };
 
+        // The cell index (native structure; the precise arrays are
+        // read through the caches first), in CSR form: cell c holds
+        // cellItems[cellStart[c] .. cellStart[c + 1]), in ascending
+        // particle order.
+        const size_t numCells = static_cast<size_t>(cells) * cells * cells;
+        std::vector<u32> cellStart(numCells + 1);
+        std::vector<u32> cellNext(numCells);
+        std::vector<u32> cellItems(n);
+        std::vector<u32> cellIds(n);
+        std::vector<double> hx(n), hy(n), hz(n);
+
         for (unsigned step = 0; step < steps; ++step) {
-            // Build the cell index from positions (native structure;
-            // the precise arrays were just read through the caches).
-            std::vector<std::vector<u32>> grid(
-                static_cast<size_t>(cells) * cells * cells);
-            std::vector<double> hx(n), hy(n), hz(n);
             rt.parallelFor(0, n, 256, [&](u64 i) {
                 hx[i] = px.get(i);
                 hy[i] = py.get(i);
                 hz[i] = pz.get(i);
             });
+            // Counting sort of the particles by cell.
+            std::fill(cellStart.begin(), cellStart.end(), 0);
             for (u64 i = 0; i < n; ++i) {
                 const size_t c =
                     (static_cast<size_t>(cellOf(hx[i])) * cells +
                      cellOf(hy[i])) * cells + cellOf(hz[i]);
-                grid[c].push_back(static_cast<u32>(i));
+                cellIds[i] = static_cast<u32>(c);
+                ++cellStart[c + 1];
             }
+            for (size_t c = 0; c < numCells; ++c)
+                cellStart[c + 1] += cellStart[c];
+            std::copy(cellStart.begin(), cellStart.end() - 1,
+                      cellNext.begin());
+            for (u64 i = 0; i < n; ++i)
+                cellItems[cellNext[cellIds[i]]++] = static_cast<u32>(i);
 
+            // Cells (x, y, z-1), (x, y, z) and (x, y, z+1) are adjacent
+            // in the CSR array, so each (dx, dy) column of the 3x3x3
+            // neighbourhood is one contiguous run, visited in the same
+            // order as cell by cell.
             auto forEachNeighbor = [&](u64 i, auto &&fn) {
                 const int cx = cellOf(hx[i]);
                 const int cy = cellOf(hy[i]);
                 const int cz = cellOf(hz[i]);
-                for (int dx = -1; dx <= 1; ++dx)
-                    for (int dy = -1; dy <= 1; ++dy)
-                        for (int dz = -1; dz <= 1; ++dz) {
-                            const int nx = cx + dx;
-                            const int ny = cy + dy;
-                            const int nz = cz + dz;
-                            if (nx < 0 || ny < 0 || nz < 0 ||
-                                nx >= static_cast<int>(cells) ||
-                                ny >= static_cast<int>(cells) ||
-                                nz >= static_cast<int>(cells))
-                                continue;
-                            const size_t c =
-                                (static_cast<size_t>(nx) * cells + ny) *
-                                    cells + nz;
-                            for (u32 j : grid[c])
-                                fn(j);
-                        }
+                const int last = static_cast<int>(cells) - 1;
+                const size_t z0 = static_cast<size_t>(std::max(cz - 1, 0));
+                const size_t z1 = static_cast<size_t>(std::min(cz + 1, last));
+                for (int nx = std::max(cx - 1, 0);
+                     nx <= std::min(cx + 1, last); ++nx)
+                    for (int ny = std::max(cy - 1, 0);
+                         ny <= std::min(cy + 1, last); ++ny) {
+                        const size_t column =
+                            (static_cast<size_t>(nx) * cells + ny) * cells;
+                        for (u32 k = cellStart[column + z0];
+                             k < cellStart[column + z1 + 1]; ++k)
+                            fn(cellItems[k]);
+                    }
             };
 
             // Density pass: writes the approximate density field.

@@ -36,10 +36,12 @@ constexpr int quantTable[64] = {
     72, 92, 95, 98, 112, 100, 103, 99,
 };
 
-/** Precomputed DCT-II basis: c[u][x] = a(u) cos((2x+1)uπ/16). */
+/** Precomputed DCT-II basis: c[u][x] = a(u) cos((2x+1)uπ/16), and
+ * its transpose t[x][u] = c[u][x] for loops whose inner index is u. */
 struct DctBasis
 {
     double c[8][8];
+    double t[8][8];
 
     DctBasis()
     {
@@ -49,6 +51,7 @@ struct DctBasis
             for (int x = 0; x < 8; ++x) {
                 c[u][x] = a * std::cos((2 * x + 1) * u *
                                        3.14159265358979323846 / 16.0);
+                t[x][u] = c[u][x];
             }
         }
     }
@@ -120,6 +123,13 @@ class Jpeg : public Workload
         const u64 blocksX = w / 8;
         const u64 blocksY = h / 8;
 
+        // Both DCTs accumulate the eight sums of one output row side by
+        // side (independent, so the host overlaps them); each sum still
+        // adds its 64 terms in the original order, so every result is
+        // bit-identical to one serial sum per coefficient (DESIGN.md
+        // §19).
+        const DctBasis &dct = basis();
+
         // Pass 1: forward DCT + quantization.
         rt.parallelFor(0, blocksX * blocksY, 8, [&](u64 bi) {
             const u64 bx = (bi % blocksX) * 8;
@@ -130,14 +140,14 @@ class Jpeg : public Workload
                     px[y][x] = static_cast<double>(
                         image.get((by + y) * w + bx + x)) - 128.0;
             for (int v = 0; v < 8; ++v) {
+                double s[8] = {};
+                for (int y = 0; y < 8; ++y)
+                    for (int x = 0; x < 8; ++x)
+                        for (int u = 0; u < 8; ++u)
+                            s[u] += px[y][x] * dct.t[x][u] * dct.c[v][y];
                 for (int u = 0; u < 8; ++u) {
-                    double s = 0.0;
-                    for (int y = 0; y < 8; ++y)
-                        for (int x = 0; x < 8; ++x)
-                            s += px[y][x] * basis().c[u][x] *
-                                basis().c[v][y];
                     const int q = quantTable[v * 8 + u];
-                    const double c = std::round(s / q);
+                    const double c = std::round(s[u] / q);
                     coeff.set((by + v) * w + bx + u,
                               static_cast<i16>(
                                   std::clamp(c, -1024.0, 1023.0)));
@@ -156,15 +166,15 @@ class Jpeg : public Workload
                     cf[v][u] = static_cast<double>(coeff.get(
                         (by + v) * w + bx + u)) * quantTable[v * 8 + u];
             for (int y = 0; y < 8; ++y) {
+                double s[8] = {};
+                for (int v = 0; v < 8; ++v)
+                    for (int u = 0; u < 8; ++u)
+                        for (int x = 0; x < 8; ++x)
+                            s[x] += cf[v][u] * dct.c[u][x] * dct.c[v][y];
                 for (int x = 0; x < 8; ++x) {
-                    double s = 0.0;
-                    for (int v = 0; v < 8; ++v)
-                        for (int u = 0; u < 8; ++u)
-                            s += cf[v][u] * basis().c[u][x] *
-                                basis().c[v][y];
                     decoded.set((by + y) * w + bx + x,
                                 static_cast<u8>(std::clamp(
-                                    s + 128.0, 0.0, 255.0)));
+                                    s[x] + 128.0, 0.0, 255.0)));
                 }
             }
             rt.addWork(700);

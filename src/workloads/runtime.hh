@@ -171,12 +171,14 @@ class SimRuntime
     }
 
     /**
-     * Run @p body for each index in [begin, end), attributing chunks of
-     * @p chunk consecutive indices to cores 0..N-1 round-robin.
+     * Run @p body(u64) for each index in [begin, end), attributing
+     * chunks of @p chunk consecutive indices to cores 0..N-1
+     * round-robin. A template, so a kernel's body inlines into the
+     * loop instead of costing an indirect call per element.
      */
+    template <typename Body>
     void
-    parallelFor(u64 begin, u64 end, u64 chunk,
-                const std::function<void(u64)> &body)
+    parallelFor(u64 begin, u64 end, u64 chunk, Body &&body)
     {
         DOPP_ASSERT(chunk > 0);
         const u32 n = sys.numCores();

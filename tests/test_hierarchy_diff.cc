@@ -112,6 +112,86 @@ flipError(double before, double after, const ApproxRegion &region)
     return err;
 }
 
+/** Back-invalidations the hierarchy served, by what the evicted block
+ * had above the LLC. */
+struct BackInvalKinds
+{
+    u64 noCopy = 0;      ///< in no private cache: nothing invalidated
+    u64 cleanShared = 0; ///< clean copies in two or more cores
+    u64 dirtyOwner = 0;  ///< a dirty copy, written back to the LLC
+
+    bool operator==(const BackInvalKinds &) const = default;
+};
+
+/**
+ * Transparent LLC front that the hierarchy under test is wired to: it
+ * forwards every call to the real LLC and classifies each
+ * back-invalidation by the hook's result and by how many private
+ * copies it invalidated (the hierarchy's invalidationsSent counter;
+ * a core holds at most an L1 and an L2 copy, so more than two copies
+ * span two or more cores).
+ */
+class ClassifyingLlc : public LastLevelCache
+{
+  public:
+    ClassifyingLlc(MainMemory &memory, LastLevelCache &inner_llc,
+                   const StatRegistry &stat_registry,
+                   BackInvalKinds &kinds_out)
+        : LastLevelCache(memory, nullptr, "classify"), inner(inner_llc),
+          reg(stat_registry), kinds(kinds_out)
+    {
+    }
+
+    FetchResult
+    fetch(Addr addr, u8 *data) override
+    {
+        return inner.fetch(addr, data);
+    }
+    void
+    writeback(Addr addr, const u8 *data) override
+    {
+        inner.writeback(addr, data);
+    }
+    bool contains(Addr addr) const override { return inner.contains(addr); }
+    void
+    forEachBlock(const std::function<void(const LlcBlockInfo &)> &visit)
+        const override
+    {
+        inner.forEachBlock(visit);
+    }
+    void flush() override { inner.flush(); }
+    const char *name() const override { return inner.name(); }
+
+    void
+    setBackInvalidate(BackInvalidateFn fn) override
+    {
+        inner.setBackInvalidate([this, fn = std::move(fn)](Addr addr,
+                                                           u8 *data) {
+            const u64 before = sent();
+            const bool dirty = fn(addr, data);
+            const u64 copies = sent() - before;
+            if (dirty)
+                ++kinds.dirtyOwner;
+            else if (copies == 0)
+                ++kinds.noCopy;
+            else if (copies > 2)
+                ++kinds.cleanShared;
+            return dirty;
+        });
+    }
+
+  private:
+    u64
+    sent() const
+    {
+        return reg.counterValue("hierarchy.invalidationsSent");
+    }
+
+    LastLevelCache &inner;
+    const StatRegistry &reg;
+    BackInvalKinds &kinds;
+};
+
 /** Observable outcome of one run. */
 struct Outcome
 {
@@ -119,6 +199,7 @@ struct Outcome
     StatSnapshot stats;
     std::string image;      ///< every byte of the footprint after drain
     std::vector<FaultEvent> faults;
+    BackInvalKinds backInvals;
     bool invariantsOk = true;
     std::string invariantsWhy;
 };
@@ -227,16 +308,17 @@ runStack(const std::string &org, bool reference, const DiffOpts &opt)
         }
     }
 
+    Outcome out;
+    ClassifyingLlc front(mem, llc, statReg, out.backInvals);
     std::unique_ptr<MemorySystem> fast;
     std::unique_ptr<RefMemorySystem> ref;
     if (reference)
-        ref = std::make_unique<RefMemorySystem>(HierarchyConfig{}, llc,
+        ref = std::make_unique<RefMemorySystem>(HierarchyConfig{}, front,
                                                 statReg, "hierarchy");
     else
-        fast = std::make_unique<MemorySystem>(HierarchyConfig{}, llc, mem,
-                                              &statReg, "hierarchy");
+        fast = std::make_unique<MemorySystem>(HierarchyConfig{}, front,
+                                              mem, &statReg, "hierarchy");
 
-    Outcome out;
     out.trace.reserve(2 * opt.ops);
     auto checkInvariants = [&] {
         if (fast && out.invariantsOk)
@@ -313,8 +395,8 @@ firstMismatch(const std::vector<u64> &a, const std::vector<u64> &b)
 }
 
 /** Run @p org on both hierarchies and assert bit-identical outcomes.
- * @return the optimized run's snapshot, for coverage checks. */
-StatSnapshot
+ * @return the optimized run's outcome, for coverage checks. */
+Outcome
 expectIdentical(const std::string &org, const DiffOpts &opt)
 {
     SCOPED_TRACE(org);
@@ -329,6 +411,8 @@ expectIdentical(const std::string &org, const DiffOpts &opt)
         << "reference snapshot:\n" << ref.stats.json()
         << "\noptimized snapshot:\n" << fast.stats.json();
     EXPECT_TRUE(ref.image == fast.image) << "final memory images differ";
+    EXPECT_TRUE(ref.backInvals == fast.backInvals)
+        << "back-invalidations classify differently";
 
     EXPECT_EQ(ref.faults.size(), fast.faults.size());
     const size_t n = std::min(ref.faults.size(), fast.faults.size());
@@ -341,7 +425,7 @@ expectIdentical(const std::string &org, const DiffOpts &opt)
             break;
         }
     }
-    return fast.stats;
+    return fast;
 }
 
 /** All registered organizations, in registration order. */
@@ -416,12 +500,24 @@ TEST(HierarchyDiff, StreamExercisesEveryPath)
 {
     // The stream is only a useful oracle if it reaches every
     // hierarchy path; pin that it does.
-    const StatSnapshot s = expectIdentical("baseline", DiffOpts{});
+    const Outcome out = expectIdentical("baseline", DiffOpts{});
     for (const char *name :
          {"hierarchy.l1.hits", "hierarchy.l2.hits", "hierarchy.l2.misses",
           "hierarchy.upgrades", "hierarchy.remoteFetches",
           "hierarchy.invalidationsSent", "mem.reads", "mem.writes"})
-        EXPECT_GT(s.counter(name), 0u) << name;
+        EXPECT_GT(out.stats.counter(name), 0u) << name;
+
+    // Back-invalidation visits only the directory's sharers (DESIGN.md
+    // §18): reach a block with no sharer, one shared clean by several
+    // cores and one with a dirty owner, on the baseline LLC and on
+    // Doppelgänger, whose data-entry evictions back-invalidate every
+    // tag that shares the entry.
+    for (const char *org : {"baseline", "split-doppelganger"}) {
+        const BackInvalKinds k = expectIdentical(org, DiffOpts{}).backInvals;
+        EXPECT_GT(k.noCopy, 0u) << org;
+        EXPECT_GT(k.cleanShared, 0u) << org;
+        EXPECT_GT(k.dirtyOwner, 0u) << org;
+    }
 }
 
 TEST(HierarchyDiff, FaultedRunsInjectFaults)

@@ -449,9 +449,11 @@ TEST(SlicedLlc, RoutesEveryBlockToItsHashedSlice)
         llc->fetch(addr, buf.data());
         const u32 home = llc->sliceOfAddr(addr);
         EXPECT_TRUE(llc->slice(home).contains(addr));
-        for (u32 s = 0; s < llc->sliceCount(); ++s)
-            if (s != home)
+        for (u32 s = 0; s < llc->sliceCount(); ++s) {
+            if (s != home) {
                 EXPECT_FALSE(llc->slice(s).contains(addr));
+            }
+        }
         EXPECT_TRUE(llc->contains(addr));
     }
 }
@@ -548,8 +550,9 @@ TEST(SlicedRun, UnslicedStatNameSetSurvivesUnderAggregate)
     const RunResult sliced = runWorkload(cfg);
 
     for (const StatValue &v : flat.stats.values()) {
-        if (v.name.rfind("llc.", 0) == 0)
+        if (v.name.rfind("llc.", 0) == 0) {
             EXPECT_TRUE(sliced.stats.has(v.name)) << v.name;
+        }
     }
 }
 
