@@ -3,12 +3,15 @@
  * Micro-operation benchmarks (google-benchmark): map generation
  * throughput for each element type, Doppelgänger hit/miss/writeback
  * paths against the conventional cache's, B∆I compression and
- * decompression, and the full 4-core hierarchy access path.
+ * decompression, the compressed LLCs' fetch-miss paths and the G-DISH
+ * dictionary, and the full 4-core hierarchy access path.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "compress/bdi.hh"
+#include "compress/bdi_llc.hh"
+#include "compress/gdish.hh"
 #include "core/doppelganger_cache.hh"
 #include "core/split_llc.hh"
 #include "sim/hierarchy.hh"
@@ -69,19 +72,109 @@ BM_MapGenerationGeneric(benchmark::State &state)
     state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 
+/** Block kinds for BM_BdiCompressedSize: which kernels run before
+ * the size is known. */
+enum class BdiBlock
+{
+    B4D1,           ///< small deltas from one 4-byte base
+    Incompressible, ///< every (k, d) kernel is tried and fails
+    Zeros,          ///< the whole-word zero test answers
+};
+
 void
-BM_BdiCompress(benchmark::State &state)
+BM_BdiCompressedSize(benchmark::State &state)
 {
     Rng rng(42);
-    // A compressible block: small deltas from one base.
     BlockData block = {};
-    for (unsigned i = 0; i < blockBytes; i += 4) {
-        const i32 v = 1000000 + static_cast<i32>(rng.below(100));
-        std::memcpy(block.data() + i, &v, 4);
+    switch (static_cast<BdiBlock>(state.range(0))) {
+      case BdiBlock::B4D1:
+        for (unsigned i = 0; i < blockBytes; i += 4) {
+            const i32 v = 1000000 + static_cast<i32>(rng.below(100));
+            std::memcpy(block.data() + i, &v, 4);
+        }
+        break;
+      case BdiBlock::Incompressible:
+        block = randomBlock(rng);
+        break;
+      case BdiBlock::Zeros:
+        break;
     }
     for (auto _ : state)
         benchmark::DoNotOptimize(bdiCompressedSize(block.data()));
     state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+
+/** Blocks of float words drawn from a pool of @p pool values, so
+ * blocks share words the way similar approximate data does. */
+std::vector<BlockData>
+pooledFloatBlocks(Rng &rng, size_t n, unsigned pool)
+{
+    std::vector<BlockData> blocks(n);
+    for (auto &b : blocks) {
+        for (unsigned i = 0; i < blockBytes; i += 4) {
+            const float f = static_cast<float>(rng.below(pool)) * 0.125f;
+            std::memcpy(b.data() + i, &f, 4);
+        }
+    }
+    return blocks;
+}
+
+void
+BM_GdishDictAcquireRelease(benchmark::State &state)
+{
+    // A warm dictionary holding 128 resident blocks; each iteration
+    // acquires and releases one more block over the same word pool.
+    Rng rng(5);
+    GdishDict dict(GdishLlcConfig{}.dictEntries);
+    for (const BlockData &b : pooledFloatBlocks(rng, 128, 2048))
+        dict.acquire(b.data());
+    const std::vector<BlockData> blocks = pooledFloatBlocks(rng, 256, 2048);
+    size_t i = 0;
+    for (auto _ : state) {
+        const u8 *b = blocks[i++ % blocks.size()].data();
+        if (dict.acquire(b))
+            dict.release(b);
+    }
+    state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+
+/**
+ * Fetch misses on a compressed LLC: a 16 MB stream (8× the 2 MB LLC)
+ * of mixed blocks, so every fetch misses, evicts and installs.
+ */
+template <typename Llc, typename Config>
+void
+compressedFetchMiss(benchmark::State &state)
+{
+    MainMemory mem;
+    Rng rng(9);
+    constexpr u64 streamBlocks = 16 * 1024 * 1024 / blockBytes;
+    const std::vector<BlockData> pooled = pooledFloatBlocks(rng, 64, 64);
+    for (u64 i = 0; i < streamBlocks; ++i) {
+        const BlockData b = i % 3 ? pooled[i % pooled.size()]
+                                  : randomBlock(rng);
+        mem.poke(i * blockBytes, b.data(), blockBytes);
+    }
+    Llc cache(mem, Config{}, nullptr);
+    BlockData buf;
+    u64 i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            cache.fetch((i++ % streamBlocks) * blockBytes, buf.data()));
+    }
+    state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+
+void
+BM_BdiLlcFetchMiss(benchmark::State &state)
+{
+    compressedFetchMiss<BdiLlc, BdiLlcConfig>(state);
+}
+
+void
+BM_GdishLlcFetchMiss(benchmark::State &state)
+{
+    compressedFetchMiss<GdishLlc, GdishLlcConfig>(state);
 }
 
 void
@@ -182,10 +275,16 @@ BENCHMARK(BM_MapGenerationGeneric)
     ->Arg(static_cast<int>(ElemType::I32))
     ->Arg(static_cast<int>(ElemType::F32))
     ->Arg(static_cast<int>(ElemType::F64));
-BENCHMARK(BM_BdiCompress);
+BENCHMARK(BM_BdiCompressedSize)
+    ->Arg(static_cast<int>(BdiBlock::B4D1))
+    ->Arg(static_cast<int>(BdiBlock::Incompressible))
+    ->Arg(static_cast<int>(BdiBlock::Zeros));
 BENCHMARK(BM_BdiRoundTrip);
 BENCHMARK(BM_DoppFetchHit);
 BENCHMARK(BM_DoppFetchMissInsert);
+BENCHMARK(BM_GdishDictAcquireRelease);
+BENCHMARK(BM_BdiLlcFetchMiss);
+BENCHMARK(BM_GdishLlcFetchMiss);
 BENCHMARK(BM_ConventionalFetchHit);
 BENCHMARK(BM_HierarchyAccess);
 

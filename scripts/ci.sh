@@ -139,8 +139,11 @@ echo "ci: bench_perf smoke + schema check passed"
 # row; NewOrgs adds the factory-organization registration, counter
 # and ref-vs-opt pins. HierarchyDiff holds the optimized MemorySystem
 # to the frozen reference hierarchy (DESIGN.md §18), and MemArena
-# holds the page-arena MainMemory to a block-map model.
-DIFF_SUITES='HotpathDiff|TagPool|NewOrgs|RefEngineEndToEnd|HierarchyDiff|MemArena'
+# holds the page-arena MainMemory to a block-map model. The compressed
+# baselines (DESIGN.md §17.5): GdishDictModel holds the dictionary
+# table to a hash-map model, CompressedOrgPins pins bdi, gdish and
+# uniDoppBdi results, and Bdi pins the size kernel to the codec.
+DIFF_SUITES='HotpathDiff|TagPool|NewOrgs|RefEngineEndToEnd|HierarchyDiff|MemArena|GdishDictModel|CompressedOrgPins|Bdi'
 DOPP_JOBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -j "$(nproc)" -R "$DIFF_SUITES"
 DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \

@@ -1,6 +1,9 @@
 #include "bdi.hh"
 
+#include <bit>
 #include <cstring>
+#include <iterator>
+#include <type_traits>
 
 #include "util/bitfield.hh"
 #include "util/logging.hh"
@@ -70,11 +73,78 @@ struct BkDd
     unsigned d; ///< delta size in bytes
 };
 
+/** The BkDd encodings in ascending size order, so the first one a
+ * block fits is its smallest (ties keep this order). */
 constexpr BkDd bkddTable[] = {
     {BdiEncoding::B8D1, 8, 1}, {BdiEncoding::B4D1, 4, 1},
     {BdiEncoding::B8D2, 8, 2}, {BdiEncoding::B2D1, 2, 1},
     {BdiEncoding::B4D2, 4, 2}, {BdiEncoding::B8D4, 8, 4},
 };
+
+constexpr bool
+ascendingSizes()
+{
+    for (size_t i = 1; i < std::size(bkddTable); ++i)
+        if (bdiEncodingSize(bkddTable[i].enc) <
+            bdiEncodingSize(bkddTable[i - 1].enc))
+            return false;
+    return true;
+}
+static_assert(ascendingSizes(), "bkddTable must ascend in size");
+static_assert(std::endian::native == std::endian::little,
+              "the size kernel loads little-endian words directly");
+
+/**
+ * Does @p block fit BkDd with k = @p K, d = @p D? The size-only twin
+ * of tryBkDd over whole K-byte words: the base is the first word that
+ * is not a d-byte immediate, and the scan stops at the first word
+ * that fits neither form.
+ */
+template <unsigned K, unsigned D>
+bool
+fitsBkDd(const u8 *block)
+{
+    using W = std::conditional_t<K == 8, u64,
+                                 std::conditional_t<K == 4, u32, u16>>;
+    static_assert(sizeof(W) == K && D < K);
+    constexpr unsigned n = blockBytes / K;
+    // v is a d-byte signed immediate iff v + 2^(8d-1) < 2^(8d),
+    // computed modulo 2^(8k).
+    constexpr W half = static_cast<W>(W{1} << (8 * D - 1));
+    constexpr u64 span = u64{1} << (8 * D);
+    const auto imm = [](W v) {
+        return static_cast<W>(v + half) < span;
+    };
+
+    W w[n];
+    std::memcpy(w, block, blockBytes);
+    unsigned i = 0;
+    while (i < n && imm(w[i]))
+        ++i;
+    if (i == n)
+        return true;
+    const W base = w[i];
+    for (++i; i < n; ++i) {
+        if (!imm(w[i]) && !imm(static_cast<W>(w[i] - base)))
+            return false;
+    }
+    return true;
+}
+
+/** Size of the first bkddTable encoding (from entry @p I on) that
+ * @p block fits, else 64 B. */
+template <size_t I = 0>
+unsigned
+firstFitSize(const u8 *block)
+{
+    if constexpr (I == std::size(bkddTable)) {
+        return blockBytes;
+    } else {
+        constexpr BkDd e = bkddTable[I];
+        return fitsBkDd<e.k, e.d>(block) ? bdiEncodingSize(e.enc)
+                                         : firstFitSize<I + 1>(block);
+    }
+}
 
 /** Try the BkDd encoding; on success fill base/mask/deltas. */
 bool
@@ -154,40 +224,21 @@ bdiEncodingName(BdiEncoding enc)
 }
 
 unsigned
-bdiEncodingSize(BdiEncoding enc)
-{
-    switch (enc) {
-      case BdiEncoding::Zeros: return 1;
-      case BdiEncoding::Rep8: return 8;
-      case BdiEncoding::B8D1: return 8 + 8 * 1 + 1;   // 17
-      case BdiEncoding::B8D2: return 8 + 8 * 2 + 1;   // 25
-      case BdiEncoding::B8D4: return 8 + 8 * 4 + 1;   // 41
-      case BdiEncoding::B4D1: return 4 + 16 * 1 + 2;  // 22
-      case BdiEncoding::B4D2: return 4 + 16 * 2 + 2;  // 38
-      case BdiEncoding::B2D1: return 2 + 32 * 1 + 4;  // 38
-      case BdiEncoding::Uncompressed: return blockBytes;
-    }
-    return blockBytes;
-}
-
-unsigned
 bdiCompressedSize(const u8 *block)
 {
-    if (isZeros(block))
-        return bdiEncodingSize(BdiEncoding::Zeros);
-    if (isRep8(block))
-        return bdiEncodingSize(BdiEncoding::Rep8);
-
-    unsigned best = blockBytes;
-    u64 base;
-    for (const auto &e : bkddTable) {
-        const unsigned size = bdiEncodingSize(e.enc);
-        if (size < best && tryBkDd(block, e.k, e.d, base, nullptr,
-                                   nullptr)) {
-            best = size;
-        }
+    u64 w[blockBytes / 8];
+    std::memcpy(w, block, blockBytes);
+    u64 any = 0;
+    bool rep = true;
+    for (const u64 x : w) {
+        any |= x;
+        rep &= x == w[0];
     }
-    return best;
+    if (any == 0)
+        return bdiEncodingSize(BdiEncoding::Zeros);
+    if (rep)
+        return bdiEncodingSize(BdiEncoding::Rep8);
+    return firstFitSize(block);
 }
 
 BdiCompressed

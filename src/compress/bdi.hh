@@ -45,7 +45,22 @@ const char *bdiEncodingName(BdiEncoding enc);
 
 /** Compressed payload size in bytes of @p enc (excluding the 4-bit
  * encoding id, which lives in the tag in hardware). */
-unsigned bdiEncodingSize(BdiEncoding enc);
+constexpr unsigned
+bdiEncodingSize(BdiEncoding enc)
+{
+    switch (enc) {
+      case BdiEncoding::Zeros: return 1;
+      case BdiEncoding::Rep8: return 8;
+      case BdiEncoding::B8D1: return 8 + 8 * 1 + 1;   // 17
+      case BdiEncoding::B8D2: return 8 + 8 * 2 + 1;   // 25
+      case BdiEncoding::B8D4: return 8 + 8 * 4 + 1;   // 41
+      case BdiEncoding::B4D1: return 4 + 16 * 1 + 2;  // 22
+      case BdiEncoding::B4D2: return 4 + 16 * 2 + 2;  // 38
+      case BdiEncoding::B2D1: return 2 + 32 * 1 + 4;  // 38
+      case BdiEncoding::Uncompressed: return blockBytes;
+    }
+    return blockBytes;
+}
 
 /** Result of compressing one block. */
 struct BdiCompressed
@@ -61,8 +76,10 @@ struct BdiCompressed
 BdiCompressed bdiCompress(const u8 *block);
 
 /**
- * Size-only version of bdiCompress (no payload serialization); used by
- * the Fig 8 storage analysis where only sizes matter.
+ * Size-only version of bdiCompress (no payload serialization): the
+ * hot path of BdiLlc, UniDoppBdiLlc's accounting and the Fig 8
+ * storage analysis. A compile-time kernel per (k, d) with whole-word
+ * loads; equals `bdiCompress(block).size` for every block.
  */
 unsigned bdiCompressedSize(const u8 *block);
 

@@ -6,97 +6,47 @@
  * paper argues the two are orthogonal (Sec 5.1); this organization
  * makes the compression side runnable on the same hierarchy.
  *
- * Model: the set count matches an uncompressed cache of the same data
- * budget, each set holds up to `tagFactor ×  ways` tag entries, and
- * blocks occupy their compressed size against a byte budget of
- * `ways × 64` per set. Insertions evict LRU entries until both the tag
- * limit and the byte budget fit. Data is served losslessly.
+ * Model: a byte-budget compressed-set LLC (compress/compressed_set.hh)
+ * whose blocks occupy their B∆I-compressed size. Data is served
+ * losslessly.
  */
 
 #ifndef DOPP_COMPRESS_BDI_LLC_HH
 #define DOPP_COMPRESS_BDI_LLC_HH
 
-#include <vector>
-
 #include "compress/bdi.hh"
-#include "sim/llc.hh"
+#include "compress/compressed_set.hh"
 
 namespace dopp
 {
 
-/** Configuration of the compressed LLC. */
-struct BdiLlcConfig
-{
-    u64 sizeBytes = 2 * 1024 * 1024; ///< uncompressed-equivalent budget
-    u32 ways = 16;                   ///< byte budget = ways × 64 per set
-    u32 tagFactor = 2;               ///< tag entries per set = factor×ways
-    Tick hitLatency = 6;             ///< +1 decompression cycle on hits
-    Tick decompressLatency = 1;
-};
+/** Configuration of the compressed LLC (+1 decompression cycle on
+ * hits by default). */
+using BdiLlcConfig = CompressedSetConfig;
 
 /** Conventional-geometry LLC storing B∆I-compressed blocks. */
-class BdiLlc : public LastLevelCache
+class BdiLlc : public CompressedSetLlc
 {
   public:
     BdiLlc(MainMemory &memory, const BdiLlcConfig &config,
            const ApproxRegistry *registry,
            StatRegistry *stat_registry = nullptr,
-           const std::string &stat_group = "llc");
+           const std::string &stat_group = "llc")
+        : CompressedSetLlc(memory, config, "bdi", registry, stat_registry,
+                           stat_group)
+    {
+    }
 
-    FetchResult fetch(Addr addr, u8 *data) override;
-    void writeback(Addr addr, const u8 *data) override;
-    bool contains(Addr addr) const override;
-    void forEachBlock(
-        const std::function<void(const LlcBlockInfo &)> &visit)
-        const override;
-    void flush() override;
     const char *name() const override { return "bdi"; }
-    void setHotPathProfile(HotPathProfile *p) override { prof = p; }
-
-    /** @name Introspection */
-    /// @{
-    /** Blocks currently resident. */
-    u64 blockCount() const;
-
-    /** Compressed bytes currently stored. */
-    u64 compressedBytes() const;
-
-    /** Effective compression ratio of resident blocks (≥ 1). */
-    double compressionRatio() const;
-    /// @}
 
   private:
-    struct Entry
+    unsigned
+    reserve(const u8 *block) override
     {
-        bool valid = false;
-        u64 tag = 0;
-        bool dirty = false;
-        unsigned size = blockBytes; ///< compressed size in bytes
-        u64 stamp = 0;              ///< LRU
-        BlockData data = {};        ///< stored losslessly
-    };
+        return bdiCompressedSize(block);
+    }
 
-    struct Set
-    {
-        std::vector<Entry> entries;
-        u64 usedBytes = 0;
-    };
-
-    Entry *find(Addr addr);
-    const Entry *find(Addr addr) const;
-
-    /** Evict the LRU valid entry of @p set. @pre one exists. */
-    void evictLru(Set &set, u32 set_idx);
-
-    /** Evict until @p extra bytes and one tag slot fit in @p set. */
-    void makeRoom(Set &set, u32 set_idx, unsigned extra);
-
-    BdiLlcConfig cfg;
-    const ApproxRegistry *registry;
-    std::vector<Set> sets;
-    AddrSlicer slicer;
-    u64 clock = 0;
-    HotPathProfile *prof = nullptr;
+    unsigned admit(Slot, unsigned room) override { return room; }
 };
 
 } // namespace dopp

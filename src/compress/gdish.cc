@@ -1,7 +1,7 @@
 #include "gdish.hh"
 
+#include <bit>
 #include <cstring>
-#include <unordered_set>
 
 #include "util/logging.hh"
 
@@ -11,40 +11,82 @@ namespace dopp
 namespace
 {
 
-u32
-wordAt(const u8 *block, unsigned i)
+/** Table bits for @p capacity live words at load ≤ ½ (at least 2
+ * slots, so the home-slot shift stays below 64). */
+unsigned
+tableBits(u32 capacity)
 {
-    u32 w;
-    std::memcpy(&w, block + i * gdishWordBytes, gdishWordBytes);
-    return w;
+    if (capacity <= 1)
+        return 1;
+    return static_cast<unsigned>(
+        std::bit_width(2 * static_cast<u64>(capacity) - 1));
 }
 
 } // namespace
 
+GdishDict::GdishDict(u32 capacity)
+    : cap(capacity), slots(size_t{1} << tableBits(capacity), Slot{0, 0}),
+      mask(static_cast<u32>(slots.size() - 1)),
+      shift(64 - tableBits(capacity))
+{
+}
+
+GdishDict::Distinct
+GdishDict::distinct(const u8 *block)
+{
+    u32 w[gdishWordsPerBlock];
+    std::memcpy(w, block, blockBytes);
+    Distinct d;
+    for (const u32 x : w) {
+        unsigned j = 0;
+        while (j < d.n && d.word[j] != x)
+            ++j;
+        if (j == d.n) {
+            d.word[d.n] = x;
+            d.count[d.n++] = 0;
+        }
+        ++d.count[j];
+    }
+    return d;
+}
+
+u32
+GdishDict::missing(const Distinct &d, u32 *at) const
+{
+    u32 n = 0;
+    for (unsigned i = 0; i < d.n; ++i) {
+        at[i] = probe(d.word[i]);
+        n += slots[at[i]].refs == 0;
+    }
+    return n;
+}
+
 bool
 GdishDict::compressible(const u8 *block) const
 {
-    u32 missing = 0;
-    std::unordered_set<u32> seen;
-    for (unsigned i = 0; i < gdishWordsPerBlock; ++i) {
-        const u32 w = wordAt(block, i);
-        if (words.count(w) || !seen.insert(w).second)
-            continue;
-        ++missing;
-    }
-    return words.size() + missing <= cap;
+    u32 at[gdishWordsPerBlock];
+    return used + missing(distinct(block), at) <= cap;
 }
 
 bool
 GdishDict::acquire(const u8 *block)
 {
-    if (!compressible(block))
+    const Distinct d = distinct(block);
+    u32 at[gdishWordsPerBlock];
+    if (used + missing(d, at) > cap)
         return false;
-    for (unsigned i = 0; i < gdishWordsPerBlock; ++i) {
-        auto [it, inserted] = words.try_emplace(wordAt(block, i), 0u);
-        if (inserted)
+    for (unsigned i = 0; i < d.n; ++i) {
+        u32 s = at[i];
+        if (slots[s].refs == 0 || slots[s].word != d.word[i]) {
+            // Missing: its free slot may have gone to an earlier word
+            // of this block, so take the next free one on the run.
+            while (slots[s].refs != 0)
+                s = (s + 1) & mask;
+            slots[s].word = d.word[i];
+            ++used;
             ++insertCount;
-        ++it->second;
+        }
+        slots[s].refs += d.count[i];
     }
     return true;
 }
@@ -52,31 +94,56 @@ GdishDict::acquire(const u8 *block)
 void
 GdishDict::release(const u8 *block)
 {
-    for (unsigned i = 0; i < gdishWordsPerBlock; ++i) {
-        auto it = words.find(wordAt(block, i));
-        DOPP_ASSERT(it != words.end() && it->second > 0);
-        if (--it->second == 0) {
-            words.erase(it);
+    const Distinct d = distinct(block);
+    for (unsigned i = 0; i < d.n; ++i) {
+        const u32 s = probe(d.word[i]);
+        DOPP_ASSERT(slots[s].refs >= d.count[i]);
+        slots[s].refs -= d.count[i];
+        if (slots[s].refs == 0) {
+            eraseAt(s);
             ++eraseCount;
         }
     }
 }
 
+void
+GdishDict::eraseAt(u32 hole)
+{
+    // Backward-shift deletion: pull back every later entry of the run
+    // whose home does not lie strictly between the hole and its slot
+    // (cyclically), so every key stays reachable without tombstones.
+    for (u32 j = (hole + 1) & mask; slots[j].refs != 0;
+         j = (j + 1) & mask) {
+        const u32 h = homeSlot(slots[j].word);
+        if (((j - h) & mask) >= ((j - hole) & mask)) {
+            slots[hole] = slots[j];
+            hole = j;
+        }
+    }
+    slots[hole].refs = 0;
+    --used;
+}
+
 bool
 GdishDict::checkInvariants(std::string *why) const
 {
-    if (words.size() > cap) {
+    auto fail = [why](const char *msg) {
         if (why)
-            *why = "gdish dict: size exceeds capacity";
+            *why = msg;
         return false;
+    };
+    if (used > cap)
+        return fail("gdish dict: size exceeds capacity");
+    u32 live = 0;
+    for (u32 s = 0; s < slots.size(); ++s) {
+        if (slots[s].refs == 0)
+            continue;
+        ++live;
+        if (probe(slots[s].word) != s)
+            return fail("gdish dict: word unreachable from its home slot");
     }
-    for (const auto &[w, refs] : words) {
-        if (refs == 0) {
-            if (why)
-                *why = "gdish dict: zero-refcount entry survived";
-            return false;
-        }
-    }
+    if (live != used)
+        return fail("gdish dict: live-word count drifted");
     return true;
 }
 
@@ -84,8 +151,8 @@ u64
 GdishDict::totalRefs() const
 {
     u64 n = 0;
-    for (const auto &[w, refs] : words)
-        n += refs;
+    for (const Slot &s : slots)
+        n += s.refs;
     return n;
 }
 
@@ -93,21 +160,12 @@ GdishLlc::GdishLlc(MainMemory &memory, const GdishLlcConfig &config,
                    const ApproxRegistry *registry,
                    StatRegistry *stat_registry,
                    const std::string &stat_group)
-    : LastLevelCache(memory, stat_registry, stat_group), cfg(config),
-      registry(registry),
-      sets(config.sizeBytes / blockBytes / config.ways),
-      slicer(static_cast<u32>(config.sizeBytes / blockBytes /
-                              config.ways)),
+    : CompressedSetLlc(memory, config, "gdish", registry, stat_registry,
+                       stat_group),
       dict(config.dictEntries)
 {
-    if (cfg.tagFactor == 0)
-        fatal("gdish llc: tagFactor must be non-zero");
-    if (cfg.dictEntries == 0)
+    if (config.dictEntries == 0)
         fatal("gdish llc: dictEntries must be non-zero");
-    for (auto &set : sets)
-        set.entries.resize(static_cast<size_t>(cfg.ways) *
-                           cfg.tagFactor);
-    initLlcCounters();
 
     // Dictionary observability, under the organization's own subgroup
     // so sliced runs merge it like any other counter (DESIGN.md §15).
@@ -130,293 +188,55 @@ GdishLlc::GdishLlc(MainMemory &memory, const GdishLlcConfig &config,
         "dictionary entries freed at refcount zero");
 }
 
-GdishLlc::Entry *
-GdishLlc::find(Addr addr)
-{
-    Set &set = sets[slicer.set(addr)];
-    const u64 tag = slicer.tag(addr);
-    for (auto &e : set.entries)
-        if (e.valid && e.tag == tag)
-            return &e;
-    return nullptr;
-}
-
-const GdishLlc::Entry *
-GdishLlc::find(Addr addr) const
-{
-    return const_cast<GdishLlc *>(this)->find(addr);
-}
-
-void
-GdishLlc::releaseEntry(Entry &e)
-{
-    if (e.dictCompressed)
-        dict.release(e.data.data());
-    e.dictCompressed = false;
-    e.valid = false;
-}
-
-void
-GdishLlc::evictLru(Set &set, u32 set_idx)
-{
-    Entry *victim = nullptr;
-    for (auto &e : set.entries) {
-        if (e.valid && (!victim || e.stamp < victim->stamp))
-            victim = &e;
-    }
-    DOPP_ASSERT(victim);
-
-    const Addr addr = slicer.addr(set_idx, victim->tag);
-    ++ctr->evictions;
-    BlockData upward;
-    const bool upwardDirty = invalidateUpward(addr, upward.data());
-    if (upwardDirty) {
-        mem.writeBlock(addr, upward.data());
-        ++ctr->dirtyWritebacks;
-    } else if (victim->dirty) {
-        ++ctr->dataArray.reads;
-        mem.writeBlock(addr, victim->data.data());
-        ++ctr->dirtyWritebacks;
-    }
-    set.usedBytes -= victim->size;
-    releaseEntry(*victim);
-}
-
-void
-GdishLlc::makeRoom(Set &set, u32 set_idx, unsigned extra)
-{
-    const u64 budget = static_cast<u64>(cfg.ways) * blockBytes;
-    auto freeSlot = [&]() -> bool {
-        for (const auto &e : set.entries)
-            if (!e.valid)
-                return true;
-        return false;
-    };
-    while (set.usedBytes + extra > budget || !freeSlot())
-        evictLru(set, set_idx);
-}
-
 unsigned
-GdishLlc::install(Entry &e, const u8 *block)
+GdishLlc::admit(Slot s, unsigned)
 {
-    std::memcpy(e.data.data(), block, blockBytes);
-    e.dictCompressed = dict.acquire(e.data.data());
-    if (e.dictCompressed) {
-        ++*compressedFills;
-        e.size = gdishCompressedBlockBytes;
-    } else {
-        ++*rawFills;
-        e.size = blockBytes;
-    }
-    return e.size;
-}
-
-LastLevelCache::FetchResult
-GdishLlc::fetch(Addr addr, u8 *data)
-{
-    ++ctr->fetches;
-    ++ctr->tagArray.reads;
-
-    const u64 t0 = prof ? hotpathNowNs() : 0;
-    Entry *entry = find(addr);
-    if (prof)
-        prof->tagProbeNs += hotpathNowNs() - t0;
-    if (entry) {
-        ++ctr->fetchHits;
-        ++ctr->dataArray.reads;
-        entry->stamp = ++clock;
-        const u64 d0 = prof ? hotpathNowNs() : 0;
-        std::memcpy(data, entry->data.data(), blockBytes);
-        if (prof)
-            prof->dataArrayNs += hotpathNowNs() - d0;
-        return {true, cfg.hitLatency + cfg.decompressLatency};
-    }
-
-    ++ctr->fetchMisses;
-    BlockData fetched;
-    const Tick memLat = mem.readBlock(addr, fetched.data());
-
-    // Worst case the block stays raw, so make room for 64 B; a
-    // compressed install returns the surplus to the set right away.
-    const u32 set_idx = slicer.set(addr);
-    Set &set = sets[set_idx];
-    const u64 l0 = prof ? hotpathNowNs() : 0;
-    makeRoom(set, set_idx, blockBytes);
-
-    for (auto &e : set.entries) {
-        if (e.valid)
-            continue;
-        e.valid = true;
-        e.tag = slicer.tag(addr);
-        e.dirty = false;
-        e.stamp = ++clock;
-        set.usedBytes += install(e, fetched.data());
-        break;
-    }
-    if (prof)
-        prof->listMaintNs += hotpathNowNs() - l0;
-    ++ctr->tagArray.writes;
-    ++ctr->dataArray.writes;
-
-    const u64 d0 = prof ? hotpathNowNs() : 0;
-    std::memcpy(data, fetched.data(), blockBytes);
-    if (prof)
-        prof->dataArrayNs += hotpathNowNs() - d0;
-    return {false, cfg.hitLatency + memLat};
+    const bool compressed = dict.acquire(data(s));
+    setFlag(s, kDictCompressed, compressed);
+    ++*(compressed ? compressedFills : rawFills);
+    return compressed ? gdishCompressedBlockBytes : blockBytes;
 }
 
 void
-GdishLlc::writeback(Addr addr, const u8 *data)
+GdishLlc::release(Slot s)
 {
-    ++ctr->writebacksIn;
-    ++ctr->tagArray.reads;
-
-    const u64 t0 = prof ? hotpathNowNs() : 0;
-    Entry *entry = find(addr);
-    if (prof)
-        prof->tagProbeNs += hotpathNowNs() - t0;
-    if (!entry) {
-        mem.writeBlock(addr, data);
-        ++ctr->dirtyWritebacks;
-        return;
-    }
-
-    const u32 set_idx = slicer.set(addr);
-    Set &set = sets[set_idx];
-
-    // Release the old contents first (its words may be exactly what
-    // lets the new contents compress), then make room for the raw
-    // worst case; the entry itself is protected from the LRU loop.
-    const u64 l0 = prof ? hotpathNowNs() : 0;
-    set.usedBytes -= entry->size;
-    if (entry->dictCompressed)
-        dict.release(entry->data.data());
-    entry->dictCompressed = false;
-    entry->size = 0;
-    entry->stamp = ++clock;
-    const u64 budget = static_cast<u64>(cfg.ways) * blockBytes;
-    while (set.usedBytes + blockBytes > budget)
-        evictLru(set, set_idx);
-    if (prof)
-        prof->listMaintNs += hotpathNowNs() - l0;
-
-    const u64 d0 = prof ? hotpathNowNs() : 0;
-    set.usedBytes += install(*entry, data);
-    if (prof)
-        prof->dataArrayNs += hotpathNowNs() - d0;
-    entry->dirty = true;
-    ++ctr->dataArray.writes;
-}
-
-bool
-GdishLlc::contains(Addr addr) const
-{
-    return find(addr) != nullptr;
-}
-
-void
-GdishLlc::forEachBlock(
-    const std::function<void(const LlcBlockInfo &)> &visit) const
-{
-    for (u32 s = 0; s < sets.size(); ++s) {
-        for (const auto &e : sets[s].entries) {
-            if (!e.valid)
-                continue;
-            LlcBlockInfo info;
-            info.addr = slicer.addr(s, e.tag);
-            info.data = e.data.data();
-            info.dirty = e.dirty;
-            const ApproxRegion *region =
-                registry ? registry->find(info.addr) : nullptr;
-            info.approx = region != nullptr;
-            info.type = region ? region->type : ElemType::F32;
-            visit(info);
-        }
-    }
-}
-
-void
-GdishLlc::flush()
-{
-    for (u32 s = 0; s < sets.size(); ++s) {
-        Set &set = sets[s];
-        bool any = true;
-        while (any) {
-            any = false;
-            for (const auto &e : set.entries) {
-                if (e.valid) {
-                    any = true;
-                    break;
-                }
-            }
-            if (any)
-                evictLru(set, s);
-        }
-        set.usedBytes = 0;
-    }
-}
-
-u64
-GdishLlc::blockCount() const
-{
-    u64 n = 0;
-    for (const auto &set : sets)
-        for (const auto &e : set.entries)
-            n += e.valid ? 1 : 0;
-    return n;
-}
-
-u64
-GdishLlc::storedBytes() const
-{
-    u64 n = 0;
-    for (const auto &set : sets)
-        n += set.usedBytes;
-    return n;
-}
-
-double
-GdishLlc::compressionRatio() const
-{
-    const u64 bytes = storedBytes();
-    if (bytes == 0)
-        return 1.0;
-    return static_cast<double>(blockCount() * blockBytes) /
-        static_cast<double>(bytes);
+    if (flag(s, kDictCompressed))
+        dict.release(data(s));
+    setFlag(s, kDictCompressed, false);
 }
 
 bool
 GdishLlc::checkInvariants(std::string *why) const
 {
     u64 compressedResident = 0;
-    for (u32 s = 0; s < sets.size(); ++s) {
-        const Set &set = sets[s];
+    for (u32 set = 0; set < numSets(); ++set) {
         u64 bytes = 0;
-        for (const auto &e : set.entries) {
-            if (!e.valid)
+        for (u32 way = 0; way < slotsPerSet(); ++way) {
+            const Slot s = slotOf(set, way);
+            if (!valid(s))
                 continue;
-            bytes += e.size;
-            const unsigned expect = e.dictCompressed
-                ? gdishCompressedBlockBytes
-                : blockBytes;
-            if (e.size != expect) {
+            bytes += storedSize(s);
+            const bool compressed = flag(s, kDictCompressed);
+            const unsigned expect =
+                compressed ? gdishCompressedBlockBytes : blockBytes;
+            if (storedSize(s) != expect) {
                 if (why)
                     *why = "gdish: entry size disagrees with its "
                            "compression state in set " +
-                        std::to_string(s);
+                        std::to_string(set);
                 return false;
             }
-            compressedResident += e.dictCompressed ? 1 : 0;
+            compressedResident += compressed ? 1 : 0;
         }
-        if (bytes != set.usedBytes) {
+        if (bytes != usedBytes(set)) {
             if (why)
                 *why = "gdish: byte accounting drifted in set " +
-                    std::to_string(s);
+                    std::to_string(set);
             return false;
         }
-        if (set.usedBytes > static_cast<u64>(cfg.ways) * blockBytes) {
+        if (usedBytes(set) > budget()) {
             if (why)
-                *why = "gdish: set " + std::to_string(s) +
+                *why = "gdish: set " + std::to_string(set) +
                     " exceeds its byte budget";
             return false;
         }

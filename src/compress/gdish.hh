@@ -10,9 +10,8 @@
  * *inter-block approximate* similarity, GDISH exploits *inter-block
  * exact word* reuse — the third corner of the Fig 8 comparison.
  *
- * Model: conventional geometry like BdiLlc (set count of the
- * uncompressed budget, `tagFactor × ways` tags, byte budget of
- * `ways × 64` per set). A block compresses to
+ * Model: a byte-budget compressed-set LLC like BdiLlc
+ * (compress/compressed_set.hh). A block compresses to
  * `gdishCompressedBlockBytes` iff all of its words are already in the
  * dictionary or the dictionary has room for the new ones; otherwise
  * it is stored raw and leaves the dictionary untouched. Dictionary
@@ -25,10 +24,9 @@
 #define DOPP_COMPRESS_GDISH_HH
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/llc.hh"
+#include "compress/compressed_set.hh"
 
 namespace dopp
 {
@@ -51,11 +49,17 @@ constexpr unsigned gdishCompressedBlockBytes =
  * The reference-counted global word dictionary, shared by the LLC
  * model and the Fig 8 snapshot analysis (analysis/similarity.cc) so
  * both report the same notion of "compressible".
+ *
+ * A flat open-addressing word → refcount table at load ≤ ½ (linear
+ * probing, backward-shift deletion like CoherenceDirectory). A slot
+ * with refcount zero is free, so every 32-bit word can be a key. A
+ * block's sixteen words are de-duplicated on the stack first, so each
+ * distinct word is probed once per acquire or release.
  */
 class GdishDict
 {
   public:
-    explicit GdishDict(u32 capacity) : cap(capacity) {}
+    explicit GdishDict(u32 capacity);
 
     /**
      * Can @p block compress against the current dictionary? True iff
@@ -77,7 +81,7 @@ class GdishDict
     void release(const u8 *block);
 
     /** Distinct words currently materialized. */
-    u32 size() const { return static_cast<u32>(words.size()); }
+    u32 size() const { return used; }
 
     u32 capacity() const { return cap; }
 
@@ -88,35 +92,82 @@ class GdishDict
     u64 erases() const { return eraseCount; }
 
     /**
-     * Structural self-check: no zero-refcount entries, and the
-     * capacity bound holds. @p why receives the first violation.
+     * Structural self-check: the capacity bound holds, the live count
+     * is exact, and every live word is reachable from its home slot
+     * (no free slot and no duplicate on its probe run). @p why
+     * receives the first violation.
      */
     bool checkInvariants(std::string *why = nullptr) const;
 
     /** Sum of all refcounts (must equal 16 × acquired blocks). */
     u64 totalRefs() const;
 
+    /** @name Table geometry (tests build colliding words from it) */
+    /// @{
+    u32 slotCount() const { return static_cast<u32>(slots.size()); }
+
+    /** The slot @p word's probe run starts at. */
+    u32
+    homeSlot(u32 word) const
+    {
+        return static_cast<u32>(
+            (static_cast<u64>(word) * 0x9E3779B97F4A7C15ULL) >> shift);
+    }
+    /// @}
+
   private:
+    struct Slot
+    {
+        u32 word;
+        u32 refs; ///< 0: free slot
+    };
+
+    /** A block's distinct words and how often each occurs. */
+    struct Distinct
+    {
+        u32 word[gdishWordsPerBlock];
+        u32 count[gdishWordsPerBlock];
+        unsigned n = 0;
+    };
+
+    static Distinct distinct(const u8 *block);
+
+    /** Slot holding @p word, else the free slot ending its run. */
+    u32
+    probe(u32 word) const
+    {
+        u32 i = homeSlot(word);
+        while (slots[i].refs != 0 && slots[i].word != word)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Distinct words of @p d not in the table; @p at receives each
+     * word's probe() slot. */
+    u32 missing(const Distinct &d, u32 *at) const;
+
+    /** Free slot @p hole, shifting its run back over it. */
+    void eraseAt(u32 hole);
+
     u32 cap;
-    std::unordered_map<u32, u32> words; ///< word → refcount
+    std::vector<Slot> slots;
+    u32 mask;
+    unsigned shift;
+    u32 used = 0;
     u64 insertCount = 0;
     u64 eraseCount = 0;
 };
 
-/** Configuration of the GDISH LLC. */
-struct GdishLlcConfig
+/** Configuration of the GDISH LLC (+1 dictionary indirection on hits
+ * by default). */
+struct GdishLlcConfig : CompressedSetConfig
 {
-    u64 sizeBytes = 2 * 1024 * 1024; ///< uncompressed-equivalent budget
-    u32 ways = 16;                   ///< byte budget = ways × 64 per set
-    u32 tagFactor = 2;               ///< tag entries per set = factor×ways
-    u32 dictEntries = 4096;          ///< global dictionary capacity
-    Tick hitLatency = 6;             ///< +1 dictionary indirection on hits
-    Tick decompressLatency = 1;
+    u32 dictEntries = 4096; ///< global dictionary capacity
 };
 
 /** Conventional-geometry LLC sharing words through a global
  * dictionary. Lossless. */
-class GdishLlc : public LastLevelCache
+class GdishLlc : public CompressedSetLlc
 {
   public:
     GdishLlc(MainMemory &memory, const GdishLlcConfig &config,
@@ -124,81 +175,33 @@ class GdishLlc : public LastLevelCache
              StatRegistry *stat_registry = nullptr,
              const std::string &stat_group = "llc");
 
-    FetchResult fetch(Addr addr, u8 *data) override;
-    void writeback(Addr addr, const u8 *data) override;
-    bool contains(Addr addr) const override;
-    void forEachBlock(
-        const std::function<void(const LlcBlockInfo &)> &visit)
-        const override;
-    void flush() override;
     const char *name() const override { return "gdish"; }
-    void setHotPathProfile(HotPathProfile *p) override { prof = p; }
 
     /** @name Introspection */
     /// @{
-    /** Blocks currently resident. */
-    u64 blockCount() const;
-
-    /** Compressed bytes currently stored against the byte budget. */
-    u64 storedBytes() const;
-
-    /** Effective compression ratio of resident blocks (≥ 1). */
-    double compressionRatio() const;
-
     const GdishDict &dictionary() const { return dict; }
 
     /**
      * Exhaustive structural check: per-set byte accounting matches
      * the resident entries, dictionary refcounts equal 16 × the
-     * dictionary-compressed resident blocks, and no dictionary entry
-     * has refcount zero. Mirrors DoppEngine::checkInvariants for the
+     * dictionary-compressed resident blocks, and the dictionary's own
+     * invariants hold. Mirrors DoppEngine::checkInvariants for the
      * metadata-fault stress tests.
      */
     bool checkInvariants(std::string *why = nullptr) const;
     /// @}
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        u64 tag = 0;
-        bool dirty = false;
-        bool dictCompressed = false;
-        unsigned size = blockBytes; ///< stored size in bytes
-        u64 stamp = 0;              ///< LRU
-        BlockData data = {};        ///< stored losslessly
-    };
+    /** The policy flag: the slot's block holds dictionary refs. */
+    static constexpr u8 kDictCompressed = kPolicyFlag;
 
-    struct Set
-    {
-        std::vector<Entry> entries;
-        u64 usedBytes = 0;
-    };
+    /** Worst case the block stays raw, so reserve 64 B; a compressed
+     * install returns the surplus to the set right away. */
+    unsigned reserve(const u8 *) override { return blockBytes; }
+    unsigned admit(Slot s, unsigned room) override;
+    void release(Slot s) override;
 
-    Entry *find(Addr addr);
-    const Entry *find(Addr addr) const;
-
-    /** Release dictionary refs and invalidate @p e (no writeback). */
-    void releaseEntry(Entry &e);
-
-    /** Evict the LRU valid entry of @p set. @pre one exists. */
-    void evictLru(Set &set, u32 set_idx);
-
-    /** Evict until @p extra bytes and one tag slot fit in @p set. */
-    void makeRoom(Set &set, u32 set_idx, unsigned extra);
-
-    /** Install @p block into @p e, compressing if the dictionary
-     * admits it; returns the stored size. */
-    unsigned install(Entry &e, const u8 *block);
-
-    GdishLlcConfig cfg;
-    const ApproxRegistry *registry;
-    std::vector<Set> sets;
-    AddrSlicer slicer;
     GdishDict dict;
-    u64 clock = 0;
-    HotPathProfile *prof = nullptr;
-
     Counter *compressedFills = nullptr;
     Counter *rawFills = nullptr;
 };

@@ -79,11 +79,12 @@ LastLevelCache::FetchResult
 UniDoppBdiLlc::fetch(Addr addr, u8 *data)
 {
     const FetchResult r = engine->fetch(addr, data);
-    // A miss installed the served bytes into the data array (either a
-    // fresh entry or a link to an existing doppelgänger — the bytes
-    // handed back are what the array now serves for this tag); the
-    // codec measures what that install costs compressed. Hits already
-    // paid at install time.
+    // Every miss is accounted as one compressed install of the served
+    // bytes. That is exact when the engine stores a fresh data entry,
+    // but when a similar block already exists the engine only links
+    // the tag to it and drops the fetched bytes: nothing is installed,
+    // yet a compression is still counted, and the llc.bdi.* counters
+    // are pinned that way. Hits already paid at install time.
     if (!r.hit)
         account(data);
     return r;

@@ -76,7 +76,7 @@ class UniDoppBdiLlc : public LastLevelCache
 
     /** @name B∆I accounting */
     /// @{
-    /** Blocks compressed so far (every data-array install). */
+    /** Blocks compressed so far (every fetch miss and writeback). */
     u64 compressions() const { return nCompressions; }
 
     /** Their cumulative compressed size in bytes. */

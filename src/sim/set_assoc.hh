@@ -160,16 +160,45 @@ class SetAssocDir
         return -1;
     }
 
+    /** First invalid way in @p set, or -1 when the set is full. */
+    int
+    freeWay(u32 set) const
+    {
+        const u8 *fp = flagsV.data() + static_cast<size_t>(set) * numWays;
+        for (u32 w = 0; w < numWays; ++w) {
+            if (!(fp[w] & kValid))
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+
+    /**
+     * Valid way in @p set with the oldest stamp (the first of equal
+     * stamps), or -1 when the set is empty. Unlike victimWay it skips
+     * invalid ways, for owners that evict to free more than a way
+     * (the byte-budget compressed sets).
+     */
+    int
+    oldestValidWay(u32 set) const
+    {
+        const size_t base = static_cast<size_t>(set) * numWays;
+        const u8 *fp = flagsV.data() + base;
+        const u64 *sp = stamps.data() + base;
+        int victim = -1;
+        for (u32 w = 0; w < numWays; ++w) {
+            if ((fp[w] & kValid) && (victim < 0 || sp[w] < sp[victim]))
+                victim = static_cast<int>(w);
+        }
+        return victim;
+    }
+
     /** Victim way in @p set: first invalid way, else per policy. */
     u32
     victimWay(u32 set)
     {
         const size_t base = static_cast<size_t>(set) * numWays;
-        const u8 *fp = flagsV.data() + base;
-        for (u32 w = 0; w < numWays; ++w) {
-            if (!(fp[w] & kValid))
-                return w;
-        }
+        if (const int w = freeWay(set); w >= 0)
+            return static_cast<u32>(w);
         if (policy == ReplPolicy::RANDOM)
             return static_cast<u32>(rng.below(numWays));
         u32 victim = 0;

@@ -158,23 +158,6 @@ TEST(Bdi, ImmediateFormMixesWithBase)
     expectRoundTrip(mixed);
 }
 
-TEST(Bdi, SizeOnlyMatchesFullCompress)
-{
-    Rng rng(3);
-    for (int trial = 0; trial < 200; ++trial) {
-        BlockData b = {};
-        const unsigned k = 1u << (2 + rng.below(2)); // 4 or 8
-        const u64 base = rng.next();
-        for (unsigned i = 0; i < blockBytes / k; ++i) {
-            const u64 w = base + rng.below(200);
-            for (unsigned j = 0; j < k; ++j)
-                b[i * k + j] = static_cast<u8>(w >> (8 * j));
-        }
-        EXPECT_EQ(bdiCompressedSize(b.data()),
-                  bdiCompress(b.data()).size);
-    }
-}
-
 TEST(Bdi, EncodingSizesPublished)
 {
     EXPECT_EQ(bdiEncodingSize(BdiEncoding::Zeros), 1u);
@@ -389,6 +372,98 @@ TEST(BdiFuzz, RandomBlocksEveryStructureLossless)
         }
         const std::string label = "trial " + std::to_string(trial);
         expectRoundTripAndBound(b, label.c_str());
+    }
+}
+
+/**
+ * The size kernel (bdiCompressedSize: whole-word loads, one template
+ * per (k, d), first fit in ascending size order) against the generic
+ * byte-wise encoder's size, over every generator above: each (k, d)
+ * with random and sign-boundary deltas, immediate-only and mixed
+ * base-and-immediate words, zeros, rep8 and incompressible bytes.
+ */
+TEST(Bdi, SizeOnlyMatchesFullCompress)
+{
+    std::vector<BlockData> blocks;
+    for (const auto &[k, d] : kdPairs) {
+        const u64 dmax = (1ULL << (8 * d - 1)) - 1;
+        const u64 dmin = ~dmax;
+        const u64 dminK = dmin & bytesMask(k);
+        const u64 bases[] = {0, 1, bytesMask(k), bytesMask(k) >> 1,
+                             (bytesMask(k) >> 1) + 1};
+        for (const u64 base : bases) {
+            for (const std::vector<u64> &deltas :
+                 std::vector<std::vector<u64>>{{0, dmax},
+                                               {0, dmin},
+                                               {0, dmax + 1},
+                                               {0, dmin - 1},
+                                               {dmin, dmax},
+                                               {0, 1, dmax, dmin}})
+                blocks.push_back(kdBlock(k, base, deltas));
+        }
+        blocks.push_back(kdBlock(k, 0, {0, dmax, dminK, 1}));
+    }
+
+    Rng rng(0x517E);
+    while (blocks.size() < 12000) {
+        const auto &[k, d] = kdPairs[rng.below(6)];
+        BlockData b = {};
+        switch (rng.below(8)) {
+          case 0: // incompressible
+            for (auto &byte : b)
+                byte = static_cast<u8>(rng.below(256));
+            break;
+          case 1: // zeros
+            break;
+          case 2: { // rep8
+            const u64 w = rng.next();
+            for (unsigned i = 0; i < blockBytes; ++i)
+                b[i] = static_cast<u8>(w >> (8 * (i % 8)));
+            break;
+          }
+          case 3: { // random base, deltas of width ≤ d, either sign
+            std::vector<u64> deltas;
+            for (int i = 0; i < 4; ++i) {
+                const u64 delta = rng.next() & bytesMask(d);
+                deltas.push_back(rng.below(2) ? ~delta : delta);
+            }
+            b = kdBlock(k, rng.next(), deltas);
+            break;
+          }
+          case 4: { // deltas one bit wider than d
+            std::vector<u64> deltas;
+            for (int i = 0; i < 4; ++i)
+                deltas.push_back(rng.next() & (bytesMask(d) << 1));
+            b = kdBlock(k, rng.next(), deltas);
+            break;
+          }
+          case 5: { // immediate-only, near the sign boundary
+            const u64 dmax = (1ULL << (8 * d - 1)) - 1;
+            b = kdBlock(k, 0,
+                        {rng.below(dmax + 1),
+                         (~rng.below(dmax + 1)) & bytesMask(k)});
+            break;
+          }
+          case 6: { // mixed base and immediate
+            b = kdBlock(k, 0, {0, 1, rng.below(128)});
+            const u64 w = rng.next() & bytesMask(k);
+            const unsigned at = rng.below(blockBytes / k) * k;
+            for (unsigned j = 0; j < k; ++j)
+                b[at + j] = static_cast<u8>(w >> (8 * j));
+            break;
+          }
+          default: // small deltas from one base, k ∈ {2, 4, 8}
+            b = kdBlock(k, rng.next(),
+                        {0, rng.below(200), rng.below(3) - 1});
+            break;
+        }
+        blocks.push_back(b);
+    }
+
+    for (size_t i = 0; i < blocks.size(); ++i) {
+        ASSERT_EQ(bdiCompressedSize(blocks[i].data()),
+                  bdiCompress(blocks[i].data()).size)
+            << "block " << i;
     }
 }
 

@@ -171,7 +171,7 @@ TEST(BdiLlc, DirtyEvictionReachesMemory)
     EXPECT_EQ(back, w);
     EXPECT_FALSE(llc.contains(0x2000));
     EXPECT_EQ(llc.blockCount(), 0u);
-    EXPECT_EQ(llc.compressedBytes(), 0u);
+    EXPECT_EQ(llc.storedBytes(), 0u);
 }
 
 TEST(BdiLlc, BackInvalidationHookFires)
