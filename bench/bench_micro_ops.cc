@@ -4,7 +4,8 @@
  * throughput for each element type, Doppelgänger hit/miss/writeback
  * paths against the conventional cache's, B∆I compression and
  * decompression, the compressed LLCs' fetch-miss paths and the G-DISH
- * dictionary, and the full 4-core hierarchy access path.
+ * dictionary, the guardrail's substitution-error kernel, and the full
+ * 4-core hierarchy access path.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "compress/gdish.hh"
 #include "core/doppelganger_cache.hh"
 #include "core/split_llc.hh"
+#include "fault/qor_guardrail.hh"
 #include "sim/hierarchy.hh"
 #include "util/random.hh"
 
@@ -201,14 +203,39 @@ BM_DoppFetchHit(benchmark::State &state)
     DoppConfig cfg;
     DoppelgangerCache cache(mem, cfg, nullptr);
     Rng rng(7);
-    // Warm 1024 blocks.
+    // Warm 1024 blocks of distinct random F32 values in [0, 1), so the
+    // hits spread over many data entries and MTag sets instead of all
+    // sharing the all-zero block's one entry.
     BlockData buf;
-    for (u64 i = 0; i < 1024; ++i)
+    for (u64 i = 0; i < 1024; ++i) {
+        for (unsigned e = 0; e < elemsPerBlock(ElemType::F32); ++e)
+            setBlockElement(buf.data(), ElemType::F32, e, rng.uniform());
+        mem.poke(i * blockBytes, buf.data(), blockBytes);
         cache.fetch(i * blockBytes, buf.data());
+    }
+    state.counters["data_entries"] =
+        static_cast<double>(cache.dataCount());
     u64 i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             cache.fetch((i++ % 1024) * blockBytes, buf.data()));
+    }
+    state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+
+void
+BM_BlockSubstitutionError(benchmark::State &state)
+{
+    // The guardrail's per-substitution error over a served/exact pair
+    // of random blocks (fault/qor_guardrail.hh).
+    const ElemType type = static_cast<ElemType>(state.range(0));
+    Rng rng(42);
+    BlockData served = randomBlock(rng);
+    const BlockData exact = randomBlock(rng);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(blockSubstitutionError(
+            served.data(), exact.data(), type, 255.0));
+        served[0] = static_cast<u8>(served[0] + 1);
     }
     state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
@@ -281,6 +308,9 @@ BENCHMARK(BM_BdiCompressedSize)
     ->Arg(static_cast<int>(BdiBlock::Zeros));
 BENCHMARK(BM_BdiRoundTrip);
 BENCHMARK(BM_DoppFetchHit);
+BENCHMARK(BM_BlockSubstitutionError)
+    ->Arg(static_cast<int>(ElemType::U8))
+    ->Arg(static_cast<int>(ElemType::F32));
 BENCHMARK(BM_DoppFetchMissInsert);
 BENCHMARK(BM_GdishDictAcquireRelease);
 BENCHMARK(BM_BdiLlcFetchMiss);

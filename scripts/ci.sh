@@ -143,7 +143,11 @@ echo "ci: bench_perf smoke + schema check passed"
 # baselines (DESIGN.md §17.5): GdishDictModel holds the dictionary
 # table to a hash-map model, CompressedOrgPins pins bdi, gdish and
 # uniDoppBdi results, and Bdi pins the size kernel to the codec.
-DIFF_SUITES='HotpathDiff|TagPool|NewOrgs|RefEngineEndToEnd|HierarchyDiff|MemArena|GdishDictModel|CompressedOrgPins|Bdi'
+# DoppInvariants names planted engine corruptions (the cached data
+# slot, DESIGN.md §14.2), BlockSubstitutionError holds the guardrail's
+# typed error kernel to the element-wise model, and WorkloadPins pins
+# the kernels' outputs, the tiered faulted stack included (§19).
+DIFF_SUITES='HotpathDiff|TagPool|NewOrgs|RefEngineEndToEnd|HierarchyDiff|MemArena|GdishDictModel|CompressedOrgPins|Bdi|DoppInvariants|BlockSubstitutionError|WorkloadPins'
 DOPP_JOBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -j "$(nproc)" -R "$DIFF_SUITES"
 DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \

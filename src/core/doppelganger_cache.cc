@@ -25,6 +25,7 @@ DoppelgangerCache::DoppelgangerCache(MainMemory &memory,
       dataDir(config.dataEntries / config.dataWays, config.dataWays,
               config.dataPolicy),
       tagMapV(config.tagEntries, 0),
+      tagDataV(config.tagEntries, -1),
       tagPrevV(config.tagEntries, -1),
       tagNextV(config.tagEntries, -1),
       dataHeadV(config.dataEntries, -1),
@@ -94,19 +95,18 @@ DoppelgangerCache::dataIndexOfTag(i32 tag_idx) const
     DOPP_ASSERT(tagDir.valid(tag_idx));
     if (tagDir.flag(tag_idx, TagPrecise))
         return static_cast<i32>(tagMapV[static_cast<size_t>(tag_idx)]);
-    const i32 idx = findDataByMap(tagMapV[static_cast<size_t>(tag_idx)]);
-    if (idx < 0)
-        panic("doppelganger invariant broken: tag's map %llu has no "
-              "data entry",
-              static_cast<unsigned long long>(
-                  tagMapV[static_cast<size_t>(tag_idx)]));
-    return idx;
+    // The MTag lookup the hardware makes here (Sec 3.2 step 2) is
+    // charged by the caller's mtagArray.reads; its answer is the slot
+    // linkHead cached, which checkInvariants proves equal to
+    // findDataByMap(map) (DESIGN.md §14.2).
+    return tagDataV[static_cast<size_t>(tag_idx)];
 }
 
 void
 DoppelgangerCache::linkHead(i32 tag_idx, i32 data_idx)
 {
     i32 &head = dataHeadV[static_cast<size_t>(data_idx)];
+    tagDataV[static_cast<size_t>(tag_idx)] = data_idx;
     tagPrevV[static_cast<size_t>(tag_idx)] = -1;
     tagNextV[static_cast<size_t>(tag_idx)] = head;
     if (head >= 0)
@@ -582,7 +582,10 @@ DoppelgangerCache::checkInvariants(std::string *why) const
         static_cast<u64>(dataDir.sets()) * cfg.dataWays;
 
     // Pass 1: every valid tag resolves; count tags per data entry.
+    // resolved[] keeps each approximate tag's MTag match for passes 2
+    // and 5.
     std::vector<u64> expected(totalData, 0);
+    std::vector<i32> resolved(totalTags, -1);
     for (u64 i = 0; i < totalTags; ++i) {
         const i32 tidx = static_cast<i32>(i);
         if (!tagDir.valid(tidx))
@@ -604,6 +607,7 @@ DoppelgangerCache::checkInvariants(std::string *why) const
             didx = findDataByMap(map);
             if (didx < 0)
                 return fail("tag's map has no data entry");
+            resolved[i] = didx;
         }
         ++expected[static_cast<u64>(didx)];
     }
@@ -630,10 +634,14 @@ DoppelgangerCache::checkInvariants(std::string *why) const
                 return fail("list contains an invalid tag");
             if (tagPrevV[static_cast<size_t>(cur)] != prev)
                 return fail("prev pointer inconsistent");
-            if (!precise &&
-                findDataByMap(tagMapV[static_cast<size_t>(cur)]) !=
-                    didx) {
-                return fail("listed tag maps elsewhere");
+            if (!precise) {
+                // Pass 1 resolved only the approximate tags; a precise
+                // tag spliced into this list is resolved here.
+                const i32 at = tagDir.flag(cur, TagPrecise)
+                    ? findDataByMap(tagMapV[static_cast<size_t>(cur)])
+                    : resolved[static_cast<size_t>(cur)];
+                if (at != didx)
+                    return fail("listed tag maps elsewhere");
             }
             prev = cur;
             cur = tagNextV[static_cast<size_t>(cur)];
@@ -667,6 +675,13 @@ DoppelgangerCache::checkInvariants(std::string *why) const
             continue;
         if (tagPrevV[i] != -1 || tagNextV[i] != -1)
             return fail("free tag slot holds stale list links");
+    }
+
+    // Pass 5: every approximate tag's cached data slot is the entry its
+    // map resolves to, so dataIndexOfTag may skip the MTag probe.
+    for (u64 i = 0; i < totalTags; ++i) {
+        if (resolved[i] >= 0 && tagDataV[i] != resolved[i])
+            return fail("tag's cached data slot disagrees with its map");
     }
     return true;
 }

@@ -28,6 +28,9 @@
  *    intrusive index pools, pre-allocated per set, so list maintenance
  *    touches exactly the fields it needs and the doubly-linked
  *    shared-data lists (Fig 5) chain arena indices, not pointers.
+ *  - Each approximate tag caches the data slot its map resolves to, so
+ *    a hit reads the slot instead of repeating the MTag probe on the
+ *    host; the probe is still counted in mtagArray.reads.
  *  - No std::function on the access path: the map override is a plain
  *    function pointer (MapOverrideFn) and block iteration is a
  *    monomorphized template (visitBlocks) behind the virtual
@@ -113,6 +116,10 @@ class DoppelgangerCache : public DoppEngine
     bool selfCheckAndRepair() override;
 
   private:
+    /** Test-only access to the arenas, to plant corruptions the fault
+     * injector cannot aim (tests/test_doppelganger.cc). */
+    friend struct DoppelgangerCacheProbe;
+
     /** @name Client flag bits (SetAssocDir bit 0 is the valid bit) */
     /// @{
     static constexpr u8 TagDirty = 2;   ///< per-tag dirty bit (Sec 3.4)
@@ -136,10 +143,13 @@ class DoppelgangerCache : public DoppEngine
      * (set * ways + way) or -1. */
     i32 findDataByMap(u64 map) const;
 
-    /** Data entry a (valid) tag at @p tag_idx currently points at. */
+    /** Data entry a (valid) tag at @p tag_idx currently points at:
+     * the direct pointer of a precise tag, the cached slot of an
+     * approximate one (no MTag re-probe). */
     i32 dataIndexOfTag(i32 tag_idx) const;
 
-    /** Insert @p tag_idx at the head of data entry @p data_idx's list. */
+    /** Insert @p tag_idx at the head of data entry @p data_idx's list
+     * and cache @p data_idx as the tag's data slot. */
     void linkHead(i32 tag_idx, i32 data_idx);
 
     /** Remove @p tag_idx from its list. @return true iff the list is
@@ -225,6 +235,8 @@ class DoppelgangerCache : public DoppEngine
      * no separate free list to maintain or corrupt. */
     /// @{
     std::vector<u64> tagMapV;  ///< map value / direct index if precise
+    std::vector<i32> tagDataV; ///< data slot of an approximate tag, the
+                               ///< entry its map resolves to (linkHead)
     std::vector<i32> tagPrevV; ///< previous tag in the shared-data list
     std::vector<i32> tagNextV; ///< next tag in the shared-data list
     std::vector<i32> dataHeadV; ///< head of each entry's tag list

@@ -79,13 +79,19 @@ class Fluidanimate : public Workload
         // The cell index (native structure; the precise arrays are
         // read through the caches first), in CSR form: cell c holds
         // cellItems[cellStart[c] .. cellStart[c + 1]), in ascending
-        // particle order.
+        // particle order. Positions stay floats (px's element type, so
+        // each reads back as exactly the double the kernel computes
+        // with), once by particle (hx) and once in CSR order (sx).
         const size_t numCells = static_cast<size_t>(cells) * cells * cells;
         std::vector<u32> cellStart(numCells + 1);
         std::vector<u32> cellNext(numCells);
         std::vector<u32> cellItems(n);
         std::vector<u32> cellIds(n);
-        std::vector<double> hx(n), hy(n), hz(n);
+        std::vector<float> hx(n), hy(n), hz(n);
+        std::vector<float> sx(n), sy(n), sz(n);
+        // One column run's hits: CSR index and r².
+        std::vector<u32> hitK;
+        std::vector<double> hitR2;
 
         for (unsigned step = 0; step < steps; ++step) {
             rt.parallelFor(0, n, 256, [&](u64 i) {
@@ -102,21 +108,39 @@ class Fluidanimate : public Workload
                 cellIds[i] = static_cast<u32>(c);
                 ++cellStart[c + 1];
             }
-            for (size_t c = 0; c < numCells; ++c)
+            u32 maxCell = 0;
+            for (size_t c = 0; c < numCells; ++c) {
+                maxCell = std::max(maxCell, cellStart[c + 1]);
                 cellStart[c + 1] += cellStart[c];
+            }
             std::copy(cellStart.begin(), cellStart.end() - 1,
                       cellNext.begin());
-            for (u64 i = 0; i < n; ++i)
-                cellItems[cellNext[cellIds[i]]++] = static_cast<u32>(i);
+            for (u64 i = 0; i < n; ++i) {
+                const u32 k = cellNext[cellIds[i]]++;
+                cellItems[k] = static_cast<u32>(i);
+                sx[k] = hx[i];
+                sy[k] = hy[i];
+                sz[k] = hz[i];
+            }
+            // A column run spans at most three cells.
+            hitK.resize(3 * static_cast<size_t>(maxCell));
+            hitR2.resize(hitK.size());
 
             // Cells (x, y, z-1), (x, y, z) and (x, y, z+1) are adjacent
             // in the CSR array, so each (dx, dy) column of the 3x3x3
             // neighbourhood is one contiguous run, visited in the same
-            // order as cell by cell.
-            auto forEachNeighbor = [&](u64 i, auto &&fn) {
-                const int cx = cellOf(hx[i]);
-                const int cy = cellOf(hy[i]);
-                const int cz = cellOf(hz[i]);
+            // order as cell by cell. A run is scanned in two loops: the
+            // first computes r² for every candidate and appends the CSR
+            // index to the hit list when keep(k, r²) holds, without a
+            // branch; the second runs body(k, r²) for each hit in run
+            // order, so addends and simulated accesses keep their order.
+            auto forEachHit = [&](u64 i, auto &&keep, auto &&body) {
+                const double xi = hx[i];
+                const double yi = hy[i];
+                const double zi = hz[i];
+                const int cx = cellOf(xi);
+                const int cy = cellOf(yi);
+                const int cz = cellOf(zi);
                 const int last = static_cast<int>(cells) - 1;
                 const size_t z0 = static_cast<size_t>(std::max(cz - 1, 0));
                 const size_t z1 = static_cast<size_t>(std::min(cz + 1, last));
@@ -126,9 +150,20 @@ class Fluidanimate : public Workload
                          ny <= std::min(cy + 1, last); ++ny) {
                         const size_t column =
                             (static_cast<size_t>(nx) * cells + ny) * cells;
-                        for (u32 k = cellStart[column + z0];
-                             k < cellStart[column + z1 + 1]; ++k)
-                            fn(cellItems[k]);
+                        const u32 k0 = cellStart[column + z0];
+                        const u32 k1 = cellStart[column + z1 + 1];
+                        u32 hits = 0;
+                        for (u32 k = k0; k < k1; ++k) {
+                            const double dx = xi - sx[k];
+                            const double dy = yi - sy[k];
+                            const double dz = zi - sz[k];
+                            const double r2 = dx * dx + dy * dy + dz * dz;
+                            hitK[hits] = k;
+                            hitR2[hits] = r2;
+                            hits += keep(k, r2) ? 1 : 0;
+                        }
+                        for (u32 h = 0; h < hits; ++h)
+                            body(hitK[h], hitR2[h]);
                     }
             };
 
@@ -139,52 +174,56 @@ class Fluidanimate : public Workload
                  std::pow(smoothing, 9.0));
             rt.parallelFor(0, n, 64, [&](u64 i) {
                 double rho = 0.0;
-                forEachNeighbor(i, [&](u32 j) {
-                    const double dx = hx[i] - hx[j];
-                    const double dy = hy[i] - hy[j];
-                    const double dz = hz[i] - hz[j];
-                    const double r2 = dx * dx + dy * dy + dz * dz;
-                    if (r2 < h2) {
+                forEachHit(
+                    i, [&](u32, double r2) { return r2 < h2; },
+                    [&](u32, double r2) {
                         const double w = h2 - r2;
                         rho += particleMass * poly6 * w * w * w;
-                    }
-                });
+                    });
                 density.set(i, static_cast<float>(rho));
                 rt.addWork(40);
             });
 
             // Force + integrate pass: reads the approximate densities.
+            // A neighbour counts unless it is i itself, out of range or
+            // too close. The range tests are negated comparisons, so a
+            // NaN r² (a position wrecked by a corrupt density) counts,
+            // as the pinned results require.
             rt.parallelFor(0, n, 64, [&](u64 i) {
                 const double di = density.get(i);
+                const double xi = hx[i];
+                const double yi = hy[i];
+                const double zi = hz[i];
                 double fx = 0.0;
                 double fy = -9.8 * particleMass; // gravity
                 double fz = 0.0;
-                forEachNeighbor(i, [&](u32 j) {
-                    if (j == i)
-                        return;
-                    const double dx = hx[i] - hx[j];
-                    const double dy = hy[i] - hy[j];
-                    const double dz = hz[i] - hz[j];
-                    const double r2 = dx * dx + dy * dy + dz * dz;
-                    if (r2 >= h2 || r2 < 1e-12)
-                        return;
-                    const double dj = density.get(j);
-                    const double r = std::sqrt(r2);
-                    const double pi = stiffness * (di - restDensity);
-                    const double pj = stiffness * (dj - restDensity);
-                    const double scale = particleMass *
-                        (pi + pj) / (2.0 * std::max(dj, 1.0)) *
-                        (smoothing - r) / std::max(r, 1e-6) * 1e-4;
-                    fx += dx * scale;
-                    fy += dy * scale;
-                    fz += dz * scale;
-                });
+                forEachHit(
+                    i,
+                    [&](u32 k, double r2) {
+                        return (cellItems[k] != i) & !(r2 >= h2) &
+                            !(r2 < 1e-12);
+                    },
+                    [&](u32 k, double r2) {
+                        const double dx = xi - sx[k];
+                        const double dy = yi - sy[k];
+                        const double dz = zi - sz[k];
+                        const double dj = density.get(cellItems[k]);
+                        const double r = std::sqrt(r2);
+                        const double pi = stiffness * (di - restDensity);
+                        const double pj = stiffness * (dj - restDensity);
+                        const double scale = particleMass *
+                            (pi + pj) / (2.0 * std::max(dj, 1.0)) *
+                            (smoothing - r) / std::max(r, 1e-6) * 1e-4;
+                        fx += dx * scale;
+                        fy += dy * scale;
+                        fz += dz * scale;
+                    });
                 double nvx = vx.get(i) + timeStep * fx / particleMass;
                 double nvy = vy.get(i) + timeStep * fy / particleMass;
                 double nvz = vz.get(i) + timeStep * fz / particleMass;
-                double nx = hx[i] + timeStep * nvx;
-                double ny = hy[i] + timeStep * nvy;
-                double nz = hz[i] + timeStep * nvz;
+                double nx = xi + timeStep * nvx;
+                double ny = yi + timeStep * nvy;
+                double nz = zi + timeStep * nvz;
                 // Reflecting walls.
                 auto bounce = [](double &p, double &v) {
                     if (p < 0.0) {

@@ -973,4 +973,168 @@ TEST(DoppKernelDeterminism, SnapshotEqualityKernelVsGenericMixedTypes)
         << generic.json();
 }
 
+// ---------------------------------------------------------------------
+// Planted corruptions the self-check must name.
+// ---------------------------------------------------------------------
+
+/** Reaches into the engine's arenas to plant corruptions that the fault
+ * injector's random flips cannot aim at. */
+struct DoppelgangerCacheProbe
+{
+    static i32 tagOf(const DoppelgangerCache &c, Addr addr)
+    {
+        return c.findTag(addr);
+    }
+    static i32 dataOf(const DoppelgangerCache &c, i32 tag)
+    {
+        return c.dataIndexOfTag(tag);
+    }
+    static u64 &map(DoppelgangerCache &c, i32 tag)
+    {
+        return c.tagMapV[static_cast<size_t>(tag)];
+    }
+    static i32 &slot(DoppelgangerCache &c, i32 tag)
+    {
+        return c.tagDataV[static_cast<size_t>(tag)];
+    }
+    static i32 &head(DoppelgangerCache &c, i32 data)
+    {
+        return c.dataHeadV[static_cast<size_t>(data)];
+    }
+    static void setMTag(DoppelgangerCache &c, i32 data, u64 key)
+    {
+        c.dataDir.setKey(data, key);
+    }
+};
+
+namespace
+{
+
+/** Map = 1000 + the block's first byte, so tests pick maps by content
+ * and no map can equal a data-slot index. */
+u64
+firstByteMap(const u8 *block, const MapParams &)
+{
+    return 1000 + block[0];
+}
+
+void
+seedFirstByte(MainMemory &mem, Addr addr, u8 value)
+{
+    BlockData b = {};
+    b[0] = value;
+    mem.poke(addr, b.data(), blockBytes);
+}
+
+} // namespace
+
+TEST(DoppInvariants, ListedTagMapsElsewhereIsReported)
+{
+    using Probe = DoppelgangerCacheProbe;
+    BlockData buf;
+    std::string why;
+
+    {
+        // An approximate tag still listed on its entry is remapped onto
+        // another entry. The walk reaches it on the lower-slot list
+        // first, where its map now resolves elsewhere.
+        MainMemory mem;
+        DoppConfig cfg = smallConfig();
+        cfg.mapOverride = firstByteMap;
+        DoppelgangerCache cache(mem, cfg, nullptr);
+        seedFirstByte(mem, 0x1000, 1);
+        seedFirstByte(mem, 0x2000, 2);
+        cache.fetch(0x1000, buf.data());
+        cache.fetch(0x2000, buf.data());
+        ASSERT_TRUE(cache.checkInvariants(&why)) << why;
+
+        i32 lo = Probe::tagOf(cache, 0x1000);
+        i32 hi = Probe::tagOf(cache, 0x2000);
+        if (Probe::dataOf(cache, lo) > Probe::dataOf(cache, hi))
+            std::swap(lo, hi);
+        ASSERT_NE(Probe::dataOf(cache, lo), Probe::dataOf(cache, hi));
+        Probe::map(cache, lo) = Probe::map(cache, hi);
+        EXPECT_FALSE(cache.checkInvariants(&why));
+        EXPECT_EQ(why, "listed tag maps elsewhere");
+    }
+
+    {
+        // uniDoppelgänger, one data set: a precise tag is spliced in as
+        // the sole list member of an approximate entry whose MTag (and
+        // its two tags' maps) is relabelled to the precise tag's direct
+        // slot index. Its map field therefore resolves to the entry it
+        // is listed on, so the walk gets past the map check and the
+        // list is one short of the two tags that point at the entry.
+        MainMemory mem;
+        ApproxRegistry registry;
+        ApproxRegion r;
+        r.base = 0;
+        r.size = 4 * blockBytes;
+        r.type = ElemType::F32;
+        r.minValue = 0.0;
+        r.maxValue = 1.0;
+        r.name = "approx";
+        registry.add(r);
+        DoppConfig cfg = smallConfig();
+        cfg.dataWays = cfg.dataEntries; // a single data set
+        cfg.unified = true;
+        cfg.mapOverride = firstByteMap;
+        DoppelgangerCache cache(mem, cfg, &registry);
+        seedFirstByte(mem, 0, 7);
+        seedFirstByte(mem, blockBytes, 7);
+        const Addr preciseAddr = 64 * blockBytes;
+        seedFirstByte(mem, preciseAddr, 9);
+        cache.fetch(0, buf.data());
+        cache.fetch(blockBytes, buf.data());
+        cache.fetch(preciseAddr, buf.data());
+        ASSERT_TRUE(cache.checkInvariants(&why)) << why;
+        ASSERT_TRUE(cache.sameDataEntry(0, blockBytes));
+        ASSERT_FALSE(cache.mapOf(preciseAddr).has_value());
+
+        const i32 a = Probe::tagOf(cache, 0);
+        const i32 b = Probe::tagOf(cache, blockBytes);
+        const i32 p = Probe::tagOf(cache, preciseAddr);
+        const i32 entry = Probe::dataOf(cache, a);
+        const u64 slot = Probe::map(cache, p);
+        Probe::setMTag(cache, entry, slot);
+        Probe::map(cache, a) = slot;
+        Probe::map(cache, b) = slot;
+        Probe::head(cache, entry) = p;
+        EXPECT_FALSE(cache.checkInvariants(&why));
+        EXPECT_EQ(why, "list length disagrees with pointing tags");
+    }
+}
+
+TEST(DoppInvariants, StaleCachedDataSlotIsReported)
+{
+    // Lists, maps and MTags all agree, but one approximate tag's cached
+    // data slot names another entry: only the last pass sees it, and
+    // it is what every hit would have served.
+    using Probe = DoppelgangerCacheProbe;
+    MainMemory mem;
+    DoppConfig cfg = smallConfig();
+    cfg.mapOverride = firstByteMap;
+    DoppelgangerCache cache(mem, cfg, nullptr);
+    seedFirstByte(mem, 0x1000, 1);
+    seedFirstByte(mem, 0x2000, 2);
+    BlockData buf;
+    cache.fetch(0x1000, buf.data());
+    cache.fetch(0x2000, buf.data());
+    std::string why;
+    ASSERT_TRUE(cache.checkInvariants(&why)) << why;
+
+    const i32 a = Probe::tagOf(cache, 0x1000);
+    const i32 b = Probe::tagOf(cache, 0x2000);
+    Probe::slot(cache, a) = Probe::slot(cache, b);
+    EXPECT_FALSE(cache.checkInvariants(&why));
+    EXPECT_EQ(why, "tag's cached data slot disagrees with its map");
+
+    // The self-check relinks every tag from its map, which restores
+    // the slot without dropping anything.
+    EXPECT_TRUE(cache.selfCheckAndRepair());
+    EXPECT_TRUE(cache.checkInvariants(&why)) << why;
+    EXPECT_EQ(cache.tagCount(), 2u);
+    EXPECT_FALSE(cache.sameDataEntry(0x1000, 0x2000));
+}
+
 } // namespace dopp

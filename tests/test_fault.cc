@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "core/doppelganger_cache.hh"
@@ -296,6 +298,102 @@ TEST(BlockSubstitutionError, NormalizedToSpanAndCapped)
     EXPECT_LE(blockSubstitutionError(served.data(), exact.data(),
                                      ElemType::F32, 0.0),
               1.0);
+}
+
+namespace
+{
+
+/** The element-by-element substitution error through blockElement,
+ * kept as the model the typed kernel must match bit for bit. */
+double
+elementwiseSubstitutionError(const u8 *served, const u8 *exact,
+                             ElemType elem_type, double span)
+{
+    const unsigned n = elemsPerBlock(elem_type);
+    const double width = std::max(span, 1e-30);
+    double sum = 0.0;
+    for (unsigned i = 0; i < n; ++i) {
+        const double a = blockElement(served, elem_type, i);
+        const double p = blockElement(exact, elem_type, i);
+        double err = std::abs(a - p) / width;
+        if (!std::isfinite(err) || err > 1.0)
+            err = 1.0;
+        sum += err;
+    }
+    return sum / static_cast<double>(n);
+}
+
+/** Bit patterns at the edges of each element width: zeros, all-ones,
+ * sign boundaries and, read as IEEE floats, NaNs, infinities,
+ * denormals and the largest finite values. */
+std::vector<u64>
+edgePatterns(unsigned bytes)
+{
+    if (bytes == 8) {
+        return {0x0000000000000000ULL, 0x8000000000000000ULL,
+                0x7ff0000000000000ULL, 0xfff0000000000000ULL,
+                0x7ff8000000000000ULL, 0xfff8000000000001ULL,
+                0x7ff0000000000001ULL, 0x0000000000000001ULL,
+                0x800fffffffffffffULL, 0x7fefffffffffffffULL,
+                0xffefffffffffffffULL, 0x3ff0000000000000ULL,
+                0xbff0000000000000ULL, 0x7fffffffffffffffULL,
+                0xffffffffffffffffULL};
+    }
+    if (bytes == 4) {
+        return {0x00000000, 0x80000000, 0x7f800000, 0xff800000,
+                0x7fc00000, 0xffc00001, 0x7f800001, 0x00000001,
+                0x807fffff, 0x7f7fffff, 0xff7fffff, 0x3f800000,
+                0xbf800000, 0x7fffffff, 0xffffffff};
+    }
+    if (bytes == 2)
+        return {0x0000, 0x8000, 0x7fff, 0xffff, 0x0001};
+    return {0x00, 0x80, 0x7f, 0xff, 0x01};
+}
+
+} // namespace
+
+TEST(BlockSubstitutionError, TypedKernelMatchesElementwise)
+{
+    // Seeded random block pairs of every element type: raw random bits,
+    // edge patterns, and elements shared between the two blocks, over
+    // spans that include 0 and negatives (the 1e-30 floor), tiny,
+    // ordinary and huge ranges. Results must match bit for bit.
+    const ElemType types[] = {ElemType::U8, ElemType::I16, ElemType::I32,
+                              ElemType::F32, ElemType::F64};
+    const double spans[] = {0.0, -1.0, 1e-300, 1e-30, 1.0,
+                            255.0, 4000.0, 65535.0, 1e30};
+    Rng rng(0x5B57E);
+    u64 compared = 0;
+    for (const ElemType type : types) {
+        const unsigned size = elemSize(type);
+        const std::vector<u64> edges = edgePatterns(size);
+        auto element = [&]() -> u64 {
+            return rng.below(2) ? rng.next()
+                                : edges[rng.below(edges.size())];
+        };
+        for (unsigned trial = 0; trial < 20000; ++trial) {
+            BlockData served;
+            BlockData exact;
+            for (unsigned e = 0; e < elemsPerBlock(type); ++e) {
+                const u64 a = element();
+                const u64 p = rng.below(4) == 0 ? a : element();
+                std::memcpy(served.data() + e * size, &a, size);
+                std::memcpy(exact.data() + e * size, &p, size);
+            }
+            const double span = trial % 3 == 0
+                ? spans[rng.below(std::size(spans))]
+                : static_cast<double>(rng.below(1u << 20)) / 64.0;
+            const double want = elementwiseSubstitutionError(
+                served.data(), exact.data(), type, span);
+            const double got = blockSubstitutionError(
+                served.data(), exact.data(), type, span);
+            ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+                << elemTypeName(type) << " trial " << trial << ": "
+                << got << " vs model " << want;
+            ++compared;
+        }
+    }
+    EXPECT_EQ(compared, 100000u);
 }
 
 TEST(FaultStress, DoppelgangerSurvivesMetadataFaults)

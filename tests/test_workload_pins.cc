@@ -2,7 +2,10 @@
  * @file
  * Pins of the nine kernels' results: the FNV-1a digest of each run's
  * output bits and of its StatRegistry snapshot JSON, on the baseline
- * LLC and on split Doppelgänger, at scales 0.05 and 1.
+ * LLC and on split Doppelgänger, at scales 0.05 and 1. A second table
+ * pins the tiered, faulted stack (4 Sandy Bridge slices, tiered
+ * memory, LLC fault injection and the QoR guardrail) that exercises
+ * the fault and guardrail hooks on every access.
  *
  * Kernel host loops may be restructured for speed only if every
  * floating-point sum keeps its addend order and every simulated access
@@ -21,6 +24,7 @@
 #include <cstdlib>
 
 #include "harness/experiment.hh"
+#include "sim/mem_tier.hh"
 #include "util/hash.hh"
 #include "workloads/workload.hh"
 
@@ -132,6 +136,47 @@ outputDigest(const std::vector<double> &output)
                    output.size() * sizeof(double));
 }
 
+/**
+ * The tiered, faulted stack at scale 1: three kernels on split and
+ * unified Doppelgänger over 4 `sandybridge` slices, with tiered memory
+ * (`defaultMemTier(1e-5, 1e-4)`), LLC data/tag/MTag fault rates of
+ * 1e-4 and a guardrail of budget 0.002 and migrateFactor 1.5.
+ * Recorded before the fluidanimate neighbour kernel, the engine's
+ * cached data slot and the typed substitution-error kernel landed.
+ */
+constexpr Pin tieredPins[] = {
+    {1, "fluidanimate", "split-doppelganger",
+     0xd04e8b799673c89bULL, 0xe2b50b87b149f3e5ULL},
+    {1, "swaptions", "split-doppelganger",
+     0xb23e61b3ad6a59d4ULL, 0x9920c7f8d42b877aULL},
+    {1, "canneal", "split-doppelganger",
+     0x7a3cfee9b6b20d0eULL, 0x84305cced29c4f64ULL},
+    {1, "fluidanimate", "uniDoppelganger",
+     0xd04e8b799673c89bULL, 0xc310bc6a23661479ULL},
+    {1, "swaptions", "uniDoppelganger",
+     0xb23e61b3ad6a59d4ULL, 0x2aace6921e2f620dULL},
+    {1, "canneal", "uniDoppelganger",
+     0x05ec3688f54de771ULL, 0x2e474de8c58538eaULL},
+};
+
+RunConfig
+tieredRun(const char *org)
+{
+    RunConfig cfg;
+    cfg.llcName = org;
+    cfg.workload.scale = 1.0;
+    cfg.sliceCount = 4;
+    cfg.sliceHash = "sandybridge";
+    cfg.memTier = defaultMemTier(1e-5, 1e-4);
+    cfg.fault.seed = 1;
+    cfg.fault.dataRate = 1e-4;
+    cfg.fault.tagMetaRate = 1e-4;
+    cfg.fault.mtagMetaRate = 1e-4;
+    cfg.qor.budget = 0.002;
+    cfg.qor.migrateFactor = 1.5;
+    return cfg;
+}
+
 } // namespace
 
 TEST(WorkloadPins, OutputAndStatsArePinned)
@@ -176,6 +221,47 @@ TEST(WorkloadPins, OutputAndStatsArePinned)
         }
     }
     EXPECT_EQ(checked, std::size(pins));
+}
+
+TEST(WorkloadPins, TieredFaultedStackIsPinned)
+{
+    size_t checked = 0;
+    u64 detected = 0;
+    for (const char *org : {"split-doppelganger", "uniDoppelganger"}) {
+        for (const char *wl : {"fluidanimate", "swaptions", "canneal"}) {
+            const RunResult r = runWorkload(wl, tieredRun(org));
+            const u64 out = outputDigest(r.output);
+            const u64 stats = fnv1a64(r.stats.json());
+            detected += r.stats.counter("fault.detected");
+
+            const Pin *pin = nullptr;
+            for (const Pin &p : tieredPins) {
+                if (std::string(wl) == p.workload &&
+                    std::string(org) == p.organization)
+                    pin = &p;
+            }
+            char row[192];
+            std::snprintf(row, sizeof(row),
+                          "{1, \"%s\", \"%s\", 0x%016" PRIx64
+                          "ULL, 0x%016" PRIx64 "ULL},",
+                          wl, org, out, stats);
+            if (!pin) {
+                ADD_FAILURE() << "no pin; new row: " << row;
+                continue;
+            }
+            EXPECT_EQ(out, pin->outputDigest)
+                << wl << " on " << org << ": output moved; new row: "
+                << row;
+            EXPECT_EQ(stats, pin->statsDigest)
+                << wl << " on " << org << ": snapshot moved; new row: "
+                << row;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size(tieredPins));
+    // Metadata faults must be caught and repaired somewhere in the
+    // table, so the pins cover the self-check and repair paths too.
+    EXPECT_GT(detected, 0u);
 }
 
 } // namespace dopp
