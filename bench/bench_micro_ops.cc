@@ -4,8 +4,9 @@
  * throughput for each element type, Doppelgänger hit/miss/writeback
  * paths against the conventional cache's, B∆I compression and
  * decompression, the compressed LLCs' fetch-miss paths and the G-DISH
- * dictionary, the guardrail's substitution-error kernel, and the full
- * 4-core hierarchy access path.
+ * dictionary, the guardrail's substitution-error kernel, the full
+ * 4-core hierarchy access path, and a SimArray row read as one block
+ * run against the per-element loop.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "fault/qor_guardrail.hh"
 #include "sim/hierarchy.hh"
 #include "util/random.hh"
+#include "workloads/runtime.hh"
 
 using namespace dopp;
 
@@ -292,6 +294,56 @@ BM_HierarchyAccess(benchmark::State &state)
     state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 
+/** One core reading one L1-resident 32-float row, the shape of a
+ * ferret candidate row. Items are elements, so the two benchmarks
+ * below compare per-element cost directly. */
+struct RowRig
+{
+    RowRig()
+        : llc(mem, 2 * 1024 * 1024, 16, 6, &reg), sys(hc, llc, mem),
+          rt(sys, mem, reg), row(rt, rowElems, "row")
+    {
+        float warm[rowElems];
+        row.getRun(0, rowElems, warm);
+    }
+
+    static constexpr u64 rowElems = 32;
+    MainMemory mem;
+    ApproxRegistry reg;
+    ConventionalLlc llc;
+    HierarchyConfig hc;
+    MemorySystem sys;
+    SimRuntime rt;
+    SimArray<float> row;
+};
+
+void
+BM_SimArrayGetRun(benchmark::State &state)
+{
+    RowRig rig;
+    float buf[RowRig::rowElems];
+    for (auto _ : state) {
+        rig.row.getRun(0, RowRig::rowElems, buf);
+        benchmark::DoNotOptimize(buf);
+    }
+    state.SetItemsProcessed(
+        static_cast<i64>(state.iterations() * RowRig::rowElems));
+}
+
+void
+BM_SimArrayGetLoop(benchmark::State &state)
+{
+    RowRig rig;
+    float buf[RowRig::rowElems];
+    for (auto _ : state) {
+        for (u64 j = 0; j < RowRig::rowElems; ++j)
+            buf[j] = rig.row.get(j);
+        benchmark::DoNotOptimize(buf);
+    }
+    state.SetItemsProcessed(
+        static_cast<i64>(state.iterations() * RowRig::rowElems));
+}
+
 BENCHMARK(BM_MapGeneration)
     ->Arg(static_cast<int>(ElemType::U8))
     ->Arg(static_cast<int>(ElemType::I32))
@@ -317,6 +369,8 @@ BENCHMARK(BM_BdiLlcFetchMiss);
 BENCHMARK(BM_GdishLlcFetchMiss);
 BENCHMARK(BM_ConventionalFetchHit);
 BENCHMARK(BM_HierarchyAccess);
+BENCHMARK(BM_SimArrayGetRun);
+BENCHMARK(BM_SimArrayGetLoop);
 
 } // namespace
 

@@ -17,6 +17,7 @@
 #include "energy/energy_model.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "util/env.hh"
 
 using namespace dopp;
 
@@ -24,7 +25,8 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "jpeg";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
+    const double scale =
+        argc > 2 ? parsePositiveDouble("scale", argv[2]) : 0.5;
 
     RunConfig base;
     base.workload.scale = scale;

@@ -19,6 +19,7 @@
 #include "energy/energy_model.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "util/env.hh"
 
 using namespace dopp;
 
@@ -79,7 +80,8 @@ runFamily(const char *workload, double scale)
 int
 main(int argc, char **argv)
 {
-    const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+    const double scale =
+        argc > 1 ? parsePositiveDouble("scale", argv[1]) : 1.0;
     runFamily("blackscholes", scale);
     runFamily("swaptions", scale);
     std::printf("\nNote how blackscholes tolerates approximation (and "

@@ -17,28 +17,35 @@
 
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "util/env.hh"
 
 using namespace dopp;
 
 int
 main(int argc, char **argv)
 {
-    const unsigned mapBits =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 14;
-    const double fraction = argc > 2 ? std::atof(argv[2]) : 0.25;
+    const unsigned mapBits = argc > 1
+        ? static_cast<unsigned>(parseU64("map_bits", argv[1], 1, 30))
+        : 14;
+    const double fraction =
+        argc > 2 ? parsePositiveDouble("data_fraction", argv[2]) : 0.25;
 
-    std::printf("JPEG pipeline on the baseline 2 MB LLC...\n");
     RunConfig base;
     base.workload.scale = 1.0;
+    RunConfig cfg = base;
+    cfg.llcName = "split-doppelganger";
+    cfg.mapBits = mapBits;
+    cfg.dataFraction = fraction;
+    // A layout the engine cannot build is fatal here, before the
+    // baseline run.
+    resolvedSliceConfig(cfg);
+
+    std::printf("JPEG pipeline on the baseline 2 MB LLC...\n");
     const RunResult precise = runWorkload("jpeg", base);
 
     std::printf("JPEG pipeline on the split Doppelgänger LLC "
                 "(M=%u, %g data array)...\n",
                 mapBits, fraction);
-    RunConfig cfg = base;
-    cfg.llcName = "split-doppelganger";
-    cfg.mapBits = mapBits;
-    cfg.dataFraction = fraction;
 
     // Snapshot the approximate contents midway to measure sharing.
     double bestSharing = 0.0;

@@ -19,6 +19,7 @@
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "sim/trace.hh"
+#include "util/env.hh"
 
 using namespace dopp;
 
@@ -45,7 +46,8 @@ main(int argc, char **argv)
 {
     const std::string a = argc > 1 ? argv[1] : "kmeans";
     const std::string b = argc > 2 ? argv[2] : "canneal";
-    const double scale = argc > 3 ? std::atof(argv[3]) : 0.5;
+    const double scale =
+        argc > 3 ? parsePositiveDouble("scale", argv[3]) : 0.5;
 
     const std::string ta = record(a, scale, "/tmp/dopp-mp-a.dopptrc");
     const std::string tb = record(b, scale, "/tmp/dopp-mp-b.dopptrc");

@@ -24,6 +24,8 @@
 
 #include "analysis/similarity.hh"
 #include "harness/report.hh"
+#include "util/env.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 
 using namespace dopp;
@@ -44,7 +46,7 @@ parseType(const std::string &s)
         return ElemType::F32;
     if (s == "f64")
         return ElemType::F64;
-    std::fprintf(stderr, "unknown type '%s', using u8\n", s.c_str());
+    fatal("type='%s' is not one of u8, i16, i32, f32, f64", s.c_str());
     return ElemType::U8;
 }
 
@@ -88,8 +90,10 @@ main(int argc, char **argv)
         if (argc > 2)
             type = parseType(argv[2]);
         if (argc > 4) {
-            lo = std::atof(argv[3]);
-            hi = std::atof(argv[4]);
+            lo = parseDouble("min", argv[3]);
+            hi = parseDouble("max", argv[4]);
+            if (!(lo < hi))
+                fatal("min=%g must be below max=%g", lo, hi);
         }
         std::printf("analysing %s: %zu bytes as %s in [%g, %g]\n",
                     argv[1], bytes.size(), elemTypeName(type), lo, hi);

@@ -18,6 +18,7 @@
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "sim/trace.hh"
+#include "util/env.hh"
 
 using namespace dopp;
 
@@ -25,7 +26,8 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "canneal";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
+    const double scale =
+        argc > 2 ? parsePositiveDouble("scale", argv[2]) : 0.5;
     const std::string path =
         argc > 3 ? argv[3] : "/tmp/doppelganger-example.dopptrc";
 

@@ -147,7 +147,9 @@ echo "ci: bench_perf smoke + schema check passed"
 # slot, DESIGN.md §14.2), BlockSubstitutionError holds the guardrail's
 # typed error kernel to the element-wise model, and WorkloadPins pins
 # the kernels' outputs, the tiered faulted stack included (§19).
-DIFF_SUITES='HotpathDiff|TagPool|NewOrgs|RefEngineEndToEnd|HierarchyDiff|MemArena|GdishDictModel|CompressedOrgPins|Bdi|DoppInvariants|BlockSubstitutionError|WorkloadPins'
+# BlockRun holds block-run accesses (SimArray::getRun/setRun) to the
+# per-element loop on every stack, hooks and abort included (§19).
+DIFF_SUITES='HotpathDiff|TagPool|NewOrgs|RefEngineEndToEnd|HierarchyDiff|MemArena|GdishDictModel|CompressedOrgPins|Bdi|DoppInvariants|BlockSubstitutionError|WorkloadPins|BlockRun'
 DOPP_JOBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -j "$(nproc)" -R "$DIFF_SUITES"
 DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 
@@ -65,6 +67,12 @@ llcLayoutError(const SliceConfig &s, const RunConfig &cfg)
                "(mapBits=" + std::to_string(cfg.mapBits) +
                ", slices=" + count + ")";
     }
+    // The map kernels take 1..30 bits (a per-slice map space keeps
+    // at least one, checked above).
+    if (cfg.mapBits < 1 || cfg.mapBits > 30) {
+        return "mapBits " + std::to_string(cfg.mapBits) +
+               " is outside [1, 30]";
+    }
     if (cfg.llcWays == 0)
         return "llcWays must be non-zero";
     // Every organization sizes its sets from the per-slice capacity;
@@ -77,6 +85,24 @@ llcLayoutError(const SliceConfig &s, const RunConfig &cfg)
                "whole " + std::to_string(cfg.llcWays) +
                "-way sets (baselineBytes / slices must be a non-zero "
                "multiple of " + std::to_string(halfSetBytes) + ")";
+    }
+    // Data arrays hold tagEntries * dataFraction entries: the split
+    // half's array, the smallest, needs one whole set, and the unified
+    // one, the largest, must count its entries in a u32.
+    const double halfTags = static_cast<double>(sliceBytes / 2 / blockBytes);
+    if (!std::isfinite(cfg.dataFraction) ||
+        std::floor(halfTags * cfg.dataFraction) <
+            static_cast<double>(cfg.llcWays) ||
+        2 * halfTags * cfg.dataFraction >
+            static_cast<double>(std::numeric_limits<u32>::max())) {
+        char fraction[32];
+        std::snprintf(fraction, sizeof(fraction), "%g", cfg.dataFraction);
+        return "dataFraction " + std::string(fraction) +
+               " does not leave a data array of whole " +
+               std::to_string(cfg.llcWays) + "-way sets with at most "
+               "2^32 - 1 entries (" +
+               std::to_string(static_cast<u64>(halfTags)) +
+               " tags per split half)";
     }
     return "";
 }

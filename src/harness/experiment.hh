@@ -296,10 +296,13 @@ struct SliceConfig
 /**
  * Check @p cfg's LLC layout under the slice layout @p s. Slice knobs:
  * power-of-two count, hash policy range, capacity and map-bits
- * divisibility. Geometry: non-zero llcWays, and each slice's capacity
- * splits into two halves of whole, non-zero numbers of sets (the split
- * organization's precise and Doppelgänger halves). Non-fatal, so the
- * campaign codec can reject a bad batch line instead of dying on it.
+ * divisibility. Geometry: mapBits in [1, 30], non-zero llcWays, each
+ * slice's capacity splits into two halves of whole, non-zero numbers
+ * of sets (the split organization's precise and Doppelgänger halves),
+ * and a finite dataFraction that gives the split half's data array at
+ * least one whole set (and no array more than 2^32 - 1 entries).
+ * Non-fatal, so the campaign codec can reject a bad batch line
+ * instead of dying on it.
  * @return the error text, or an empty string when the layout is valid.
  */
 std::string llcLayoutError(const SliceConfig &s, const RunConfig &cfg);

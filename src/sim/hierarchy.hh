@@ -231,6 +231,76 @@ class MemorySystem
     }
 
     /**
+     * Perform @p count back-to-back accesses of @p size bytes each, at
+     * @p addr, @p addr + size, ..., all in one block, all loads or all
+     * stores; @p data holds their @p count * @p size bytes in order.
+     *
+     * The first access is exactly access()'s: its miss, fill or
+     * upgrade is unchanged. The other count - 1 are the L1 hits that
+     * access() would find, since nothing runs between them: the line
+     * is resident (and owned, for stores) once the first completes.
+     * So the counters rise as count calls would leave them, the line's
+     * LRU stamp is the one count touches leave (one probe for all of
+     * them), and the bytes move in one copy (DESIGN.md §18.2).
+     *
+     * @return the first access's latency; each of the others takes
+     * l1Latency().
+     */
+    Tick
+    accessRun(CoreId core, Addr addr, bool is_write, unsigned size,
+              unsigned count, void *data)
+    {
+        DOPP_ASSERT(core < cfg.numCores);
+        DOPP_ASSERT(size > 0 && count > 0);
+        DOPP_ASSERT(blockAlign(addr) ==
+                    blockAlign(addr + size * count - 1));
+
+        ctr.accesses += count;
+        (is_write ? ctr.stores : ctr.loads) += count;
+
+        const Addr baddr = blockAlign(addr);
+        const unsigned off = blockOffset(addr);
+        u8 *bytes = static_cast<u8 *>(data);
+        PrivateCache &c1 = l1[core];
+        // An L1 hit takes all count touches here: an upgrade below
+        // touches no line of this core's L1.
+        Slot s = c1.lookup(baddr, count);
+        if (s >= 0) {
+            ctr.l1Hits += count;
+            if (!is_write) {
+                std::memcpy(bytes, c1.data(s) + off, size * count);
+                return cfg.l1Latency;
+            }
+            if (c1.owned(s)) {
+                std::memcpy(c1.data(s) + off, bytes, size * count);
+                c1.setDirty(s, true);
+                return cfg.l1Latency;
+            }
+        } else {
+            ctr.l1Hits += count - 1;
+        }
+        const Tick lat =
+            accessSlow(core, baddr, off, is_write, size, bytes, s);
+        if (count > 1) {
+            // A miss filled the line with one insert stamp; the hits
+            // after it touch it count - 1 times.
+            if (s < 0)
+                s = c1.lookup(baddr, count - 1);
+            DOPP_ASSERT(s >= 0 && (!is_write || c1.owned(s)));
+            const unsigned rest = size * (count - 1);
+            if (is_write)
+                std::memcpy(c1.data(s) + off + size, bytes + size, rest);
+            else
+                std::memcpy(bytes + size, c1.data(s) + off + size, rest);
+        }
+        return lat;
+    }
+
+    /** Latency of an L1 hit, the cost of every access of a run but
+     * the first (accessRun). */
+    Tick l1Latency() const { return cfg.l1Latency; }
+
+    /**
      * Write back every dirty private and LLC block to memory and
      * invalidate all levels. Used before reading workload outputs and
      * between experiment phases. Doppelgänger writeback semantics apply

@@ -70,6 +70,19 @@ class PrivateCache
         return slotOf(set, static_cast<u32>(way));
     }
 
+    /** lookup() for @p uses back-to-back accesses to @p addr: one
+     * probe, and on a hit the LRU stamp @p uses touches leave. */
+    Slot
+    lookup(Addr addr, u64 uses)
+    {
+        const u32 set = slicer.set(addr);
+        const int way = dir.findWay(set, addr);
+        if (way < 0)
+            return noSlot;
+        dir.touch(set, static_cast<u32>(way), uses);
+        return slotOf(set, static_cast<u32>(way));
+    }
+
     /**
      * Allocate a line for @p addr, evicting a victim if needed. If a
      * valid victim is displaced, @p on_evict(victim_addr, slot) runs

@@ -220,6 +220,16 @@ class SetAssocDir
             stamps[static_cast<size_t>(set) * numWays + way] = ++clock;
     }
 
+    /** Record @p uses back-to-back uses of (@p set, @p way): the stamp
+     * and clock that @p uses touch() calls leave. LRU only. */
+    void
+    touch(u32 set, u32 way, u64 uses)
+    {
+        if (policy == ReplPolicy::LRU)
+            stamps[static_cast<size_t>(set) * numWays + way] =
+                clock += uses;
+    }
+
     /** Record an insertion at (@p set, @p way); updates all policies. */
     void
     touchInsert(u32 set, u32 way)

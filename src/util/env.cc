@@ -34,20 +34,45 @@ envU64(const char *name, u64 fallback, u64 hi)
     return v ? parseU64(name, v, 1, hi) : fallback;
 }
 
+namespace
+{
+
+/** strtod of all of @p text into @p out; false on anything else. */
+bool
+wholeFiniteDouble(const char *text, double &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    out = std::strtod(text, &end);
+    return end != text && *end == '\0' && errno != ERANGE &&
+        std::isfinite(out);
+}
+
+} // namespace
+
+double
+parseDouble(const char *name, const char *text)
+{
+    double v = 0.0;
+    if (!wholeFiniteDouble(text, v))
+        fatal("%s='%s' is not a finite number", name, text);
+    return v;
+}
+
+double
+parsePositiveDouble(const char *name, const char *text)
+{
+    double v = 0.0;
+    if (!wholeFiniteDouble(text, v) || v <= 0.0)
+        fatal("%s='%s' is not a positive number", name, text);
+    return v;
+}
+
 double
 envDouble(const char *name, double fallback)
 {
     const char *v = std::getenv(name);
-    if (!v)
-        return fallback;
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(parsed) || parsed <= 0.0) {
-        fatal("%s='%s' is not a positive number", name, v);
-    }
-    return parsed;
+    return v ? parsePositiveDouble(name, v) : fallback;
 }
 
 bool

@@ -27,14 +27,22 @@ namespace dopp
  */
 u64 parseU64(const char *name, const char *text, u64 lo, u64 hi);
 
+/**
+ * Parse knob @p name's value @p text as a whole finite number (strtod
+ * syntax); anything else (empty, junk, trailing text, inf, nan, out
+ * of range) is fatal, naming both.
+ */
+double parseDouble(const char *name, const char *text);
+
+/** parseDouble that must also be > 0, else fatal naming both. */
+double parsePositiveDouble(const char *name, const char *text);
+
 /** Read @p name as parseU64(name, value, 1, @p hi). Unset: @p fallback. */
 u64 envU64(const char *name, u64 fallback,
            u64 hi = std::numeric_limits<u64>::max());
 
-/**
- * Read @p name as a positive double. Unset: @p fallback. Set but not
- * a finite number > 0: fatal, naming the variable and the bad value.
- */
+/** Read @p name as parsePositiveDouble(name, value). Unset:
+ * @p fallback. */
 double envDouble(const char *name, double fallback);
 
 /**

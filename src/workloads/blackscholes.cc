@@ -121,11 +121,13 @@ class Blackscholes : public Workload
 
         // Phase 1: price every option.
         rt.parallelFor(0, n, 64, [&](u64 i) {
-            const double s = opt.get(i * 8 + fSpot);
-            const double k = opt.get(i * 8 + fStrike);
-            const double r = opt.get(i * 8 + fRate);
-            const double v = opt.get(i * 8 + fVol);
-            const double t = opt.get(i * 8 + fTime);
+            float f[fTime + 1];
+            opt.getRun(i * 8 + fSpot, fTime + 1, f);
+            const double s = f[fSpot];
+            const double k = f[fStrike];
+            const double r = f[fRate];
+            const double v = f[fVol];
+            const double t = f[fTime];
             const bool call = otype.get(i) != 0;
             const double p =
                 bsPrice(std::max(s, 1e-3), std::max(k, 1e-3),

@@ -68,12 +68,16 @@ class Ferret : public Workload
         };
         for (u64 i = 0; i < dbSize; ++i) {
             const auto &t = topic[rng.below(topics)];
+            float row[featDim];
             for (unsigned d = 0; d < featDim; ++d) {
                 const double v = t[d] + rng.gaussian(0.0, 0.02);
-                db.poke(i * featDim + d, static_cast<float>(quant(v)));
+                row[d] = static_cast<float>(quant(v));
             }
-            for (unsigned m = 0; m < 40; ++m)
-                meta.poke(i * 40 + m, static_cast<i32>(rng.below(1000)));
+            db.pokeRun(i * featDim, featDim, row);
+            i32 record[40];
+            for (i32 &m : record)
+                m = static_cast<i32>(rng.below(1000));
+            meta.pokeRun(i * 40, 40, record);
         }
         // Queries are perturbed database entries, so each has
         // meaningful near neighbors.
@@ -92,9 +96,8 @@ class Ferret : public Workload
         out.clear();
         out.reserve(queries * topK);
         rt.parallelFor(0, queries, 4, [&](u64 q) {
-            double feat[featDim];
-            for (unsigned d = 0; d < featDim; ++d)
-                feat[d] = qf.get(q * featDim + d);
+            float feat[featDim];
+            qf.getRun(q * featDim, featDim, feat);
 
             // Deterministic candidate set: a strided probe of the
             // database that always includes the query's origin.
@@ -104,10 +107,12 @@ class Ferret : public Workload
                 const u64 cand = j == 0
                     ? queryOrigin[q]
                     : (q * 7919 + j * 104729) % dbSize;
+                float row[featDim];
+                db.getRun(cand * featDim, featDim, row);
                 double dist = 0.0;
                 for (unsigned d = 0; d < featDim; ++d) {
-                    const double diff =
-                        feat[d] - db.get(cand * featDim + d);
+                    const double diff = static_cast<double>(feat[d]) -
+                        static_cast<double>(row[d]);
                     dist += diff * diff;
                 }
                 // Touch the candidate's precise metadata record.

@@ -199,9 +199,8 @@ class Jmeint : public Workload
         auto classify = [&](u64 i) {
             Vec3 t1[3];
             Vec3 t2[3];
-            double v[18];
-            for (unsigned j = 0; j < 18; ++j)
-                v[j] = coords.get(i * 18 + j);
+            float v[18];
+            coords.getRun(i * 18, 18, v);
             for (int k = 0; k < 3; ++k) {
                 t1[k] = {v[k * 3], v[k * 3 + 1], v[k * 3 + 2]};
                 t2[k] = {v[9 + k * 3], v[9 + k * 3 + 1],

@@ -135,23 +135,26 @@ class Jpeg : public Workload
             const u64 bx = (bi % blocksX) * 8;
             const u64 by = (bi / blocksX) * 8;
             double px[8][8];
-            for (int y = 0; y < 8; ++y)
+            for (int y = 0; y < 8; ++y) {
+                u8 row[8];
+                image.getRun((by + y) * w + bx, 8, row);
                 for (int x = 0; x < 8; ++x)
-                    px[y][x] = static_cast<double>(
-                        image.get((by + y) * w + bx + x)) - 128.0;
+                    px[y][x] = static_cast<double>(row[x]) - 128.0;
+            }
             for (int v = 0; v < 8; ++v) {
                 double s[8] = {};
                 for (int y = 0; y < 8; ++y)
                     for (int x = 0; x < 8; ++x)
                         for (int u = 0; u < 8; ++u)
                             s[u] += px[y][x] * dct.t[x][u] * dct.c[v][y];
+                i16 row[8];
                 for (int u = 0; u < 8; ++u) {
                     const int q = quantTable[v * 8 + u];
                     const double c = std::round(s[u] / q);
-                    coeff.set((by + v) * w + bx + u,
-                              static_cast<i16>(
-                                  std::clamp(c, -1024.0, 1023.0)));
+                    row[u] = static_cast<i16>(
+                        std::clamp(c, -1024.0, 1023.0));
                 }
+                coeff.setRun((by + v) * w + bx, 8, row);
             }
             rt.addWork(700); // 2-D DCT arithmetic
         });
@@ -161,21 +164,25 @@ class Jpeg : public Workload
             const u64 bx = (bi % blocksX) * 8;
             const u64 by = (bi / blocksX) * 8;
             double cf[8][8];
-            for (int v = 0; v < 8; ++v)
+            for (int v = 0; v < 8; ++v) {
+                i16 row[8];
+                coeff.getRun((by + v) * w + bx, 8, row);
                 for (int u = 0; u < 8; ++u)
-                    cf[v][u] = static_cast<double>(coeff.get(
-                        (by + v) * w + bx + u)) * quantTable[v * 8 + u];
+                    cf[v][u] = static_cast<double>(row[u]) *
+                        quantTable[v * 8 + u];
+            }
             for (int y = 0; y < 8; ++y) {
                 double s[8] = {};
                 for (int v = 0; v < 8; ++v)
                     for (int u = 0; u < 8; ++u)
                         for (int x = 0; x < 8; ++x)
                             s[x] += cf[v][u] * dct.c[u][x] * dct.c[v][y];
+                u8 row[8];
                 for (int x = 0; x < 8; ++x) {
-                    decoded.set((by + y) * w + bx + x,
-                                static_cast<u8>(std::clamp(
-                                    s[x] + 128.0, 0.0, 255.0)));
+                    row[x] = static_cast<u8>(
+                        std::clamp(s[x] + 128.0, 0.0, 255.0));
                 }
+                decoded.setRun((by + y) * w + bx, 8, row);
             }
             rt.addWork(700);
         });

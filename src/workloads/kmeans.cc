@@ -82,9 +82,11 @@ class Kmeans : public Workload
             u64 cnt[k] = {};
             cost = 0.0;
             rt.parallelFor(0, n, 128, [&](u64 i) {
-                double p[3];
-                for (unsigned ch = 0; ch < 3; ++ch)
-                    p[ch] = pixels.get(i * 3 + ch);
+                u8 rgb[3];
+                pixels.getRun(i * 3, 3, rgb);
+                const double p[3] = {static_cast<double>(rgb[0]),
+                                     static_cast<double>(rgb[1]),
+                                     static_cast<double>(rgb[2])};
                 unsigned best = 0;
                 double bestD = 1e30;
                 for (unsigned c = 0; c < k; ++c) {

@@ -10,6 +10,15 @@
  * approximations, so application output error is measured end-to-end,
  * exactly like the paper's full-application Pin runs.
  *
+ * Block runs: a loop of consecutive same-array loads or stores with no
+ * other access between them is one SimArray::getRun/setRun. The
+ * runtime cuts it at block boundaries (and where the abort poll or the
+ * periodic hook is due) and sends each piece through
+ * MemorySystem::accessRun: the first access of a piece takes the
+ * normal path, the rest are the L1 hits they must be, for one L1 probe
+ * per block. Every access keeps its place, its cycles, its counters
+ * and its accessHook call (DESIGN.md §19).
+ *
  * Parallelism: the paper runs 4-thread PARSEC/AxBench benchmarks on a
  * 4-core CMP. We execute deterministically, attributing loop chunks to
  * cores round-robin (parallelFor), which preserves 4-core cache
@@ -20,6 +29,7 @@
 #ifndef DOPP_WORKLOADS_RUNTIME_HH
 #define DOPP_WORKLOADS_RUNTIME_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <functional>
@@ -162,6 +172,29 @@ class SimRuntime
         tickHook();
     }
 
+    /**
+     * Simulated loads of @p count consecutive T elements from @p addr
+     * into @p out, in ascending order: the same accesses, cycles,
+     * counters, hooks and values as @p count load() calls, with one L1
+     * probe per block instead of one per element (DESIGN.md §19).
+     */
+    template <typename T>
+    void
+    loadRun(Addr addr, u64 count, T *out)
+    {
+        accessRuns(addr, count, false, out);
+    }
+
+    /** Simulated stores of @p count consecutive T elements from @p in,
+     * as @p count store() calls would make them (see loadRun). */
+    template <typename T>
+    void
+    storeRun(Addr addr, u64 count, const T *in)
+    {
+        // A store run only reads its buffer.
+        accessRuns(addr, count, true, const_cast<T *>(in));
+    }
+
     /** Charge @p n compute cycles to the current core (non-memory
      * instructions of the kernel). */
     void
@@ -204,6 +237,14 @@ class SimRuntime
         return worst;
     }
 
+    /** Cycles charged to @p core so far. */
+    Tick
+    coreCycles(CoreId core) const
+    {
+        DOPP_ASSERT(core < cycles.size());
+        return cycles[core];
+    }
+
     /** Sum of all cores' cycles (for averages). */
     Tick
     totalCycles() const
@@ -228,7 +269,9 @@ class SimRuntime
     /**
      * Optional per-access recorder (addr, is_write, size, payload),
      * invoked after every simulated load/store — the hook behind trace
-     * capture (sim/trace.hh). Payload carries a store's raw bits.
+     * capture (sim/trace.hh). Payload carries a store's raw bits. A
+     * block run calls it per element, in order, once the run's block
+     * access is done, so it must record, not read the hierarchy.
      */
     std::function<void(Addr, bool, unsigned, u64)> accessHook;
 
@@ -297,10 +340,56 @@ class SimRuntime
             static_cast<double>(lat - privateLat) * memStallFactor);
     }
 
+    /**
+     * loadRun/storeRun: cut [@p addr, + @p count elements) into runs,
+     * each inside one block and ending no later than the next access
+     * at which the abort flag is polled or the periodic hook fires (so
+     * both see the count and state per-element accesses leave), and
+     * send each through MemorySystem::accessRun. The first access of a
+     * run is charged its latency, the rest an L1 hit each.
+     */
+    template <typename T>
     void
-    tickHook()
+    accessRuns(Addr addr, u64 count, bool is_write, T *data)
     {
-        ++accessCount;
+        DOPP_ASSERT(addr % sizeof(T) == 0);
+        while (count > 0) {
+            u64 n = (blockBytes - blockOffset(addr)) / sizeof(T);
+            n = std::min(n, count);
+            if (abortFlag)
+                n = std::min(n, abortPollMask + 1 -
+                                    (accessCount & abortPollMask));
+            if (periodicHook && hookPeriod)
+                n = std::min(n, hookPeriod - accessCount % hookPeriod);
+            const unsigned k = static_cast<unsigned>(n);
+
+            const Tick lat = sys.accessRun(currentCore, addr, is_write,
+                                           sizeof(T), k, data);
+            cycles[currentCore] += charge(lat) + workPerAccess +
+                (k - 1) * (charge(sys.l1Latency()) + workPerAccess);
+            if (accessHook) {
+                for (unsigned j = 0; j < k; ++j) {
+                    u64 payload = 0;
+                    if (is_write)
+                        std::memcpy(&payload, &data[j], sizeof(T));
+                    accessHook(addr + j * sizeof(T), is_write, sizeof(T),
+                               payload);
+                }
+            }
+            tickHook(k);
+            addr += k * sizeof(T);
+            data += k;
+            count -= k;
+        }
+    }
+
+    /** Count @p n accesses; the abort poll and the periodic hook run
+     * when the last of them reaches their interval (accessRuns never
+     * lets a run step over one). */
+    void
+    tickHook(u64 n = 1)
+    {
+        accessCount += n;
         if (abortFlag && (accessCount & abortPollMask) == 0 &&
             abortFlag->load(std::memory_order_relaxed)) {
             throw RunAborted("run aborted");
@@ -360,12 +449,39 @@ class SimArray
         rt->store<T>(base + i * sizeof(T), v);
     }
 
+    /** Simulated reads of elements [@p i, @p i + @p count) into
+     * @p out: count get() calls, one L1 probe per block. */
+    void
+    getRun(u64 i, u64 count, T *out) const
+    {
+        DOPP_ASSERT(i <= n && count <= n - i);
+        rt->loadRun<T>(base + i * sizeof(T), count, out);
+    }
+
+    /** Simulated writes of @p in to elements [@p i, @p i + @p count):
+     * count set() calls, one L1 probe per block. */
+    void
+    setRun(u64 i, u64 count, const T *in)
+    {
+        DOPP_ASSERT(i <= n && count <= n - i);
+        rt->storeRun<T>(base + i * sizeof(T), count, in);
+    }
+
     /** Traffic-free initialization write. */
     void
     poke(u64 i, T v)
     {
         DOPP_ASSERT(i < n);
         rt->memory().poke(base + i * sizeof(T), &v, sizeof(T));
+    }
+
+    /** Traffic-free initialization of elements [@p i, @p i + @p count)
+     * from @p in. */
+    void
+    pokeRun(u64 i, u64 count, const T *in)
+    {
+        DOPP_ASSERT(i <= n && count <= n - i);
+        rt->memory().poke(base + i * sizeof(T), in, count * sizeof(T));
     }
 
     /** Traffic-free read of backing memory (drain the hierarchy before

@@ -189,12 +189,14 @@ class Swaptions : public Workload
             const u64 slot = (ringCursor * pathSteps) % ringSize;
             ringCursor++;
             double r = r0;
+            float path[pathSteps];
             for (unsigned t = 0; t < pathSteps; ++t) {
                 r += speed * (level + 0.2 * drift - r) * dt +
                     vol * std::sqrt(dt) * rng.gaussian() * 0.1;
                 r = std::max(r, 1e-5);
-                paths.set(slot + t, static_cast<float>(r));
+                path[t] = static_cast<float>(r);
             }
+            paths.setRun(slot, pathSteps, path);
             // Re-read the path to discount and price the swap.
             double discount = 1.0;
             double lastR = r0;

@@ -389,6 +389,27 @@ TEST(DoppdDeathTest, EmptyNegativeAndOverRangeValuesAreFatal)
                 "integer");
 }
 
+TEST(ExampleArgsDeathTest, ImagePipelineRejectsBadArgumentsBeforeAnyRun)
+{
+    // "abc" used to become mapBits 0, and the run panicked on the map
+    // kernels' assert after a full baseline jpeg run. Each of these
+    // now exits before any run.
+    EXPECT_EXIT(execl(IMAGE_PIPELINE_PATH, "image_pipeline", "abc",
+                      static_cast<char *>(nullptr)),
+                ::testing::ExitedWithCode(1),
+                "map_bits='abc' is not a positive integer in \\[1, 30\\]");
+    EXPECT_EXIT(execl(IMAGE_PIPELINE_PATH, "image_pipeline", "31",
+                      static_cast<char *>(nullptr)),
+                ::testing::ExitedWithCode(1), "map_bits='31'");
+    EXPECT_EXIT(execl(IMAGE_PIPELINE_PATH, "image_pipeline", "14", "0.25x",
+                      static_cast<char *>(nullptr)),
+                ::testing::ExitedWithCode(1),
+                "data_fraction='0.25x' is not a positive number");
+    EXPECT_EXIT(execl(IMAGE_PIPELINE_PATH, "image_pipeline", "14", "1e-9",
+                      static_cast<char *>(nullptr)),
+                ::testing::ExitedWithCode(1), "dataFraction 1e-09");
+}
+
 TEST(DoppdDeathTest, HeartbeatPastHalfTheLeaseIsFatal)
 {
     // heartbeat * 2 wrapped to 0 and slipped past the lease check.

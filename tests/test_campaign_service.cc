@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -247,8 +248,9 @@ TEST(CampaignCodec, RejectsMalformedLines)
     }
 
     // LLC geometries an organization's constructor would die on
-    // (SIGFPE on zero ways, a fatal on zero sets), and a value too
-    // wide for its field: rejected with a reason too.
+    // (SIGFPE on zero ways, a fatal on zero sets, the map kernels'
+    // width assert, an empty data array), and a value too wide for
+    // its field: rejected with a reason too.
     const struct
     {
         std::string from, to, reason;
@@ -257,6 +259,13 @@ TEST(CampaignCodec, RejectsMalformedLines)
         {"\"baselineBytes\":2097152", "\"baselineBytes\":1000",
          "sets"},
         {"\"llcWays\":16", "\"llcWays\":4294967312", "llcWays"},
+        {"\"mapBits\":14", "\"mapBits\":0", "mapBits"},
+        {"\"mapBits\":14", "\"mapBits\":31", "mapBits"},
+        {"\"dataFraction\":0.25", "\"dataFraction\":0", "dataFraction"},
+        {"\"dataFraction\":0.25", "\"dataFraction\":0.0005",
+         "dataFraction"},
+        {"\"dataFraction\":0.25", "\"dataFraction\":-0.25",
+         "dataFraction"},
     };
     for (const auto &bad : badGeometries) {
         std::string line = good;
@@ -268,6 +277,46 @@ TEST(CampaignCodec, RejectsMalformedLines)
             << bad.to;
         EXPECT_NE(why.find(bad.reason), std::string::npos) << why;
     }
+}
+
+TEST(CampaignCodec, LayoutErrorNamesMapBitsAndDataFraction)
+{
+    // Each of these used to pass: split-doppelganger then died on the
+    // map kernels' width assert (exit 134) or on a data array with no
+    // whole set.
+    const SliceConfig unsliced;
+    auto error = [&unsliced](unsigned map_bits, double fraction) {
+        RunConfig cfg;
+        cfg.mapBits = map_bits;
+        cfg.dataFraction = fraction;
+        return llcLayoutError(unsliced, cfg);
+    };
+    EXPECT_NE(error(0, 0.25).find("mapBits"), std::string::npos);
+    EXPECT_NE(error(31, 0.25).find("mapBits"), std::string::npos);
+    EXPECT_NE(error(14, 0.0).find("dataFraction"), std::string::npos);
+    EXPECT_NE(error(14, std::nan("")).find("dataFraction"),
+              std::string::npos);
+    EXPECT_NE(error(14, HUGE_VAL).find("dataFraction"), std::string::npos);
+    EXPECT_NE(error(14, 1e9).find("dataFraction"), std::string::npos);
+    // 2 MB, 16 ways: the split half has 16384 tags, so one 16-way set
+    // needs a fraction of 1/1024.
+    EXPECT_NE(error(14, 0.9 / 1024).find("dataFraction"),
+              std::string::npos);
+    EXPECT_EQ(error(14, 1.0 / 1024), "");
+    EXPECT_EQ(error(1, 0.25), "");
+    EXPECT_EQ(error(30, 0.25), "");
+    // perturb's doubled values stay legal.
+    EXPECT_EQ(error(15, 0.25 * 2 + 1), "");
+
+    // Four slices quarter the tags a data array is cut from.
+    SliceConfig four;
+    four.count = 4;
+    RunConfig cfg;
+    cfg.dataFraction = 1.0 / 1024;
+    EXPECT_NE(llcLayoutError(four, cfg).find("dataFraction"),
+              std::string::npos);
+    cfg.dataFraction = 4.0 / 1024;
+    EXPECT_EQ(llcLayoutError(four, cfg), "");
 }
 
 namespace

@@ -328,4 +328,22 @@ TEST(EnvDeathTest, GarbageDoubleIsFatal)
         ::testing::ExitedWithCode(1), "not a positive number");
 }
 
+TEST(EnvDeathTest, ParseDoubleTakesWholeFiniteNumbersOnly)
+{
+    EXPECT_DOUBLE_EQ(parseDouble("min", "-1.5"), -1.5);
+    EXPECT_DOUBLE_EQ(parseDouble("min", "0"), 0.0);
+    EXPECT_DOUBLE_EQ(parsePositiveDouble("scale", "0.05"), 0.05);
+    EXPECT_EXIT(parseDouble("max", "abc"), ::testing::ExitedWithCode(1),
+                "max='abc' is not a finite number");
+    EXPECT_EXIT(parseDouble("max", "2x"), ::testing::ExitedWithCode(1),
+                "max='2x' is not a finite number");
+    EXPECT_EXIT(parseDouble("max", "inf"), ::testing::ExitedWithCode(1),
+                "not a finite number");
+    EXPECT_EXIT(parseDouble("max", ""), ::testing::ExitedWithCode(1),
+                "not a finite number");
+    EXPECT_EXIT(parsePositiveDouble("scale", "0"),
+                ::testing::ExitedWithCode(1),
+                "scale='0' is not a positive number");
+}
+
 } // namespace dopp
