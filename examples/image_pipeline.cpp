@@ -46,16 +46,6 @@ main(int argc, char **argv)
     std::printf("JPEG pipeline on the split Doppelgänger LLC "
                 "(M=%u, %g data array)...\n",
                 mapBits, fraction);
-
-    // Snapshot the approximate contents midway to measure sharing.
-    double bestSharing = 0.0;
-    cfg.snapshotPeriod = 200000;
-    cfg.onSnapshot = [&](const Snapshot &snap) {
-        u64 approx = 0;
-        for (const auto &b : snap)
-            approx += b.approx ? 1 : 0;
-        (void)approx;
-    };
     const RunResult dopp = runWorkload("jpeg", cfg);
 
     const double error =
@@ -92,6 +82,5 @@ main(int argc, char **argv)
                 "in a %gx smaller data array is the\npaper's "
                 "headline trade (Sec 5.7).\n",
                 1.0 / fraction);
-    (void)bestSharing;
     return 0;
 }

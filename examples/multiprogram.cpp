@@ -20,6 +20,7 @@
 #include "harness/report.hh"
 #include "sim/trace.hh"
 #include "util/env.hh"
+#include "util/fileio.hh"
 
 using namespace dopp;
 
@@ -27,7 +28,7 @@ namespace
 {
 
 std::string
-record(const std::string &workload, double scale, const char *path)
+record(const std::string &workload, double scale, const std::string &path)
 {
     RunConfig cfg;
     cfg.workload.scale = scale;
@@ -49,9 +50,11 @@ main(int argc, char **argv)
     const double scale =
         argc > 3 ? parsePositiveDouble("scale", argv[3]) : 0.5;
 
-    const std::string ta = record(a, scale, "/tmp/dopp-mp-a.dopptrc");
-    const std::string tb = record(b, scale, "/tmp/dopp-mp-b.dopptrc");
-    const std::string merged = "/tmp/dopp-mp-merged.dopptrc";
+    // This process's own traces: concurrent runs never share a path.
+    static const ScratchDir dir("dopp-mp");
+    const std::string ta = record(a, scale, dir.path() + "/a.dopptrc");
+    const std::string tb = record(b, scale, dir.path() + "/b.dopptrc");
+    const std::string merged = dir.path() + "/merged.dopptrc";
     const u64 total = interleaveTraces({ta, tb}, merged);
     std::printf("merged multiprogram trace: %llu accesses\n\n",
                 static_cast<unsigned long long>(total));
@@ -94,8 +97,5 @@ main(int argc, char **argv)
                 "inflict on one\nshared LLC; per-application range "
                 "registration (the registry) is what\nthe paper says "
                 "makes Doppelgänger multiprogramming-ready.\n");
-    std::remove(ta.c_str());
-    std::remove(tb.c_str());
-    std::remove(merged.c_str());
     return 0;
 }

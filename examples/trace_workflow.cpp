@@ -7,6 +7,8 @@
  * no workload re-execution needed.
  *
  * Usage: trace_workflow [workload] [scale] [trace_path]
+ *   trace_path defaults to a file in a private temporary directory,
+ *   removed at exit.
  */
 
 #include <cstdio>
@@ -19,6 +21,7 @@
 #include "harness/report.hh"
 #include "sim/trace.hh"
 #include "util/env.hh"
+#include "util/fileio.hh"
 
 using namespace dopp;
 
@@ -28,8 +31,9 @@ main(int argc, char **argv)
     const std::string workload = argc > 1 ? argv[1] : "canneal";
     const double scale =
         argc > 2 ? parsePositiveDouble("scale", argv[2]) : 0.5;
+    static const ScratchDir dir("dopp-trace");
     const std::string path =
-        argc > 3 ? argv[3] : "/tmp/doppelganger-example.dopptrc";
+        argc > 3 ? argv[3] : dir.path() + "/example.dopptrc";
 
     std::printf("recording a %s run (scale %.2f) to %s ...\n",
                 workload.c_str(), scale, path.c_str());

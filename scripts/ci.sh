@@ -104,6 +104,21 @@ diff "$DAEMON_DIR/serial.csv" "$DAEMON_DIR/daemon.csv" || {
     echo "ci: daemon results CSV diverged from the serial run" >&2
     exit 1
 }
+# The spool client (awaitCampaignResults): the same daemon runs a
+# figure bench's sweep for it, and the bench's report must match the
+# in-process run byte for byte.
+env DOPP_WORKLOAD_SCALE=0.05 "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
+    > "$DAEMON_DIR/fig12_inprocess.txt" 2> /dev/null
+env DOPP_WORKLOAD_SCALE=0.05 DOPP_SPOOL="$DAEMON_SPOOL" \
+    DOPP_SPOOL_BATCH=fig12 DOPP_SPOOL_TIMEOUT_MS=180000 \
+    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
+    > "$DAEMON_DIR/fig12_spool.txt" 2> /dev/null
+diff "$DAEMON_DIR/fig12_inprocess.txt" "$DAEMON_DIR/fig12_spool.txt" || {
+    echo "ci: bench_fig12 as a spool client diverged from its" \
+         "in-process run" >&2
+    exit 1
+}
+echo "ci: bench_fig12 as a spool client matched its in-process run"
 "$BUILD_DIR/tools/doppctl" stop --spool "$DAEMON_SPOOL"
 wait "$DOPPD_PID" || {
     echo "ci: doppd exited non-zero" >&2

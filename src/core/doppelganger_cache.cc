@@ -731,26 +731,12 @@ DoppelgangerCache::injectDataFault()
     const i32 head = dataHeadV[slot];
     const MapParams p =
         head >= 0 ? paramsFor(tagAddr(head)) : paramsFor(0);
-    BlockData &block = blocks[slot];
-    const unsigned elem = bit / elemBits(p.type);
-    const double before = blockElement(block.data(), p.type, elem);
-    block[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-    const double after = blockElement(block.data(), p.type, elem);
-
+    const double err = flipBitError(blocks[slot].data(), bit, p.type,
+                                    p.maxValue - p.minValue);
     faults->record(FaultDomain::LlcData, slot, 0, bit);
     ++ctr->faultsInjected;
-    if (guardrail) {
-        // The flipped element's own normalized error, not the block
-        // mean: a consumer of that element sees the full deviation, and
-        // averaging a single corrupt value over 16 clean neighbours
-        // would hide exactly the rare catastrophic flips (sign or
-        // exponent bits) the guardrail exists to catch.
-        const double span = std::max(p.maxValue - p.minValue, 1e-30);
-        double err = std::abs(after - before) / span;
-        if (!std::isfinite(err) || err > 1.0)
-            err = 1.0;
+    if (guardrail)
         guardrail->observeError(err);
-    }
 }
 
 bool

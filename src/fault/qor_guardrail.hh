@@ -47,6 +47,8 @@
 #ifndef DOPP_FAULT_QOR_GUARDRAIL_HH
 #define DOPP_FAULT_QOR_GUARDRAIL_HH
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <vector>
 
@@ -285,6 +287,26 @@ class QorGuardrail
  */
 double blockSubstitutionError(const u8 *served, const u8 *exact,
                               ElemType elem_type, double span);
+
+/**
+ * Flip bit @p bit of the 64 B @p block and score the flip: the flipped
+ * element's |after − before| normalized to @p span, capped at 1.0 (a
+ * non-finite score is 1.0 too). The score is that one element's, not
+ * the block mean: its consumer sees the full deviation, and averaging
+ * a single corrupt value over its clean neighbours would hide exactly
+ * the rare sign or exponent flips the guardrail exists to catch.
+ * Inline because the conventional LLC (sim/) scores with it too.
+ */
+inline double
+flipBitError(u8 *block, u32 bit, ElemType elem_type, double span)
+{
+    const unsigned elem = bit / elemBits(elem_type);
+    const double before = blockElement(block, elem_type, elem);
+    block[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+    const double after = blockElement(block, elem_type, elem);
+    const double err = std::abs(after - before) / std::max(span, 1e-30);
+    return std::isfinite(err) && err <= 1.0 ? err : 1.0;
+}
 
 } // namespace dopp
 

@@ -6,7 +6,6 @@
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include <unistd.h>
@@ -35,102 +34,45 @@ namespace
 {
 
 /**
- * One monitor thread arming cooperative deadlines for in-flight runs.
- * On expiry the run's abort flag is set; the access path notices and
- * throws RunAborted (workloads/runtime.hh), so the worker thread — and
- * the rest of the pool — survives the timeout.
+ * One attempt's watchdog: a timer thread that sets the attempt's abort
+ * flag once @p timeout_ms pass, unless the attempt ends first. The
+ * access path notices the flag and throws RunAborted
+ * (workloads/runtime.hh), so the worker thread survives the timeout.
+ * A zero timeout arms nothing.
  */
-class Watchdog
+class Deadline
 {
   public:
-    Watchdog() = default;
-
-    ~Watchdog()
+    Deadline(u64 timeout_ms, std::atomic<bool> &flag)
     {
+        if (!timeout_ms)
+            return;
+        timer = std::thread([this, timeout_ms, &flag] {
+            std::unique_lock<std::mutex> lock(mutex);
+            if (!cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                             [this] { return ended; })) {
+                flag.store(true, std::memory_order_release);
+            }
+        });
+    }
+
+    ~Deadline()
+    {
+        if (!timer.joinable())
+            return;
         {
             std::lock_guard<std::mutex> lock(mutex);
-            stopping = true;
+            ended = true;
         }
         cv.notify_one();
-        if (monitor.joinable())
-            monitor.join();
-    }
-
-    /** Arm a deadline @p timeout_ms from now that sets @p flag.
-     * @return a handle for disarm(). */
-    u64
-    arm(u64 timeout_ms, std::atomic<bool> *flag)
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        if (!monitor.joinable())
-            monitor = std::thread([this] { loop(); });
-        const u64 id = nextId++;
-        entries[id] = {Clock::now() +
-                           std::chrono::milliseconds(timeout_ms),
-                       flag};
-        lock.unlock();
-        cv.notify_one();
-        return id;
-    }
-
-    /** Cancel deadline @p id (no-op if it already fired). */
-    void
-    disarm(u64 id)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        entries.erase(id);
+        timer.join();
     }
 
   private:
-    using Clock = std::chrono::steady_clock;
-
-    struct Entry
-    {
-        Clock::time_point deadline;
-        std::atomic<bool> *flag;
-    };
-
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        while (!stopping) {
-            if (entries.empty()) {
-                cv.wait(lock);
-                continue;
-            }
-            auto earliest = entries.begin();
-            for (auto it = std::next(earliest); it != entries.end();
-                 ++it) {
-                if (it->second.deadline < earliest->second.deadline)
-                    earliest = it;
-            }
-            // Re-scan after every wake: arm() may have added an
-            // earlier deadline, disarm() may have removed this one —
-            // so wait on a copy, never on the entry itself.
-            const Clock::time_point deadline = earliest->second.deadline;
-            if (cv.wait_until(lock, deadline) != std::cv_status::timeout) {
-                continue;
-            }
-            const auto now = Clock::now();
-            for (auto it = entries.begin(); it != entries.end();) {
-                if (it->second.deadline <= now) {
-                    it->second.flag->store(
-                        true, std::memory_order_release);
-                    it = entries.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
-    }
-
     std::mutex mutex;
     std::condition_variable cv;
-    std::unordered_map<u64, Entry> entries;
-    u64 nextId = 1;
-    bool stopping = false;
-    std::thread monitor;
+    bool ended = false;
+    std::thread timer;
 };
 
 /** Campaign counters under "batch" (null when no registry given). */
@@ -188,22 +130,22 @@ struct BatchState
     BatchCounters counters;
     std::unordered_set<std::string> journaled; // appended this campaign
 
-    Watchdog watchdog;
-
     BatchState(const std::vector<RunConfig> &c, const BatchOptions &o,
                std::vector<RunResult> &r)
         : configs(c), opt(o), results(r)
     {
         counters.init(o.stats);
-    }
-
-    bool
-    cancelRequested() const
-    {
-        return opt.cancel &&
-            opt.cancel->load(std::memory_order_acquire);
+        fingerprints.reserve(c.size());
+        for (const RunConfig &cfg : c)
+            fingerprints.push_back(configFingerprint(cfg));
     }
 };
+
+bool
+cancelRequested(const BatchOptions &opt)
+{
+    return opt.cancel && opt.cancel->load(std::memory_order_acquire);
+}
 
 /** Mark @p r failed without losing its identifying fields. */
 void
@@ -215,43 +157,31 @@ markFailed(RunResult &r, const RunConfig &cfg, const std::string &why)
     r.error = why;
 }
 
-/** Whether a failed run may be retried: timeouts and run-thrown
- * exceptions are (crash-adjacent and bounded by maxRetries);
- * cancellation and configs with no workload never are. */
-bool
-retryableError(const std::string &error)
-{
-    return error != "cancelled" &&
-        error != "config has no workloadName";
-}
-
 /**
- * Sleep the exponential backoff before retry @p attempt (1-based) of
- * @p index: retryBackoffMs << (attempt-1), plus up to 50% jitter drawn
- * deterministically from (fingerprint, attempt) so a rerun of the
- * same campaign backs off identically. Sleeps in short slices so a
- * cancel request cuts the wait short.
+ * Sleep the exponential backoff before retry @p attempt (1-based):
+ * retryBackoffMs << (attempt-1), plus up to 50% jitter drawn
+ * deterministically from (@p fp, attempt) so a rerun of the same
+ * campaign backs off identically. Sleeps in short slices so a cancel
+ * request cuts the wait short.
  * @return false if cancelled during the sleep.
  */
 bool
-backoffSleep(BatchState &st, size_t index, unsigned attempt)
+backoffSleep(const BatchOptions &opt, const std::string &fp,
+             unsigned attempt)
 {
-    const std::string fp = st.fingerprints.empty()
-        ? configFingerprint(st.configs[index])
-        : st.fingerprints[index];
     Rng jitter(fnv1a64(fp) ^ attempt);
-    const double base = static_cast<double>(
-        st.opt.retryBackoffMs << (attempt - 1));
+    const double base =
+        static_cast<double>(opt.retryBackoffMs << (attempt - 1));
     u64 totalMs =
         static_cast<u64>(base * (1.0 + 0.5 * jitter.uniform()));
     while (totalMs > 0) {
-        if (st.cancelRequested())
+        if (cancelRequested(opt))
             return false;
         const u64 slice = std::min<u64>(totalMs, 20);
         std::this_thread::sleep_for(std::chrono::milliseconds(slice));
         totalMs -= slice;
     }
-    return !st.cancelRequested();
+    return !cancelRequested(opt);
 }
 
 void
@@ -261,69 +191,22 @@ bump(Counter *c, u64 n = 1)
         *c += n;
 }
 
-/** Execute (with watchdog + retries), journal, and report one run. */
+/** Execute (through runAttempts), journal, and report one run. */
 void
 runOne(BatchState &st, size_t index)
 {
     const RunConfig &cfg = st.configs[index];
     RunResult &r = st.results[index];
-
-    if (st.cancelRequested()) {
-        markFailed(r, cfg, "cancelled");
-    } else if (cfg.workloadName.empty()) {
-        markFailed(r, cfg, "config has no workloadName");
-    } else {
-        for (unsigned attempt = 0;; ++attempt) {
-            if (attempt > 0) {
-                if (!backoffSleep(st, index, attempt)) {
-                    markFailed(r, cfg, "cancelled");
-                    break;
-                }
-                std::lock_guard<std::mutex> lock(st.tallyMutex);
-                ++st.tallies.runsRetried;
-                bump(st.counters.retried);
-            }
-
-            r = RunResult(); // clear any failed previous attempt
-            std::atomic<bool> abort{false};
-            RunConfig attemptCfg = cfg; // re-seeded identically
-            attemptCfg.abortFlag = &abort;
-            if (st.opt.abortPollAccesses)
-                attemptCfg.abortPollAccesses =
-                    st.opt.abortPollAccesses;
-            u64 deadline = 0;
-            if (st.opt.runTimeoutMs)
-                deadline = st.watchdog.arm(st.opt.runTimeoutMs,
-                                           &abort);
-            bool timedOut = false;
-            try {
-                r = runWorkload(attemptCfg.workloadName, attemptCfg);
-            } catch (const RunAborted &) {
-                markFailed(r, cfg, "timeout");
-                timedOut = true;
-            } catch (const std::exception &e) {
-                markFailed(r, cfg, e.what());
-            } catch (...) {
-                markFailed(r, cfg, "unknown exception");
-            }
-            if (deadline)
-                st.watchdog.disarm(deadline);
-
-            {
-                std::lock_guard<std::mutex> lock(st.tallyMutex);
-                ++st.tallies.runsExecuted;
-                bump(st.counters.executed);
-                if (timedOut) {
-                    ++st.tallies.runsTimedOut;
-                    bump(st.counters.timedOut);
-                }
-            }
-
-            if (!r.failed || !retryableError(r.error) ||
-                attempt >= st.opt.maxRetries || st.cancelRequested()) {
-                break;
-            }
-        }
+    AttemptCounts counts;
+    r = runAttempts(cfg, st.fingerprints[index], st.opt, counts);
+    {
+        std::lock_guard<std::mutex> lock(st.tallyMutex);
+        st.tallies.runsExecuted += counts.executed;
+        st.tallies.runsRetried += counts.retried;
+        st.tallies.runsTimedOut += counts.timedOut;
+        bump(st.counters.executed, counts.executed);
+        bump(st.counters.retried, counts.retried);
+        bump(st.counters.timedOut, counts.timedOut);
     }
 
     // Persist before reporting: any run the caller has seen complete
@@ -413,6 +296,54 @@ runBatch(const std::vector<RunConfig> &configs,
     return results;
 }
 
+RunResult
+runAttempts(const RunConfig &cfg, const std::string &fingerprint,
+            const BatchOptions &opt, AttemptCounts &counts)
+{
+    RunResult r;
+    if (cancelRequested(opt)) {
+        markFailed(r, cfg, "cancelled");
+        return r;
+    }
+    if (cfg.workloadName.empty()) {
+        markFailed(r, cfg, "config has no workloadName");
+        return r;
+    }
+    for (unsigned attempt = 0;; ++attempt) {
+        if (attempt > 0) {
+            if (!backoffSleep(opt, fingerprint, attempt)) {
+                markFailed(r, cfg, "cancelled");
+                return r;
+            }
+            ++counts.retried;
+        }
+
+        r = RunResult(); // clear any failed previous attempt
+        std::atomic<bool> abort{false};
+        RunConfig attemptCfg = cfg; // re-seeded identically
+        attemptCfg.abortFlag = &abort;
+        if (opt.abortPollAccesses)
+            attemptCfg.abortPollAccesses = opt.abortPollAccesses;
+        try {
+            const Deadline deadline(opt.runTimeoutMs, abort);
+            r = runWorkload(attemptCfg.workloadName, attemptCfg);
+        } catch (const RunAborted &) {
+            markFailed(r, cfg, "timeout");
+            ++counts.timedOut;
+        } catch (const std::exception &e) {
+            markFailed(r, cfg, e.what());
+        } catch (...) {
+            markFailed(r, cfg, "unknown exception");
+        }
+        ++counts.executed;
+
+        if (!r.failed || attempt >= opt.maxRetries ||
+            cancelRequested(opt)) {
+            return r;
+        }
+    }
+}
+
 BatchOutcome
 runBatchResumable(const std::vector<RunConfig> &configs,
                   const std::string &journal_path,
@@ -432,9 +363,6 @@ runBatchResumable(const std::vector<RunConfig> &configs,
 
     BatchState st(configs, options, outcome.results);
     st.journal = &journal;
-    st.fingerprints.reserve(configs.size());
-    for (const RunConfig &cfg : configs)
-        st.fingerprints.push_back(configFingerprint(cfg));
 
     // Resume pass: reuse every completed record whose config carries
     // no observation hooks; report them first, in submission order,
@@ -461,7 +389,7 @@ runBatchResumable(const std::vector<RunConfig> &configs,
 
     st.tallies.results = std::move(outcome.results);
     outcome = std::move(st.tallies);
-    outcome.interrupted = st.cancelRequested();
+    outcome.interrupted = cancelRequested(options);
     return outcome;
 }
 

@@ -159,6 +159,29 @@ struct BatchOutcome
  * hardware threads. Always at least 1; fatal on a garbage DOPP_JOBS. */
 unsigned batchJobs(unsigned jobs = 0);
 
+/** What one runAttempts call did, for the caller's tallies. */
+struct AttemptCounts
+{
+    size_t executed = 0; ///< attempts run (0 if cancelled first)
+    size_t retried = 0;  ///< backoffs slept before a re-run
+    size_t timedOut = 0; ///< attempts the watchdog aborted
+};
+
+/**
+ * The attempt loop every executor shares: the batch runner's workers
+ * and the campaign service's (DESIGN.md §11, §16). Runs @p cfg under
+ * @p opt's cancel flag, per-attempt watchdog (runTimeoutMs,
+ * abortPollAccesses) and retries (maxRetries, retryBackoffMs; jitter
+ * drawn from @p fingerprint, which is configFingerprint(cfg), and the
+ * attempt number). Returns the
+ * last attempt's result: "cancelled" if the flag was raised before
+ * the first attempt or during a backoff, "timeout" for a watchdog
+ * abort, what() of any other exception. Never throws; fatal() in a
+ * run stays fatal.
+ */
+RunResult runAttempts(const RunConfig &cfg, const std::string &fingerprint,
+                      const BatchOptions &opt, AttemptCounts &counts);
+
 /**
  * Run every config in @p configs (each names its benchmark via
  * RunConfig::workloadName) and return the RunResults in submission

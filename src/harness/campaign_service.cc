@@ -21,6 +21,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include "harness/batch_runner.hh"
 #include "harness/llc_factory.hh"
 #include "harness/results_io.hh"
 #include "sim/slice_hash.hh"
@@ -527,74 +528,6 @@ ClaimStore::release(const std::string &fp)
 }
 
 // ---------------------------------------------------------------------
-// Failure records
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** Incremental reader of failures.jsonl, mirroring JournalTail. */
-class FailureTail
-{
-  public:
-    explicit FailureTail(std::string path) : filePath(std::move(path))
-    {
-    }
-
-    /** Fold newly appended failure records into @p counts. */
-    void
-    refresh(std::unordered_map<std::string, unsigned> &counts)
-    {
-        std::string text;
-        if (!readFileIfExists(filePath, text))
-            return;
-        if (text.size() <= offset)
-            return;
-        pending.append(text, offset, text.size() - offset);
-        offset = text.size();
-        size_t start = 0;
-        for (;;) {
-            const size_t nl = pending.find('\n', start);
-            if (nl == std::string::npos)
-                break;
-            const std::string line =
-                pending.substr(start, nl - start);
-            start = nl + 1;
-            if (line.empty())
-                continue;
-            JsonValue root;
-            const JsonValue *fp = nullptr;
-            if (JsonParser(line).parse(root) &&
-                root.kind == JsonValue::Kind::Object &&
-                (fp = root.find("fp")) &&
-                fp->kind == JsonValue::Kind::String) {
-                ++counts[fp->text];
-            } else {
-                warn("failures '%s': unparsable record ignored",
-                     filePath.c_str());
-            }
-        }
-        pending.erase(0, start);
-    }
-
-  private:
-    std::string filePath;
-    size_t offset = 0;
-    std::string pending;
-};
-
-std::string
-failureRecordJson(const std::string &fp, const std::string &worker,
-                  const std::string &error)
-{
-    return "{\"fp\":\"" + jsonEscape(fp) + "\",\"worker\":\"" +
-           jsonEscape(worker) + "\",\"error\":\"" +
-           jsonEscape(error) + "\"}\n";
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------
 
@@ -625,7 +558,6 @@ struct WorkerState
     std::deque<WorkerJob> queue;
     std::unordered_set<std::string> inFlight; ///< queued or running
     std::unordered_set<std::string> running;  ///< leases to renew
-    std::unordered_map<std::string, unsigned> failureCounts;
     CampaignWorkerOutcome outcome;
     bool done = false; ///< no more jobs will arrive; executors exit
 
@@ -636,24 +568,24 @@ struct WorkerState
 struct WorkerContext
 {
     WorkerContext(const SpoolPaths &paths,
-                  const CampaignServiceOptions &opts)
+                  const CampaignServiceOptions &opts,
+                  const std::atomic<bool> &stop)
         : claims(paths.claimsDir(),
                  opts.workerId.empty()
                      ? "w0-" + std::to_string(::getpid())
                      : opts.workerId,
                  opts.leaseMs),
-          journal(AppendLog::openExclusive(paths.journalPath())),
-          failures(AppendLog::openExclusive(paths.failuresPath())),
-          finalizeTail(paths.journalPath()), maxFailures(opts.maxFailures)
+          journal(paths.journalPath()), finalizeTail(paths.journalPath()),
+          stopPath(paths.stopPath()), externalStop(opts.externalStop)
     {
+        // A stop cancels a job before its first attempt or during a
+        // backoff; a run already in flight finishes.
+        attempts.cancel = &stop;
+        attempts.maxRetries = opts.maxFailures - 1;
     }
 
     ClaimStore claims;
-
-    std::mutex journalMutex; ///< serializes our threads' appends
-    AppendLog journal;
-    std::mutex failuresMutex;
-    AppendLog failures;
+    RunJournal journal;
 
     /** Finalize-side journal view, refreshed *under the claim flock*
      * right before an append — the authoritative duplicate check. */
@@ -661,10 +593,22 @@ struct WorkerContext
     JournalTail finalizeTail;
     std::unordered_set<std::string> finalized;
 
-    unsigned maxFailures;
+    /** runAttempts options shared by every executor of the worker. */
+    BatchOptions attempts;
+
+    /** Whether control/stop or the external flag asks us to stop. */
+    bool
+    stopRequested() const
+    {
+        return pathExists(stopPath) ||
+               (externalStop && externalStop->load());
+    }
+
+    std::string stopPath;
+    const std::atomic<bool> *externalStop;
 };
 
-/** One claim->run->finalize attempt. */
+/** One claim -> attempts -> finalize (or release) cycle. */
 void
 executeJob(WorkerContext &ctx, WorkerState &state,
            const WorkerJob &job)
@@ -686,23 +630,21 @@ executeJob(WorkerContext &ctx, WorkerState &state,
         state.running.insert(job.fp);
     }
 
-    RunResult result;
-    std::string error;
-    bool ok = true;
-    try {
-        result = runWorkload(job.cfg);
-        ok = !result.failed;
-        if (!ok)
-            error = result.error;
-    } catch (const std::exception &e) {
-        ok = false;
-        error = e.what();
-    } catch (...) {
-        ok = false;
-        error = "unknown exception";
-    }
+    AttemptCounts counts;
+    const RunResult result =
+        runAttempts(job.cfg, job.fp, ctx.attempts, counts);
 
-    if (ok) {
+    // A success, or a failure after every attempt, is the
+    // fingerprint's one record. A stop cut the attempts short
+    // otherwise: record nothing and let the next life retry.
+    const bool settled =
+        !result.failed || counts.executed > ctx.attempts.maxRetries;
+    if (settled) {
+        if (result.failed) {
+            warn("campaign worker %s: '%s' permanently failed: %s",
+                 ctx.claims.workerId().c_str(), job.fp.c_str(),
+                 result.error.c_str());
+        }
         bool appended = false;
         const bool owned = ctx.claims.finalize(job.fp, [&] {
             // Under the claim flock: anything already journaled for
@@ -713,10 +655,7 @@ executeJob(WorkerContext &ctx, WorkerState &state,
             std::lock_guard<std::mutex> lock(ctx.finalizeMutex);
             ctx.finalizeTail.refresh(ctx.finalized);
             if (!ctx.finalized.count(job.fp)) {
-                const std::string record =
-                    journalRecordJson(job.fp, result);
-                std::lock_guard<std::mutex> jl(ctx.journalMutex);
-                ctx.journal.append(record);
+                ctx.journal.append(job.fp, result);
                 ctx.finalized.insert(job.fp);
                 appended = true;
             }
@@ -724,27 +663,16 @@ executeJob(WorkerContext &ctx, WorkerState &state,
         std::lock_guard<std::mutex> lock(state.mutex);
         if (!owned)
             ++state.outcome.claimsLost;
-        else if (appended)
-            ++state.outcome.runsCompleted;
-        else
+        else if (!appended)
             ++state.outcome.duplicatesAvoided;
+        else if (!result.failed)
+            ++state.outcome.runsCompleted;
     } else {
-        warn("campaign worker %s: '%s' failed: %s",
-             ctx.claims.workerId().c_str(), job.fp.c_str(),
-             error.c_str());
-        {
-            const std::string record = failureRecordJson(
-                job.fp, ctx.claims.workerId(), error);
-            std::lock_guard<std::mutex> lock(ctx.failuresMutex);
-            ctx.failures.append(record);
-        }
         ctx.claims.release(job.fp);
-        std::lock_guard<std::mutex> lock(state.mutex);
-        ++state.outcome.runsFailed;
-        ++state.failureCounts[job.fp]; // count ours without a rescan
     }
 
     std::lock_guard<std::mutex> lock(state.mutex);
+    state.outcome.runsFailed += counts.executed - (result.failed ? 0 : 1);
     state.running.erase(job.fp);
     state.inFlight.erase(job.fp);
     state.cv.notify_all();
@@ -761,11 +689,12 @@ executorLoop(WorkerContext &ctx, WorkerState &state)
                 return state.done || state.stop.load() ||
                        !state.queue.empty();
             });
-            if (state.queue.empty()) {
-                if (state.done || state.stop.load())
-                    return;
-                continue;
-            }
+            // A stop request takes effect here at once, not at the
+            // next scan. It leaves queued jobs unrun and unclaimed.
+            if (ctx.stopRequested())
+                state.stop.store(true);
+            if (state.stop.load() || state.queue.empty())
+                return;
             job = std::move(state.queue.front());
             state.queue.pop_front();
         }
@@ -813,8 +742,10 @@ runCampaignWorker(const CampaignServiceOptions &opts)
     SpoolPaths paths{opts.spoolRoot};
     ensureSpoolLayout(paths);
 
-    WorkerContext ctx(paths, opts);
+    if (opts.maxFailures == 0)
+        fatal("campaign worker: maxFailures must be at least 1");
     WorkerState state;
+    WorkerContext ctx(paths, opts, state.stop);
     const std::string id = ctx.claims.workerId();
     const u64 startedMs = monotonicMs();
 
@@ -849,22 +780,19 @@ runCampaignWorker(const CampaignServiceOptions &opts)
         }
     });
 
-    // Scan loop: ingest batches, follow the journal and failure logs,
-    // keep the queue and the per-batch status files current.
+    // Scan loop: ingest batches, follow the journal, keep the queue
+    // and the per-batch status files current.
     std::map<std::string, CampaignBatch> batches;
     std::set<std::string> rejectedBatches;
     std::set<std::string> resultsWritten;
     JournalTail scanTail(paths.journalPath());
-    std::unordered_set<std::string> completed;
+    std::unordered_set<std::string> journaled;
     std::unordered_map<std::string, RunResult> records;
-    FailureTail failureTail(paths.failuresPath());
     bool draining = opts.exitWhenIdle;
 
     for (;;) {
-        if (pathExists(paths.stopPath()) ||
-            (opts.externalStop && opts.externalStop->load())) {
+        if (ctx.stopRequested())
             state.stop.store(true);
-        }
         if (pathExists(paths.drainPath()))
             draining = true;
         if (opts.maxRuntimeMs &&
@@ -876,11 +804,7 @@ runCampaignWorker(const CampaignServiceOptions &opts)
         if (state.stop.load())
             break;
 
-        scanTail.refresh(completed, &records);
-        {
-            std::lock_guard<std::mutex> lock(state.mutex);
-            failureTail.refresh(state.failureCounts);
-        }
+        scanTail.refresh(journaled, &records);
 
         for (const std::string &file : listDir(paths.spoolDir())) {
             std::string name;
@@ -916,15 +840,12 @@ runCampaignWorker(const CampaignServiceOptions &opts)
                 st.total = batch.fingerprints.size();
                 for (size_t i = 0; i < batch.fingerprints.size();
                      ++i) {
+                    // A fingerprint's record is its final state: a
+                    // success completes it, a failure fails it for good.
                     const std::string &fp = batch.fingerprints[i];
-                    if (completed.count(fp)) {
-                        ++st.completed;
-                        continue;
-                    }
-                    auto fc = state.failureCounts.find(fp);
-                    if (fc != state.failureCounts.end() &&
-                        fc->second >= ctx.maxFailures) {
-                        ++st.failed;
+                    const auto rec = records.find(fp);
+                    if (rec != records.end()) {
+                        ++(rec->second.failed ? st.failed : st.completed);
                         continue;
                     }
                     anyPending = true;
@@ -1267,26 +1188,22 @@ awaitCampaignResults(const SpoolPaths &paths,
                      const CampaignBatch &batch, u64 timeoutMs)
 {
     JournalTail tail(paths.journalPath());
-    std::unordered_set<std::string> completed;
+    std::unordered_set<std::string> journaled;
     std::unordered_map<std::string, RunResult> records;
-    FailureTail failureTail(paths.failuresPath());
-    std::unordered_map<std::string, unsigned> failureCounts;
 
     const u64 deadline = monotonicMs() + timeoutMs;
     for (;;) {
-        tail.refresh(completed, &records);
-        failureTail.refresh(failureCounts);
+        tail.refresh(journaled, &records);
         bool allDone = true;
         for (const std::string &fp : batch.fingerprints) {
-            if (completed.count(fp))
-                continue;
-            auto fc = failureCounts.find(fp);
-            if (fc != failureCounts.end() && fc->second >= 2) {
+            const auto rec = records.find(fp);
+            if (rec == records.end()) {
+                allDone = false;
+            } else if (rec->second.failed) {
                 fatal("campaign config '%s' permanently failed in "
-                      "the service; see %s",
-                      fp.c_str(), paths.failuresPath().c_str());
+                      "the service: %s",
+                      fp.c_str(), rec->second.error.c_str());
             }
-            allDone = false;
         }
         if (allDone)
             break;

@@ -15,17 +15,24 @@
  *
  *   spool/<batch>.jsonl   submitted batches (atomic-rename submit);
  *                         one campaignConfigJson() line per config
- *   journal.jsonl         the shared run journal; every worker
- *                         appends through AppendLog::openExclusive,
- *                         so cross-process appends never interleave
+ *   journal.jsonl         the shared run journal: one record per
+ *                         fingerprint, a success or a permanent
+ *                         failure; every append is flock'd
+ *                         (AppendLog), so cross-process appends never
+ *                         interleave
  *   claims/<fp>           flock-guarded claim records (see below)
  *   workers/<id>.json     per-worker heartbeats (atomic writes)
  *   status/<batch>.json   batch progress, status/daemon.json daemon
  *   results/<batch>.csv   written once when a batch completes
- *   failures.jsonl        per-attempt failure records; a fingerprint
- *                         with >= maxFailures attempts is permanently
- *                         failed and its batch finishes as "failed"
  *   control/stop|drain    client requests (empty files)
+ *
+ * Execution: a worker runs each claimed config through the batch
+ * runner's attempt loop (runAttempts, batch_runner.hh) with up to
+ * maxFailures attempts, retrying in place while the heartbeat keeps
+ * the lease. A success or the last failed attempt is journaled; a
+ * batch with a failed record finishes as "failed". A stop leaves
+ * queued configs unrun and records nothing for a config whose
+ * attempts it cut short.
  *
  * Claim/lease protocol — the crash-tolerance core. A worker takes a
  * config by writing {fp, worker, pid, expiresAtMs} into claims/<fp>
@@ -83,10 +90,6 @@ struct SpoolPaths
     std::string controlDir() const { return root + "/control"; }
 
     std::string journalPath() const { return root + "/journal.jsonl"; }
-    std::string failuresPath() const
-    {
-        return root + "/failures.jsonl";
-    }
     std::string stopPath() const { return controlDir() + "/stop"; }
     std::string drainPath() const { return controlDir() + "/drain"; }
 
@@ -278,7 +281,9 @@ struct CampaignServiceOptions
     /** Spool/journal scan period. */
     u64 scanMs = 200;
 
-    /** Attempts before a fingerprint is permanently failed. */
+    /** Attempts before a fingerprint is permanently failed (at
+     * least 1): the worker's runAttempts gets maxFailures - 1
+     * retries. */
     unsigned maxFailures = 2;
 
     /** Exit once no batch has runnable work left (drain semantics
@@ -298,8 +303,8 @@ struct CampaignServiceOptions
 /** What one worker did (for logs and tests). */
 struct CampaignWorkerOutcome
 {
-    size_t runsCompleted = 0; ///< final records appended by us
-    size_t runsFailed = 0;    ///< attempts that threw
+    size_t runsCompleted = 0; ///< success records appended by us
+    size_t runsFailed = 0;    ///< failed attempts (all configs)
     size_t claimsLost = 0;    ///< finalize found the claim stolen
     size_t reclaims = 0;      ///< expired leases we took over
     size_t duplicatesAvoided = 0; ///< finalize found fp already done
@@ -308,9 +313,10 @@ struct CampaignWorkerOutcome
 
 /**
  * Run one worker (scan loop + @c jobs executor threads + heartbeat
- * thread) until stop/drain. Returns after in-flight runs finish;
- * SIGKILL is the *designed-for* exit path — everything the worker
- * held is reclaimed by its peers via the lease protocol.
+ * thread) until stop/drain. On stop, returns once the runs in flight
+ * finish, leaving queued configs unrun; SIGKILL is the *designed-for*
+ * exit path — everything the worker held is reclaimed by its peers
+ * via the lease protocol. Fatal when maxFailures is 0.
  */
 CampaignWorkerOutcome
 runCampaignWorker(const CampaignServiceOptions &opts);
@@ -363,10 +369,11 @@ void requestStop(const SpoolPaths &paths);
 
 /**
  * Reconstruct @p batch's results from the shared journal, in batch
- * order, polling until every fingerprint completes or @p timeoutMs
- * passes. Fatal on timeout or on a permanently-failed fingerprint —
- * exactly runCampaign's contract, which is what lets a bench under
- * DOPP_SPOOL return daemon-executed results transparently.
+ * order, polling until every fingerprint has a record or @p timeoutMs
+ * passes. Fatal on timeout or on a failed record (a permanently
+ * failed fingerprint, named in the message) — exactly runCampaign's
+ * contract, which is what lets a bench under DOPP_SPOOL return
+ * daemon-executed results transparently.
  */
 std::vector<RunResult>
 awaitCampaignResults(const SpoolPaths &paths,

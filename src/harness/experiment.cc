@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -268,19 +269,13 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
             const ApproxRegion *region = registry.find(addr);
             if (!region)
                 return;
-            const unsigned elem = bit / elemBits(region->type);
-            const double after =
-                blockElement(block, region->type, elem);
-            // Un-flip to recover the pre-fault value of the element.
-            block[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-            const double before =
-                blockElement(block, region->type, elem);
-            block[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-            double err = std::abs(after - before) /
-                std::max(region->span(), 1e-30);
-            if (!std::isfinite(err) || err > 1.0)
-                err = 1.0;
-            g->observeError(err);
+            // The flip is already applied: flipping a copy back scores
+            // the same |after − before|.
+            BlockData copy;
+            std::memcpy(copy.data(), block, blockBytes);
+            g->observeError(
+                flipBitError(copy.data(), bit, region->type,
+                             region->span()));
         };
     }
     if (guard && cfg.memTier.enabled() && cfg.qor.migrateFactor > 0.0) {
@@ -310,22 +305,11 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
                     return;
                 const u32 bit =
                     static_cast<u32>(fi->pick(blockBytes * 8));
-                const unsigned elem = bit / elemBits(region->type);
-                const double before =
-                    blockElement(block, region->type, elem);
-                block[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-                const double after =
-                    blockElement(block, region->type, elem);
+                const double err = flipBitError(block, bit, region->type,
+                                                region->span());
                 fi->record(FaultDomain::MemoryData, addr, 0, bit);
-                if (g) {
-                    // The flipped element's own error; see the data
-                    // fault hooks in llc.cc / doppelganger_cache.cc.
-                    double err = std::abs(after - before) /
-                        std::max(region->span(), 1e-30);
-                    if (!std::isfinite(err) || err > 1.0)
-                        err = 1.0;
+                if (g)
                     g->observeError(err);
-                }
             };
         }
     }

@@ -299,7 +299,7 @@ loadJournal(const std::string &path)
 }
 
 size_t
-JournalTail::refresh(std::unordered_set<std::string> &completed,
+JournalTail::refresh(std::unordered_set<std::string> &journaled,
                      std::unordered_map<std::string, RunResult> *records)
 {
     std::ifstream in(filePath, std::ios::binary);
@@ -344,8 +344,7 @@ JournalTail::refresh(std::unordered_set<std::string> &completed,
             continue;
         }
         ++consumed;
-        if (!r.failed)
-            completed.insert(fingerprint);
+        journaled.insert(fingerprint);
         if (records)
             (*records)[fingerprint] = std::move(r); // last wins
     }

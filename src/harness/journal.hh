@@ -128,13 +128,13 @@ class JournalTail
     }
 
     /**
-     * Read newly appended records. Every valid completed (non-failed)
-     * record adds its fingerprint to @p completed; @p records, when
-     * non-null, additionally receives the full parsed results (last
-     * record per fingerprint wins, as in loadJournal).
+     * Read newly appended records. Every valid record, failed or not,
+     * adds its fingerprint to @p journaled; @p records, when non-null,
+     * additionally receives the full parsed results (last record per
+     * fingerprint wins, as in loadJournal).
      * @return the number of valid new records consumed.
      */
-    size_t refresh(std::unordered_set<std::string> &completed,
+    size_t refresh(std::unordered_set<std::string> &journaled,
                    std::unordered_map<std::string, RunResult>
                        *records = nullptr);
 

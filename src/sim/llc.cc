@@ -274,23 +274,12 @@ ConventionalLlc::maybeInjectFault()
     if (!region)
         return;
 
-    BlockData &block = blocks[static_cast<size_t>(idx)];
-    const unsigned elem = bit / elemBits(region->type);
-    const double before =
-        blockElement(block.data(), region->type, elem);
-    block[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-    const double after =
-        blockElement(block.data(), region->type, elem);
-
+    const double err = flipBitError(blocks[static_cast<size_t>(idx)].data(),
+                                    bit, region->type, region->span());
     faults->record(FaultDomain::LlcData, slot, 0, bit);
     ++ctr->faultsInjected;
-    if (guardrail) {
-        // The flipped element's own capped error (not the block mean):
-        // its consumer sees the full deviation.
-        const double err = std::min(
-            1.0, std::abs(after - before) / region->span());
+    if (guardrail)
         guardrail->observeError(err);
-    }
 }
 
 LastLevelCache::FetchResult

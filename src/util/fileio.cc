@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -85,8 +87,7 @@ atomicWriteFile(const std::string &path, const std::string &contents)
               path.c_str(), std::strerror(errno));
 }
 
-AppendLog::AppendLog(const std::string &path, bool flock_each_append)
-    : filePath(path), lockEachAppend(flock_each_append)
+AppendLog::AppendLog(const std::string &path) : filePath(path)
 {
     fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
     if (fd < 0)
@@ -97,20 +98,9 @@ AppendLog::AppendLog(const std::string &path, bool flock_each_append)
         openedAt = static_cast<u64>(st.st_size);
 }
 
-AppendLog::AppendLog(const std::string &path) : AppendLog(path, false)
-{
-}
-
-AppendLog
-AppendLog::openExclusive(const std::string &path)
-{
-    return AppendLog(path, true);
-}
-
 AppendLog::AppendLog(AppendLog &&other) noexcept
     : filePath(std::move(other.filePath)), fd(other.fd),
-      appended(other.appended), openedAt(other.openedAt),
-      lockEachAppend(other.lockEachAppend)
+      appended(other.appended), openedAt(other.openedAt)
 {
     other.fd = -1;
 }
@@ -124,12 +114,10 @@ AppendLog::~AppendLog()
 u64
 AppendLog::append(const std::string &record)
 {
-    if (lockEachAppend)
-        flockOrDie(fd, filePath, LOCK_EX);
+    flockOrDie(fd, filePath, LOCK_EX);
     writeAll(fd, filePath, record.data(), record.size());
     fsyncOrDie(fd, filePath);
-    if (lockEachAppend)
-        flockOrDie(fd, filePath, LOCK_UN);
+    flockOrDie(fd, filePath, LOCK_UN);
     appended += record.size();
     return record.size();
 }
@@ -214,6 +202,21 @@ FileLock::removeAndRelease()
         ::close(fd);
         fd = -1;
     }
+}
+
+ScratchDir::ScratchDir(const std::string &prefix)
+{
+    std::string tmpl = "/tmp/" + prefix + "-XXXXXX";
+    if (!::mkdtemp(tmpl.data()))
+        fatal("cannot make a directory '%s': %s", tmpl.c_str(),
+              std::strerror(errno));
+    dirPath = tmpl;
+}
+
+ScratchDir::~ScratchDir()
+{
+    std::error_code ec; // best effort: nothing to report it to
+    std::filesystem::remove_all(dirPath, ec);
 }
 
 u64

@@ -12,9 +12,10 @@
  *
  *  - AppendLog: record-at-a-time streams (the run journal, the
  *    DOPP_STATS_JSON dump) append each record with a single O_APPEND
- *    write(2) followed by fsync(2), so a crash can lose at most the
- *    one record being written — and leaves at worst one truncated
- *    final line, never interleaved or missing earlier records.
+ *    write(2) followed by fsync(2) under flock(2), so a crash can lose
+ *    at most the one record being written — and leaves at worst one
+ *    truncated final line, never interleaved or missing earlier
+ *    records, even with several processes appending.
  *
  * Every failure mode (open, short write, fsync, rename) is fatal with
  * the path and errno: silently dropping campaign results is worse
@@ -44,10 +45,15 @@ void atomicWriteFile(const std::string &path,
 
 /**
  * An append-only record log (O_APPEND | O_CREAT). Each append() is a
- * single write(2) of the whole record followed by fsync(2); a short
- * write is fatal with the path, the byte counts and errno. Callers
- * serialize their own concurrent appends (or rely on O_APPEND
- * atomicity for records under PIPE_BUF on local filesystems).
+ * single write(2) of the whole record followed by fsync(2), both under
+ * flock(LOCK_EX) on the file, so independent processes appending to
+ * the same file never interleave or tear each other's records — the
+ * guarantee the multi-process campaign service leans on
+ * (harness/campaign_service.hh), beyond what O_APPEND alone promises.
+ * A short write is fatal with the path, the byte counts and errno.
+ * Threads within one process must still serialize their appends
+ * through one handle themselves (flock locks are per open file
+ * description, and a handle is one).
  */
 class AppendLog
 {
@@ -64,22 +70,8 @@ class AppendLog
     AppendLog(AppendLog &&other) noexcept;
 
     /**
-     * Open @p path for appending with cross-process exclusion: every
-     * append() additionally takes flock(LOCK_EX) on the journal for
-     * the duration of its write(2)+fsync(2), so *independent
-     * processes* appending to the same file can never interleave or
-     * tear each other's records — the guarantee the multi-process
-     * campaign service leans on (harness/campaign_service.hh), beyond
-     * what O_APPEND alone promises. Threads within one process must
-     * still serialize their appends themselves (flock locks are
-     * per-open-file-description, and this handle is one).
-     */
-    static AppendLog openExclusive(const std::string &path);
-
-    /**
      * Append @p record verbatim (callers include the trailing
-     * newline) with one write(2) + fsync(2), under flock for an
-     * openExclusive() handle.
+     * newline) with one write(2) + fsync(2) under flock.
      * @return bytes written (record.size()).
      */
     u64 append(const std::string &record);
@@ -93,13 +85,10 @@ class AppendLog
     const std::string &path() const { return filePath; }
 
   private:
-    AppendLog(const std::string &path, bool flock_each_append);
-
     std::string filePath;
     int fd = -1;
     u64 appended = 0;
     u64 openedAt = 0;
-    bool lockEachAppend = false;
 };
 
 /**
@@ -148,6 +137,28 @@ class FileLock
 
     std::string filePath;
     int fd = -1;
+};
+
+/**
+ * A private directory, made with mkdtemp(3) as /tmp/<prefix>-XXXXXX
+ * and removed with everything in it on destruction. Processes that
+ * each hold one never share a path. Give it static storage duration
+ * to have fatal()'s exit(3) remove it as well.
+ */
+class ScratchDir
+{
+  public:
+    /** Fatal with errno if the directory cannot be made. */
+    explicit ScratchDir(const std::string &prefix);
+    ~ScratchDir();
+
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+    const std::string &path() const { return dirPath; }
+
+  private:
+    std::string dirPath;
 };
 
 /** Size of the file at @p path in bytes; 0 if it does not exist. */

@@ -387,6 +387,11 @@ TEST(DoppdDeathTest, EmptyNegativeAndOverRangeValuesAreFatal)
                 ::testing::ExitedWithCode(1),
                 "--max-runtime-ms='18446744073709551616' is not an "
                 "integer");
+    // A fingerprint needs at least one attempt.
+    EXPECT_EXIT(execDoppd("--max-failures", "0"),
+                ::testing::ExitedWithCode(1),
+                "--max-failures='0' is not a positive integer in "
+                "\\[1, 4294967295\\]");
 }
 
 TEST(ExampleArgsDeathTest, ImagePipelineRejectsBadArgumentsBeforeAnyRun)

@@ -4,18 +4,21 @@
  * its fingerprint cross-check, flock-exclusive multi-process journal
  * appends, the claim/lease protocol (acquire, renew, expiry reclaim,
  * exactly-once finalize), the incremental journal tail, and worker
- * end-to-end flows — including the headline crash-tolerance bar: a
- * worker SIGKILLed mid-sweep is reclaimed and the finished batch's
- * results CSV is byte-identical to a clean serial run.
+ * end-to-end flows — failed configs, stop, and the headline
+ * crash-tolerance bar: a worker SIGKILLed mid-sweep is reclaimed and
+ * the finished batch's results CSV is byte-identical to a clean
+ * serial run.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -27,6 +30,7 @@
 
 #include "harness/campaign_service.hh"
 #include "harness/journal.hh"
+#include "harness/llc_factory.hh"
 #include "harness/results_io.hh"
 #include "util/fileio.hh"
 
@@ -118,6 +122,59 @@ testWorkerOptions(const std::string &root)
     opts.exitWhenIdle = true;
     opts.maxRuntimeMs = 120000; // safety net, not a tuning knob
     return opts;
+}
+
+/** Every journal record, in file order. */
+std::vector<std::pair<std::string, RunResult>>
+journalRecords(const SpoolPaths &paths)
+{
+    std::vector<std::pair<std::string, RunResult>> out;
+    std::ifstream in(paths.journalPath());
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty())
+            continue;
+        std::string fp, why;
+        RunResult r;
+        EXPECT_TRUE(parseJournalRecord(line, fp, r, why)) << why;
+        out.emplace_back(fp, r);
+    }
+    return out;
+}
+
+std::atomic<bool> throwsOnceFired{false};
+
+/**
+ * Test organizations wrapping "baseline": "test-throws-always" throws
+ * from its builder on every run, "test-throws-once" on its first run
+ * only, and "test-slow" builds after a 150 ms sleep.
+ */
+void
+registerTestOrganizations()
+{
+    static bool registered = false;
+    if (registered)
+        return;
+    registered = true;
+    auto wrap = [](auto before) {
+        return [before](MainMemory &memory, const ApproxRegistry &reg,
+                        const RunConfig &cfg, StatRegistry &stats,
+                        const std::string &) {
+            before();
+            return buildLlc("baseline", memory, reg, cfg, stats);
+        };
+    };
+    registerLlc("test-throws-always", wrap([] {
+                    throw std::runtime_error("builder always throws");
+                }));
+    registerLlc("test-throws-once", wrap([] {
+                    if (!throwsOnceFired.exchange(true))
+                        throw std::runtime_error("builder threw once");
+                }));
+    registerLlc("test-slow", wrap([] {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(150));
+                }));
 }
 
 } // namespace
@@ -465,7 +522,7 @@ TEST(AppendLogExclusive, ForkedWritersNeverInterleave)
         const pid_t pid = fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
-            AppendLog log = AppendLog::openExclusive(path);
+            AppendLog log(path);
             for (int r = 0; r < records; ++r) {
                 std::string record = "w" + std::to_string(w) + ":" +
                                      std::to_string(r) + ":";
@@ -679,6 +736,132 @@ TEST(CampaignWorker, RejectsMalformedBatchWithoutCrashing)
     BatchStatus goodSt;
     ASSERT_TRUE(readBatchStatus(paths, "good", goodSt));
     EXPECT_EQ(goodSt.state, "complete");
+}
+
+// ---------------------------------------------------------------------
+// Failed configs and stop
+// ---------------------------------------------------------------------
+
+TEST(CampaignFailureDeathTest, AlwaysThrowingConfigIsOneFailedRecord)
+{
+    registerTestOrganizations();
+    TempDir dir;
+    SpoolPaths paths{dir.path};
+    ensureSpoolLayout(paths);
+    std::vector<RunConfig> configs = smallCampaign(1);
+    configs.push_back(tinyConfig("kmeans", "test-throws-always", 0.01));
+    writeBatchFile(paths.batchPath("b1"), configs);
+    const std::string failedFp = configFingerprint(configs[1]);
+
+    CampaignServiceOptions opts = testWorkerOptions(dir.path);
+    opts.maxFailures = 2;
+    const CampaignWorkerOutcome outcome = runCampaignWorker(opts);
+    EXPECT_EQ(outcome.runsCompleted, 1u);
+    EXPECT_EQ(outcome.runsFailed, 2u); // both attempts
+
+    BatchStatus st;
+    ASSERT_TRUE(readBatchStatus(paths, "b1", st));
+    EXPECT_EQ(st.state, "failed");
+    EXPECT_EQ(st.completed, 1u);
+    EXPECT_EQ(st.failed, 1u);
+    EXPECT_FALSE(pathExists(paths.batchResultsPath("b1")));
+
+    size_t failedRecords = 0;
+    for (const auto &[fp, r] : journalRecords(paths)) {
+        if (fp != failedFp)
+            continue;
+        ++failedRecords;
+        EXPECT_TRUE(r.failed);
+        EXPECT_EQ(r.error, "builder always throws");
+    }
+    EXPECT_EQ(failedRecords, 1u);
+
+    CampaignBatch batch;
+    std::string why;
+    ASSERT_TRUE(loadCampaignBatch(paths.batchPath("b1"), "b1", batch, why))
+        << why;
+    EXPECT_EXIT(awaitCampaignResults(paths, batch, 10000),
+                ::testing::ExitedWithCode(1),
+                "campaign config '" + failedFp + "' permanently failed");
+}
+
+TEST(CampaignFailure, TransientFailureRetriesInTheClaimingWorker)
+{
+    registerTestOrganizations();
+    throwsOnceFired = false;
+    TempDir dir;
+    SpoolPaths paths{dir.path};
+    ensureSpoolLayout(paths);
+    const std::vector<RunConfig> configs = {
+        tinyConfig("kmeans", "test-throws-once", 0.01)};
+    writeBatchFile(paths.batchPath("b1"), configs);
+
+    CampaignServiceOptions opts = testWorkerOptions(dir.path);
+    opts.maxFailures = 2;
+    const CampaignWorkerOutcome outcome = runCampaignWorker(opts);
+    EXPECT_EQ(outcome.runsCompleted, 1u);
+    EXPECT_EQ(outcome.runsFailed, 1u);
+
+    BatchStatus st;
+    ASSERT_TRUE(readBatchStatus(paths, "b1", st));
+    EXPECT_EQ(st.state, "complete");
+    const auto records = journalRecords(paths);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].first, configFingerprint(configs[0]));
+    EXPECT_FALSE(records[0].second.failed);
+
+    // The builder no longer throws: the serial reference runs clean.
+    std::vector<RunResult> serial;
+    for (const RunConfig &cfg : configs)
+        serial.push_back(runWorkload(cfg));
+    TempDir serialDir;
+    const std::string serialCsv = serialDir.path + "/serial.csv";
+    writeResultsCsv(serialCsv, serial);
+    EXPECT_EQ(readFile(paths.batchResultsPath("b1")),
+              readFile(serialCsv));
+}
+
+TEST(CampaignStop, StopFinishesInFlightRunsAndLeavesTheQueue)
+{
+    registerTestOrganizations();
+    TempDir dir;
+    SpoolPaths paths{dir.path};
+    ensureSpoolLayout(paths);
+    // Each run sleeps 150 ms in its builder, three scan periods.
+    std::vector<RunConfig> configs;
+    for (u64 i = 0; i < 20; ++i) {
+        configs.push_back(tinyConfig("kmeans", "test-slow", 0.01));
+        configs.back().workload.seed = 7000 + i;
+    }
+    writeBatchFile(paths.batchPath("b1"), configs);
+
+    std::atomic<bool> stop{false};
+    CampaignServiceOptions opts = testWorkerOptions(dir.path);
+    opts.exitWhenIdle = false; // only the stop ends the worker
+    opts.externalStop = &stop;
+    CampaignWorkerOutcome outcome;
+    std::thread worker([&] { outcome = runCampaignWorker(opts); });
+
+    JournalTail tail(paths.journalPath());
+    std::unordered_set<std::string> journaled;
+    for (int i = 0; i < 12000 && journaled.empty(); ++i) {
+        tail.refresh(journaled);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    stop = true;
+    worker.join();
+    ASSERT_FALSE(journaled.empty()) << "worker made no progress";
+
+    EXPECT_TRUE(outcome.stopRequested);
+    EXPECT_LT(journalRecords(paths).size(), configs.size());
+    BatchStatus st;
+    ASSERT_TRUE(readBatchStatus(paths, "b1", st));
+    EXPECT_NE(st.state, "complete");
+    // No claim record is left: the jobs a stop skips were never taken
+    // or were released. (A heartbeat renewal racing a finalize can
+    // leave an empty claim file, which claims nothing.)
+    for (const std::string &f : listDir(paths.claimsDir()))
+        EXPECT_EQ(readFile(paths.claimsDir() + "/" + f), "") << f;
 }
 
 // ---------------------------------------------------------------------

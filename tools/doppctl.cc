@@ -16,7 +16,11 @@
  *       write the results CSV — the clean reference the CI smoke
  *       diffs the daemon's CSV against (they must be byte-identical)
  *   doppctl drain --spool DIR     finish pending work, then exit
- *   doppctl stop --spool DIR      finish in-flight runs, then exit
+ *   doppctl stop --spool DIR      finish in-flight runs, then exit;
+ *                                 queued configs stay unrun
+ *
+ * wait exits 1 for a "failed" batch: some config's attempts all
+ * failed, and its journal record says why.
  */
 
 #include <cstdio>

@@ -9,10 +9,14 @@
  * Watches DIR/spool for JSONL batches (doppctl submit), schedules
  * their configs across N worker processes coordinating through the
  * shared journal's claim/lease protocol, and writes status and
- * results files for doppctl to poll. SIGTERM/SIGINT stop gracefully;
- * SIGKILLing a *worker* is safe — its in-flight claims are reclaimed
- * by the surviving workers after lease expiry, and the daemon
- * respawns a replacement.
+ * results files for doppctl to poll. Each config gets up to
+ * --max-failures attempts (default 2, at least 1) in the worker that
+ * claimed it, through the batch runner's attempt loop; a success or
+ * the last failure is its one journal record. SIGTERM/SIGINT and
+ * doppctl stop are graceful: runs in flight finish and are journaled,
+ * queued configs stay unrun. SIGKILLing a *worker* is safe — its
+ * in-flight claims are reclaimed by the surviving workers after lease
+ * expiry, and the daemon respawns a replacement.
  *
  * --workers 0 (the default) runs a single worker in-process: handy
  * under a debugger, and what the tests drive. --oneshot exits once
@@ -45,13 +49,14 @@ usage()
     std::exit(2);
 }
 
-/** Strict flag value: whole digits that fit in @p T, else fatal. */
+/** Strict flag value: whole digits in [@p lo, max of @p T], else
+ * fatal. */
 template <typename T>
 T
-flagValue(const char *flag, const char *value)
+flagValue(const char *flag, const char *value, u64 lo = 0)
 {
     return static_cast<T>(
-        parseU64(flag, value, 0, std::numeric_limits<T>::max()));
+        parseU64(flag, value, lo, std::numeric_limits<T>::max()));
 }
 
 } // namespace
@@ -81,7 +86,7 @@ main(int argc, char **argv)
             opts.scanMs = flagValue<u64>("--scan-ms", value());
         else if (arg == "--max-failures")
             opts.maxFailures =
-                flagValue<unsigned>("--max-failures", value());
+                flagValue<unsigned>("--max-failures", value(), 1);
         else if (arg == "--oneshot")
             opts.exitWhenIdle = true;
         else if (arg == "--max-runtime-ms")
