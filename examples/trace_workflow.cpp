@@ -81,9 +81,13 @@ main(int argc, char **argv)
         replay("BdI-compressed 2MB", llc, mem);
     }
     {
+        // Exact dedup: a decoupled engine mapped by content hash.
         MainMemory mem;
-        DedupConfig dc;
-        DedupLlc llc(mem, dc);
+        DoppConfig dc;
+        dc.tagEntries = 32 * 1024;
+        dc.dataEntries = 16 * 1024;
+        dc.mapOverride = dedupContentHash;
+        DoppelgangerCache llc(mem, dc, nullptr);
         replay("dedup 2MB-tag / 1MB-data", llc, mem);
     }
     {

@@ -156,8 +156,9 @@ echo "ci: bench_perf smoke + schema check passed"
 # to the frozen reference hierarchy (DESIGN.md §18), and MemArena
 # holds the page-arena MainMemory to a block-map model. The compressed
 # baselines (DESIGN.md §17.5): GdishDictModel holds the dictionary
-# table to a hash-map model, CompressedOrgPins pins bdi, gdish and
-# uniDoppBdi results, and Bdi pins the size kernel to the codec.
+# table to a hash-map model, CompressedOrgPins pins bdi, gdish,
+# uniDoppBdi, dedup and approxDedup results, and Bdi pins the size
+# kernel to the codec.
 # DoppInvariants names planted engine corruptions (the cached data
 # slot, DESIGN.md §14.2), BlockSubstitutionError holds the guardrail's
 # typed error kernel to the element-wise model, and WorkloadPins pins

@@ -5,11 +5,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "compress/approx_dedup.hh"
 #include "compress/bdi.hh"
 #include "compress/fpc.hh"
 #include "compress/dedup.hh"
 #include "compress/gdish.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace dopp

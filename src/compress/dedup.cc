@@ -1,106 +1,50 @@
 #include "dedup.hh"
 
+#include <algorithm>
+#include <cmath>
+
+#include "util/hash.hh"
+
 namespace dopp
 {
 
-DedupLlc::DedupLlc(MainMemory &memory, const DedupConfig &config,
-                   StatRegistry *stat_registry,
-                   const std::string &stat_group,
-                   DoppEngineMaker make_engine)
-    : LastLevelCache(memory, stat_registry, stat_group)
+u64
+dedupContentHash(const u8 *block, const MapParams &)
 {
-    DoppConfig dc;
-    dc.tagEntries = config.tagEntries;
-    dc.tagWays = config.tagWays;
-    dc.dataEntries = config.dataEntries;
-    dc.dataWays = config.dataWays;
-    dc.hitLatency = config.hitLatency;
-    dc.unified = false;
-    dc.mapOverride = [](const u8 *block, const MapParams &) {
-        return fnv1a64(block, blockBytes);
-    };
-    // The engine owns every counter; register it under the dedup
-    // cache's own group so "llc.*" names resolve to engine activity.
-    engine = make_engine(memory, dc, nullptr, stat_registry, stat_group);
+    return fnv1a64(block, blockBytes);
 }
 
-void
-DedupLlc::setBackInvalidate(BackInvalidateFn fn)
+u64
+approxDedupCells(unsigned map_bits)
 {
-    engine->setBackInvalidate(std::move(fn));
+    const unsigned bits = std::max(1u, (map_bits + 1) / 2);
+    return 1ULL << std::min(bits, 32u);
 }
 
-void
-DedupLlc::setFaultInjector(FaultInjector *fi)
+u64
+approxDedupSignature(const u8 *block, const MapParams &params)
 {
-    LastLevelCache::setFaultInjector(fi);
-    engine->setFaultInjector(fi);
-}
+    const unsigned n = elemsPerBlock(params.type);
+    const u64 cells = approxDedupCells(params.mapBits);
+    const double range = params.maxValue - params.minValue;
+    // Degenerate range: every in-range value shares cell 0, exactly
+    // like the map function's bypass handling of empty ranges.
+    const double step = range > 0.0
+        ? range / static_cast<double>(cells)
+        : 1.0;
 
-void
-DedupLlc::setGuardrail(QorGuardrail *g)
-{
-    LastLevelCache::setGuardrail(g);
-    engine->setGuardrail(g);
-}
-
-bool
-DedupLlc::checkInvariants(std::string *why, bool check_hashes) const
-{
-    if (!engine->checkInvariants(why))
-        return false;
-    if (!check_hashes)
-        return true;
-    // Hash-table consistency: a resident block whose stored map is
-    // not the hash of its served bytes would dedup against the wrong
-    // pool (and a later writeback would unlink the wrong entry).
-    bool ok = true;
-    engine->forEachBlock([&](const LlcBlockInfo &info) {
-        if (!ok)
-            return;
-        const auto map = engine->mapOf(info.addr);
-        if (!map)
-            return; // precise tags (unified mode) carry no map
-        if (*map != fnv1a64(info.data, blockBytes)) {
-            ok = false;
-            if (why) {
-                *why = "dedup: stored map of a resident block is not "
-                       "the content hash of its served bytes";
-            }
-        }
-    });
-    return ok;
-}
-
-LastLevelCache::FetchResult
-DedupLlc::fetch(Addr addr, u8 *data)
-{
-    return engine->fetch(addr, data);
-}
-
-void
-DedupLlc::writeback(Addr addr, const u8 *data)
-{
-    engine->writeback(addr, data);
-}
-
-bool
-DedupLlc::contains(Addr addr) const
-{
-    return engine->contains(addr);
-}
-
-void
-DedupLlc::forEachBlock(
-    const std::function<void(const LlcBlockInfo &)> &visit) const
-{
-    engine->forEachBlock(visit);
-}
-
-void
-DedupLlc::flush()
-{
-    engine->flush();
+    u64 h = fnv1a64Basis;
+    for (unsigned i = 0; i < n; ++i) {
+        double v = blockElement(block, params.type, i);
+        if (std::isnan(v))
+            v = params.minValue;
+        v = std::clamp(v, params.minValue, params.maxValue);
+        u64 cell = static_cast<u64>((v - params.minValue) / step);
+        cell = std::min(cell, cells - 1);
+        for (unsigned b = 0; b < 8; ++b)
+            h = fnv1a64Step(h, static_cast<u8>(cell >> (8 * b)));
+    }
+    return h;
 }
 
 } // namespace dopp

@@ -1,103 +1,59 @@
 /**
  * @file
- * Exact last-level-cache deduplication [Tian et al., ICS 2014], the
- * inter-block lossless baseline of Fig 8.
+ * The map functions of the two deduplicating LLC organizations. Each
+ * organization is a plain decoupled Doppelgänger engine whose
+ * DoppConfig::mapOverride is one of these functions; the factory
+ * builds it (harness/llc_builders.cc), there is no wrapper class.
  *
- * Reuses the decoupled tag/data engine of DoppelgangerCache, but maps
- * blocks by a 64-bit content hash instead of the approximate-similarity
- * map: only byte-identical blocks share a data entry (up to the ~2^-64
- * chance of a hash collision, which would merely introduce the same
- * kind of aliasing Doppelgänger embraces by design).
+ * - dedup: exact last-level-cache deduplication [Tian et al., ICS
+ *   2014], the inter-block lossless baseline of Fig 8. The map is a
+ *   64-bit content hash, so only byte-identical blocks share a data
+ *   entry (up to the ~2^-64 chance of a hash collision, which would
+ *   merely introduce the same kind of aliasing Doppelgänger embraces
+ *   by design).
+ * - approxDedup: its lossy counterpart, threshold-match dedup. Blocks
+ *   whose elements agree within a quantization tolerance share one
+ *   data entry, trading a bounded per-element error for a far larger
+ *   sharing pool — the approx-dedup vs. approx-compression contrast of
+ *   the survey literature. The map is a quantized-element signature:
+ *   every element is snapped to a uniform grid over its region's
+ *   declared range and the grid cells are hashed. Two blocks collide
+ *   exactly when all elements fall into the same cells, i.e. pairwise
+ *   differ by less than one grid step — the threshold-match rule of
+ *   Fig 2 expressed as a pure function of the block, so it rides the
+ *   engine's sharing, eviction, fault-injection and repair machinery
+ *   unchanged. The grid uses ⌈mapBits/2⌉ bits per element: the
+ *   default 14-bit map space gives 128 cells, ≈0.8 % of range —
+ *   inside the similarity thresholds the paper studies.
+ *
+ * The snapshot analysis (analysis/similarity.cc) uses the signature
+ * too.
  */
 
 #ifndef DOPP_COMPRESS_DEDUP_HH
 #define DOPP_COMPRESS_DEDUP_HH
 
-#include <memory>
-
-#include "core/dopp_engine.hh"
-#include "sim/llc.hh"
-#include "util/hash.hh"
+#include "core/map_function.hh"
+#include "util/types.hh"
 
 namespace dopp
 {
 
-/** Configuration of the dedup LLC. */
-struct DedupConfig
-{
-    u32 tagEntries = 32 * 1024; ///< 2 MB tag-equivalent
-    u32 tagWays = 16;
-    u32 dataEntries = 16 * 1024;
-    u32 dataWays = 16;
-    Tick hitLatency = 6;
-};
+/**
+ * dedup's map: FNV-1a over the block's 64 bytes; @p params is unused
+ * (MapOverrideFn-compatible).
+ */
+u64 dedupContentHash(const u8 *block, const MapParams &params);
+
+/** Grid cells per element for @p map_bits (2^⌈mapBits/2⌉). */
+u64 approxDedupCells(unsigned map_bits);
 
 /**
- * Deduplicating LLC: a DoppelgangerCache whose map function is a
- * content hash, so sharing happens only between identical blocks.
+ * approxDedup's map: FNV-1a over every element's grid cell under
+ * @p params. Signature equality ⇔ all elements within one grid step
+ * (MapOverrideFn-compatible).
  */
-class DedupLlc : public LastLevelCache
-{
-  public:
-    DedupLlc(MainMemory &memory, const DedupConfig &config,
-             StatRegistry *stat_registry = nullptr,
-             const std::string &stat_group = "llc",
-             DoppEngineMaker make_engine = makeDoppEngine);
-
-    FetchResult fetch(Addr addr, u8 *data) override;
-    void writeback(Addr addr, const u8 *data) override;
-    bool contains(Addr addr) const override;
-    void forEachBlock(
-        const std::function<void(const LlcBlockInfo &)> &visit)
-        const override;
-    void flush() override;
-    const char *name() const override { return "dedup"; }
-
-    void setBackInvalidate(BackInvalidateFn fn) override;
-
-    /**
-     * Forwarded to the engine: the wrapper used to swallow these (the
-     * base-class default only set the wrapper's own pointer), so a
-     * fault campaign against the dedup organization silently injected
-     * nothing — the engine's tag/MTag draws and its
-     * self-check-and-repair never ran. Pinned by
-     * DedupLlc.FaultInjectorReachesEngine.
-     */
-    void setFaultInjector(FaultInjector *fi) override;
-    void setGuardrail(QorGuardrail *g) override;
-
-    void
-    setHotPathProfile(HotPathProfile *p) override
-    {
-        engine->setHotPathProfile(p);
-    }
-    const LlcStats &stats() const override { return engine->stats(); }
-    void resetStats() override { engine->resetStats(); }
-
-    /** Underlying engine, for occupancy introspection. */
-    const DoppEngine &inner() const { return *engine; }
-
-    /**
-     * Dedup-table invariants: the engine's structural pass (every
-     * tag's map resolves to a live data entry — the refcount
-     * underflow / orphaned-entry detector) plus the hash-table
-     * consistency property specific to this organization — the map
-     * stored for every resident block equals the content hash of the
-     * bytes the cache serves for it. The hash pass only holds while
-     * data is pristine, so it is skipped when @p check_hashes is
-     * false (e.g. under data-fault injection, which flips stored
-     * bytes on purpose).
-     */
-    bool checkInvariants(std::string *why = nullptr,
-                         bool check_hashes = true) const;
-
-    /** Detect-and-repair pass over injected metadata faults (see
-     * DoppEngine::selfCheckAndRepair). */
-    bool selfCheckAndRepair() { return engine->selfCheckAndRepair(); }
-
-  private:
-    std::unique_ptr<DoppEngine> engine;
-};
+u64 approxDedupSignature(const u8 *block, const MapParams &params);
 
 } // namespace dopp
 

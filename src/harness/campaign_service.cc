@@ -733,6 +733,62 @@ batchStatusJson(const BatchStatus &s)
     return out;
 }
 
+/**
+ * One pass over the ingested batches: writes each status/<batch>.json
+ * from the journal @p records and, the first time a batch is
+ * complete, its results/<batch>.csv. With @p queue_to (whose mutex
+ * the caller holds), queues every fingerprint that has no record and
+ * is not in flight yet.
+ * @return whether some fingerprint still has no record.
+ */
+bool
+refreshBatches(const SpoolPaths &paths, const std::string &id,
+               const std::map<std::string, CampaignBatch> &batches,
+               const std::unordered_map<std::string, RunResult> &records,
+               std::set<std::string> &resultsWritten,
+               WorkerState *queue_to)
+{
+    bool anyPending = false;
+    for (const auto &[name, batch] : batches) {
+        BatchStatus st;
+        st.name = name;
+        st.total = batch.fingerprints.size();
+        for (size_t i = 0; i < batch.fingerprints.size(); ++i) {
+            // A fingerprint's record is its final state: a success
+            // completes it, a failure fails it for good.
+            const std::string &fp = batch.fingerprints[i];
+            const auto rec = records.find(fp);
+            if (rec != records.end()) {
+                ++(rec->second.failed ? st.failed : st.completed);
+                continue;
+            }
+            anyPending = true;
+            if (queue_to && !queue_to->inFlight.count(fp)) {
+                queue_to->inFlight.insert(fp);
+                queue_to->queue.push_back({fp, batch.configs[i]});
+            }
+        }
+        st.state = st.completed + st.failed < st.total
+                       ? "running"
+                       : (st.failed ? "failed" : "complete");
+        atomicWriteFile(paths.batchStatusPath(name), batchStatusJson(st));
+        if (st.state == "complete" && !resultsWritten.count(name)) {
+            // Reconstruct in batch order from the journal —
+            // byte-identical to a serial run by the bit-exact
+            // round-trip (see the header comment).
+            std::vector<RunResult> results;
+            results.reserve(batch.fingerprints.size());
+            for (const std::string &fp : batch.fingerprints)
+                results.push_back(records.at(fp));
+            writeResultsCsv(paths.batchResultsPath(name), results);
+            resultsWritten.insert(name);
+            inform("campaign worker %s: batch '%s' complete", id.c_str(),
+                   name.c_str());
+        }
+    }
+    return anyPending;
+}
+
 } // namespace
 
 CampaignWorkerOutcome
@@ -760,9 +816,13 @@ runCampaignWorker(const CampaignServiceOptions &opts)
     // refresh workers/<id>.json. Losing a renewal race is normal
     // (lease expired under load, a peer reclaimed) — the run keeps
     // going; finalize's ownership check settles who owns the record.
-    std::atomic<bool> heartbeatStop{false};
+    // It waits on heartbeatWake between beats, so the worker's exit
+    // never waits out a period.
+    std::mutex heartbeatMutex;
+    std::condition_variable heartbeatWake;
+    bool heartbeatStop = false;
     std::thread heartbeat([&] {
-        while (!heartbeatStop.load()) {
+        for (;;) {
             std::vector<std::string> running;
             size_t completed = 0;
             {
@@ -776,7 +836,11 @@ runCampaignWorker(const CampaignServiceOptions &opts)
             }
             for (const std::string &fp : running)
                 ctx.claims.renew(fp);
-            sleepMs(opts.heartbeatMs);
+            std::unique_lock<std::mutex> lock(heartbeatMutex);
+            if (heartbeatWake.wait_for(
+                    lock, std::chrono::milliseconds(opts.heartbeatMs),
+                    [&] { return heartbeatStop; }))
+                return;
         }
     });
 
@@ -831,51 +895,11 @@ runCampaignWorker(const CampaignServiceOptions &opts)
             batches.emplace(name, std::move(batch));
         }
 
-        bool anyPending = false;
+        bool anyPending;
         {
             std::lock_guard<std::mutex> lock(state.mutex);
-            for (const auto &[name, batch] : batches) {
-                BatchStatus st;
-                st.name = name;
-                st.total = batch.fingerprints.size();
-                for (size_t i = 0; i < batch.fingerprints.size();
-                     ++i) {
-                    // A fingerprint's record is its final state: a
-                    // success completes it, a failure fails it for good.
-                    const std::string &fp = batch.fingerprints[i];
-                    const auto rec = records.find(fp);
-                    if (rec != records.end()) {
-                        ++(rec->second.failed ? st.failed : st.completed);
-                        continue;
-                    }
-                    anyPending = true;
-                    if (!state.inFlight.count(fp)) {
-                        state.inFlight.insert(fp);
-                        state.queue.push_back(
-                            {fp, batch.configs[i]});
-                    }
-                }
-                st.state = st.completed + st.failed < st.total
-                               ? "running"
-                               : (st.failed ? "failed" : "complete");
-                atomicWriteFile(paths.batchStatusPath(name),
-                                batchStatusJson(st));
-                if (st.state == "complete" &&
-                    !resultsWritten.count(name)) {
-                    // Reconstruct in batch order from the journal —
-                    // byte-identical to a serial run by the bit-exact
-                    // round-trip (see the header comment).
-                    std::vector<RunResult> results;
-                    results.reserve(batch.fingerprints.size());
-                    for (const std::string &fp : batch.fingerprints)
-                        results.push_back(records.at(fp));
-                    writeResultsCsv(paths.batchResultsPath(name),
-                                    results);
-                    resultsWritten.insert(name);
-                    inform("campaign worker %s: batch '%s' complete",
-                           id.c_str(), name.c_str());
-                }
-            }
+            anyPending = refreshBatches(paths, id, batches, records,
+                                        resultsWritten, &state);
             if (!state.queue.empty())
                 state.cv.notify_all();
         }
@@ -900,8 +924,18 @@ runCampaignWorker(const CampaignServiceOptions &opts)
     state.cv.notify_all();
     for (std::thread &t : executors)
         t.join();
-    heartbeatStop.store(true);
+    {
+        std::lock_guard<std::mutex> lock(heartbeatMutex);
+        heartbeatStop = true;
+    }
+    heartbeatWake.notify_all();
     heartbeat.join();
+
+    // The runs that finished after the last scan (a stop ends the scan
+    // loop with runs in flight): count them, and write the results of
+    // a batch they completed.
+    scanTail.refresh(journaled, &records);
+    refreshBatches(paths, id, batches, records, resultsWritten, nullptr);
 
     CampaignWorkerOutcome outcome;
     {

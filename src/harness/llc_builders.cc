@@ -4,16 +4,19 @@
  * constructs its organization against the run's StatRegistry under
  * the group path the factory hands it ("llc" for a direct build,
  * "llc.sliceN" per slice of a sliced build): organizations whose
- * counters live directly under the group (baseline, bdi, dedup) add
- * the derived formulas there; organizations whose counters live in
- * subgroups (split, uniDoppelgänger) expose an aggregate whole-LLC
- * view under the group instead. The five that wrap a Doppelgänger
- * engine build it with the DoppEngineMaker they are registered with.
+ * counters live directly under the group (baseline, bdi, gdish,
+ * dedup, approxDedup) add the derived formulas there; organizations
+ * whose counters live in subgroups (split, uniDoppelgänger,
+ * uniDoppBdi) expose an aggregate whole-LLC view under the group
+ * instead. The five engine-backed organizations build their
+ * Doppelgänger engine with the DoppEngineMaker they are registered
+ * with: split and uniDoppBdi wrap one, while uniDoppelgänger, dedup
+ * and approxDedup are one (the dedup pair with a content map as
+ * DoppConfig::mapOverride).
  */
 
 #include <algorithm>
 
-#include "compress/approx_dedup.hh"
 #include "compress/bdi_llc.hh"
 #include "compress/dedup.hh"
 #include "compress/gdish.hh"
@@ -97,26 +100,49 @@ buildBdi(MainMemory &memory, const ApproxRegistry &registry,
     return built;
 }
 
-LlcBuilt
-buildDedup(MainMemory &memory, const ApproxRegistry &,
-           const RunConfig &cfg, StatRegistry &stats,
-           const std::string &group, DoppEngineMaker make_engine)
+/** The engine of a dedup organization: the baseline's tag geometry,
+ * a dataFraction data array and the map function @p map. Neither
+ * organization reads the RunConfig's Doppelgänger knobs, so unlike
+ * doppConfigFor every other field keeps its DoppConfig default. */
+DoppConfig
+dedupEngineConfig(const RunConfig &cfg, MapOverrideFn map)
 {
-    DedupConfig dc;
+    DoppConfig dc;
     dc.tagEntries = static_cast<u32>(cfg.baselineBytes / blockBytes);
     dc.tagWays = cfg.llcWays;
     dc.dataEntries = static_cast<u32>(
         static_cast<double>(dc.tagEntries) * cfg.dataFraction);
     dc.dataWays = cfg.llcWays;
     dc.hitLatency = cfg.llcLatency;
+    dc.mapOverride = map;
+    return dc;
+}
 
+/** A dedup organization is its engine, registered under the group
+ * itself. LlcBuilt::dopps stays empty, so the run's tagsPerDataEntry
+ * stat reads 0 for dedup and approxDedup. */
+LlcBuilt
+buildDedupEngine(MainMemory &memory, const DoppConfig &dc,
+                 const ApproxRegistry *registry, StatRegistry &stats,
+                 const std::string &group, DoppEngineMaker make_engine)
+{
     LlcBuilt built;
-    auto ptr = std::make_unique<DedupLlc>(memory, dc, &stats, group,
-                                          make_engine);
+    auto ptr = make_engine(memory, dc, registry, &stats, group);
     registerLlcFormulas(stats.group(group),
                         [llc = ptr.get()] { return llc->stats(); });
     built.llc = std::move(ptr);
     return built;
+}
+
+LlcBuilt
+buildDedup(MainMemory &memory, const ApproxRegistry &,
+           const RunConfig &cfg, StatRegistry &stats,
+           const std::string &group, DoppEngineMaker make_engine)
+{
+    // A content hash reads no annotation: no registry.
+    return buildDedupEngine(memory,
+                            dedupEngineConfig(cfg, dedupContentHash),
+                            nullptr, stats, group, make_engine);
 }
 
 LlcBuilt
@@ -167,22 +193,12 @@ buildApproxDedup(MainMemory &memory, const ApproxRegistry &registry,
                  const RunConfig &cfg, StatRegistry &stats,
                  const std::string &group, DoppEngineMaker make_engine)
 {
-    ApproxDedupConfig ac;
-    ac.tagEntries = static_cast<u32>(cfg.baselineBytes / blockBytes);
-    ac.tagWays = cfg.llcWays;
-    ac.dataEntries = static_cast<u32>(
-        static_cast<double>(ac.tagEntries) * cfg.dataFraction);
-    ac.dataWays = cfg.llcWays;
-    ac.mapBits = cfg.mapBits; // tolerance knob: 2^⌈mapBits/2⌉ cells
-    ac.hitLatency = cfg.llcLatency;
-
-    LlcBuilt built;
-    auto ptr = std::make_unique<ApproxDedupLlc>(
-        memory, ac, &registry, &stats, group, make_engine);
-    registerLlcFormulas(stats.group(group),
-                        [llc = ptr.get()] { return llc->stats(); });
-    built.llc = std::move(ptr);
-    return built;
+    DoppConfig dc = dedupEngineConfig(cfg, approxDedupSignature);
+    dc.mapBits = cfg.mapBits; // tolerance knob: 2^⌈mapBits/2⌉ cells
+    // The signature depends on the region annotations (type, declared
+    // range), so the engine resolves MapParams from the registry.
+    return buildDedupEngine(memory, dc, &registry, stats, group,
+                            make_engine);
 }
 
 /** The built-ins in registration order, which registeredLlcNames()

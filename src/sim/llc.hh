@@ -3,9 +3,10 @@
  * Last-level-cache interface shared by all LLC organizations.
  *
  * The memory hierarchy (hierarchy.hh) is LLC-agnostic: the baseline
- * conventional cache, the split precise+Doppelgänger LLC, the unified
- * uniDoppelgänger LLC and the dedup baseline all implement this
- * interface. The LLC owns its interaction with main memory (demand
+ * conventional cache, the split precise+Doppelgänger LLC, the
+ * Doppelgänger engine (which is also the unified uniDoppelgänger and,
+ * with a content map, the dedup and approxDedup baselines) and the
+ * compressed B∆I and G-DISH caches all implement this interface. The LLC owns its interaction with main memory (demand
  * fills, writebacks) and reports per-structure access counts that the
  * energy model converts to Joules.
  */
@@ -349,8 +350,8 @@ class LastLevelCache
     /**
      * Create this organization's LlcCounters under the stat group.
      * Concrete organizations that count events call this exactly once
-     * in their constructor; pure containers (split, dedup) skip it
-     * and override stats()/resetStats() instead.
+     * in their constructor; pure containers (split, uniDoppBdi,
+     * sliced) skip it and override stats()/resetStats() instead.
      */
     void
     initLlcCounters()

@@ -853,15 +853,81 @@ TEST(CampaignStop, StopFinishesInFlightRunsAndLeavesTheQueue)
     ASSERT_FALSE(journaled.empty()) << "worker made no progress";
 
     EXPECT_TRUE(outcome.stopRequested);
-    EXPECT_LT(journalRecords(paths).size(), configs.size());
+    const size_t records = journalRecords(paths).size();
+    EXPECT_LT(records, configs.size());
     BatchStatus st;
     ASSERT_TRUE(readBatchStatus(paths, "b1", st));
     EXPECT_NE(st.state, "complete");
+    // The status file counts the runs that finished after the stop.
+    EXPECT_EQ(st.completed, records);
     // No claim record is left: the jobs a stop skips were never taken
     // or were released. (A heartbeat renewal racing a finalize can
     // leave an empty claim file, which claims nothing.)
     for (const std::string &f : listDir(paths.claimsDir()))
         EXPECT_EQ(readFile(paths.claimsDir() + "/" + f), "") << f;
+}
+
+TEST(CampaignStop, StopDuringTheLastRunStillCompletesTheBatch)
+{
+    registerTestOrganizations();
+    TempDir dir;
+    SpoolPaths paths{dir.path};
+    ensureSpoolLayout(paths);
+    const std::vector<RunConfig> configs = {
+        tinyConfig("kmeans", "test-slow", 0.01)};
+    writeBatchFile(paths.batchPath("b1"), configs);
+    const std::string claim = paths.claimsDir() + "/" +
+                              sanitizeFingerprint(
+                                  configFingerprint(configs[0]));
+
+    std::atomic<bool> stop{false};
+    CampaignServiceOptions opts = testWorkerOptions(dir.path);
+    opts.exitWhenIdle = false;
+    opts.externalStop = &stop;
+    CampaignWorkerOutcome outcome;
+    std::thread worker([&] { outcome = runCampaignWorker(opts); });
+
+    // The claim is taken right before the 150 ms run starts.
+    bool claimed = false;
+    for (int i = 0; i < 12000 && !claimed; ++i) {
+        claimed = pathExists(claim) && !readFile(claim).empty();
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    stop = true;
+    worker.join();
+    ASSERT_TRUE(claimed) << "worker never claimed the run";
+
+    EXPECT_TRUE(outcome.stopRequested);
+    EXPECT_EQ(outcome.runsCompleted, 1u);
+    BatchStatus st;
+    ASSERT_TRUE(readBatchStatus(paths, "b1", st));
+    EXPECT_EQ(st.state, "complete");
+    EXPECT_EQ(st.completed, 1u);
+    EXPECT_TRUE(pathExists(paths.batchResultsPath("b1")));
+}
+
+TEST(CampaignStop, LongHeartbeatDoesNotDelayExit)
+{
+    // The heartbeat waits on its stop, not a whole period: a worker
+    // whose heartbeat renews once a minute still exits as soon as it
+    // runs out of work.
+    TempDir dir;
+    SpoolPaths paths{dir.path};
+    ensureSpoolLayout(paths);
+    writeBatchFile(paths.batchPath("b1"),
+                   {tinyConfig("kmeans", "baseline", 0.05)});
+
+    CampaignServiceOptions opts = testWorkerOptions(dir.path);
+    opts.heartbeatMs = 60000;
+    opts.leaseMs = 120000;
+    const auto start = std::chrono::steady_clock::now();
+    const CampaignWorkerOutcome outcome = runCampaignWorker(opts);
+    const auto elapsedMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_EQ(outcome.runsCompleted, 1u);
+    EXPECT_LT(elapsedMs, 30000);
 }
 
 // ---------------------------------------------------------------------

@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the exact-deduplication LLC baseline and the FNV hash.
+ * Tests for the exact-deduplication LLC baseline (a decoupled
+ * Doppelgänger engine mapped by content hash) and the FNV hash.
  */
 
 #include <gtest/gtest.h>
 
 #include "compress/dedup.hh"
+#include "core/doppelganger_cache.hh"
 #include "fault/fault_injector.hh"
+#include "harness/experiment.hh"
+#include "harness/llc_factory.hh"
+#include "util/hash.hh"
 #include "util/random.hh"
 
 namespace dopp
@@ -24,15 +29,49 @@ seedPattern(MainMemory &mem, Addr addr, u8 first, u8 rest)
     mem.poke(addr, b.data(), blockBytes);
 }
 
-DedupConfig
+DoppConfig
 smallDedup()
 {
-    DedupConfig cfg;
+    DoppConfig cfg;
     cfg.tagEntries = 64;
     cfg.tagWays = 16;
     cfg.dataEntries = 32;
     cfg.dataWays = 4;
+    cfg.mapOverride = dedupContentHash;
     return cfg;
+}
+
+/**
+ * Dedup-table invariants: the engine's structural pass (every tag's
+ * map resolves to a live data entry — the refcount underflow /
+ * orphaned-entry detector) plus the hash-table consistency property
+ * specific to dedup — the map stored for every resident block equals
+ * the content hash of the bytes the cache serves for it. The hash
+ * pass only holds while data is pristine, so it is skipped when
+ * @p check_hashes is false (e.g. under data-fault injection, which
+ * flips stored bytes on purpose).
+ */
+bool
+dedupInvariantsHold(const DoppEngine &llc, std::string &why,
+                    bool check_hashes = true)
+{
+    if (!llc.checkInvariants(&why))
+        return false;
+    if (!check_hashes)
+        return true;
+    // A resident block whose stored map is not the hash of its served
+    // bytes would dedup against the wrong pool (and a later writeback
+    // would unlink the wrong entry).
+    bool ok = true;
+    llc.forEachBlock([&](const LlcBlockInfo &info) {
+        const auto map = llc.mapOf(info.addr);
+        if (ok && map && *map != fnv1a64(info.data, blockBytes)) {
+            ok = false;
+            why = "dedup: stored map of a resident block is not the "
+                  "content hash of its served bytes";
+        }
+    });
+    return ok;
 }
 
 } // namespace
@@ -49,35 +88,35 @@ TEST(Fnv, DeterministicAndSensitive)
 TEST(DedupLlc, IdenticalBlocksShareOneEntry)
 {
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
+    DoppelgangerCache llc(mem, smallDedup(), nullptr);
     seedPattern(mem, 0x1000, 7, 7);
     seedPattern(mem, 0x2000, 7, 7);
     BlockData buf;
     llc.fetch(0x1000, buf.data());
     llc.fetch(0x2000, buf.data());
-    EXPECT_EQ(llc.inner().tagCount(), 2u);
-    EXPECT_EQ(llc.inner().dataCount(), 1u);
-    EXPECT_TRUE(llc.inner().sameDataEntry(0x1000, 0x2000));
+    EXPECT_EQ(llc.tagCount(), 2u);
+    EXPECT_EQ(llc.dataCount(), 1u);
+    EXPECT_TRUE(llc.sameDataEntry(0x1000, 0x2000));
 }
 
 TEST(DedupLlc, OneByteDifferencePreventsSharing)
 {
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
+    DoppelgangerCache llc(mem, smallDedup(), nullptr);
     seedPattern(mem, 0x1000, 7, 7);
     seedPattern(mem, 0x2000, 8, 7); // differs in one byte
     BlockData buf;
     llc.fetch(0x1000, buf.data());
     llc.fetch(0x2000, buf.data());
-    EXPECT_EQ(llc.inner().dataCount(), 2u);
-    EXPECT_FALSE(llc.inner().sameDataEntry(0x1000, 0x2000));
+    EXPECT_EQ(llc.dataCount(), 2u);
+    EXPECT_FALSE(llc.sameDataEntry(0x1000, 0x2000));
 }
 
 TEST(DedupLlc, ReadsAreLossless)
 {
     // Dedup never corrupts data: reads return exactly what was stored.
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
+    DoppelgangerCache llc(mem, smallDedup(), nullptr);
     Rng rng(4);
     BlockData blocks[8];
     for (unsigned k = 0; k < 8; ++k) {
@@ -97,18 +136,18 @@ TEST(DedupLlc, ReadsAreLossless)
 TEST(DedupLlc, WriteUnshares)
 {
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
+    DoppelgangerCache llc(mem, smallDedup(), nullptr);
     seedPattern(mem, 0x1000, 7, 7);
     seedPattern(mem, 0x2000, 7, 7);
     BlockData buf;
     llc.fetch(0x1000, buf.data());
     llc.fetch(0x2000, buf.data());
-    ASSERT_TRUE(llc.inner().sameDataEntry(0x1000, 0x2000));
+    ASSERT_TRUE(llc.sameDataEntry(0x1000, 0x2000));
 
     BlockData w;
     w.fill(9);
     llc.writeback(0x1000, w.data());
-    EXPECT_FALSE(llc.inner().sameDataEntry(0x1000, 0x2000));
+    EXPECT_FALSE(llc.sameDataEntry(0x1000, 0x2000));
     llc.fetch(0x1000, buf.data());
     EXPECT_EQ(buf[0], 9);
     llc.fetch(0x2000, buf.data());
@@ -118,7 +157,7 @@ TEST(DedupLlc, WriteUnshares)
 TEST(DedupLlc, FlushWritesDirtyDataExactly)
 {
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
+    DoppelgangerCache llc(mem, smallDedup(), nullptr);
     seedPattern(mem, 0x1000, 1, 1);
     BlockData buf;
     llc.fetch(0x1000, buf.data());
@@ -134,7 +173,7 @@ TEST(DedupLlc, FlushWritesDirtyDataExactly)
 TEST(DedupLlc, InvariantsUnderChurn)
 {
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
+    DoppelgangerCache llc(mem, smallDedup(), nullptr);
     Rng rng(6);
     BlockData buf;
     for (int i = 0; i < 2000; ++i) {
@@ -148,28 +187,34 @@ TEST(DedupLlc, InvariantsUnderChurn)
         }
     }
     std::string why;
-    EXPECT_TRUE(llc.inner().checkInvariants(&why)) << why;
+    EXPECT_TRUE(llc.checkInvariants(&why)) << why;
 }
 
 TEST(DedupLlc, FaultInjectorReachesEngine)
 {
-    // Regression pin: the wrapper used to inherit the base-class
-    // setFaultInjector, which only set its own pointer — the engine
-    // never saw the injector and a fault campaign against the dedup
-    // organization silently injected nothing.
+    // Regression pin: the organization used to be a wrapper whose
+    // inherited setFaultInjector only set its own pointer, so a fault
+    // campaign against dedup silently injected nothing. The factory's
+    // dedup is the engine itself; attach the injector the way a run
+    // does.
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
+    ApproxRegistry reg;
+    RunConfig cfg;
+    cfg.baselineBytes = 64 * blockBytes; // 64 tags: flips land live
+    cfg.dataFraction = 0.5;
+    StatRegistry stats;
+    LlcBuilt built = buildLlc("dedup", mem, reg, cfg, stats);
     FaultConfig fc;
     fc.seed = 7;
     fc.tagMetaRate = 0.5; // fire fast; determinism is the seed's job
     FaultInjector fi(fc);
-    llc.setFaultInjector(&fi);
+    built.llc->setFaultInjector(&fi);
 
     BlockData buf;
     for (unsigned k = 0; k < 64; ++k)
-        llc.fetch(0x1000 + k * blockBytes, buf.data());
+        built.llc->fetch(0x1000 + k * blockBytes, buf.data());
     EXPECT_GT(fi.stats().totalInjected(), 0u)
-        << "injector attached to the wrapper never reached the engine";
+        << "injector attached to the organization never reached it";
 }
 
 TEST(DedupLlc, MetadataFaultStressRepairsAndHoldsInvariants)
@@ -178,7 +223,7 @@ TEST(DedupLlc, MetadataFaultStressRepairsAndHoldsInvariants)
     // detect-and-repair path must keep refcounts from underflowing and
     // leave no orphaned data entries behind.
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
+    DoppelgangerCache llc(mem, smallDedup(), nullptr);
     FaultConfig fc;
     fc.seed = 99;
     fc.tagMetaRate = 2e-3;
@@ -205,29 +250,27 @@ TEST(DedupLlc, MetadataFaultStressRepairsAndHoldsInvariants)
     // Structural invariants must hold; content hashes may legitimately
     // disagree after repair (a dropped tag leaves its block to be
     // refetched), so the stress checks structure only.
-    EXPECT_TRUE(llc.checkInvariants(&why, false)) << why;
+    EXPECT_TRUE(dedupInvariantsHold(llc, why, false)) << why;
 }
 
 TEST(DedupLlc, CheckInvariantsVerifiesContentHashes)
 {
     // The hash-verifying pass (check_hashes=true) is the orphan /
-    // stale-map detector the fault campaign leans on: on a clean cache
-    // it must pass.
+    // stale-map detector: on a clean cache it must pass.
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
+    DoppelgangerCache llc(mem, smallDedup(), nullptr);
     Rng rng(12);
     BlockData buf;
     for (int i = 0; i < 500; ++i)
         llc.fetch(rng.below(64) * blockBytes, buf.data());
     std::string why;
-    EXPECT_TRUE(llc.checkInvariants(&why)) << why;
+    EXPECT_TRUE(dedupInvariantsHold(llc, why)) << why;
 }
 
 TEST(DedupLlc, NameAndStats)
 {
     MainMemory mem;
-    DedupLlc llc(mem, smallDedup());
-    EXPECT_STREQ(llc.name(), "dedup");
+    DoppelgangerCache llc(mem, smallDedup(), nullptr);
     BlockData buf;
     llc.fetch(0x1000, buf.data());
     EXPECT_EQ(llc.stats().fetches, 1u);

@@ -16,9 +16,10 @@
 
 #include <gtest/gtest.h>
 
-#include "compress/approx_dedup.hh"
+#include "compress/dedup.hh"
 #include "compress/gdish.hh"
 #include "compress/uni_dopp_bdi.hh"
+#include "core/doppelganger_cache.hh"
 #include "doppelganger_ref.hh"
 #include "fault/fault_injector.hh"
 #include "harness/experiment.hh"
@@ -77,14 +78,15 @@ f32Params(unsigned map_bits = 14)
     return p;
 }
 
-ApproxDedupConfig
+DoppConfig
 smallApproxDedup()
 {
-    ApproxDedupConfig cfg;
+    DoppConfig cfg;
     cfg.tagEntries = 64;
     cfg.tagWays = 16;
     cfg.dataEntries = 32;
     cfg.dataWays = 4;
+    cfg.mapOverride = approxDedupSignature;
     return cfg;
 }
 
@@ -350,7 +352,7 @@ TEST(ApproxDedupSignature, DegenerateRangeMapsEverythingTogether)
 TEST(ApproxDedupLlc, SimilarBlocksShareOneEntry)
 {
     MainMemory mem;
-    ApproxDedupLlc llc(mem, smallApproxDedup(), nullptr);
+    DoppelgangerCache llc(mem, smallApproxDedup(), nullptr);
     const BlockData a = floatBlock(0.5f);
     const BlockData b = floatBlock(0.502f);
     mem.poke(0x1000, a.data(), blockBytes);
@@ -358,15 +360,15 @@ TEST(ApproxDedupLlc, SimilarBlocksShareOneEntry)
     BlockData buf;
     llc.fetch(0x1000, buf.data());
     llc.fetch(0x2000, buf.data());
-    EXPECT_EQ(llc.inner().tagCount(), 2u);
-    EXPECT_EQ(llc.inner().dataCount(), 1u);
-    EXPECT_TRUE(llc.inner().sameDataEntry(0x1000, 0x2000));
+    EXPECT_EQ(llc.tagCount(), 2u);
+    EXPECT_EQ(llc.dataCount(), 1u);
+    EXPECT_TRUE(llc.sameDataEntry(0x1000, 0x2000));
 }
 
 TEST(ApproxDedupLlc, DissimilarBlocksKeepSeparateEntries)
 {
     MainMemory mem;
-    ApproxDedupLlc llc(mem, smallApproxDedup(), nullptr);
+    DoppelgangerCache llc(mem, smallApproxDedup(), nullptr);
     const BlockData a = floatBlock(0.5f);
     const BlockData c = floatBlock(0.6f);
     mem.poke(0x1000, a.data(), blockBytes);
@@ -374,8 +376,8 @@ TEST(ApproxDedupLlc, DissimilarBlocksKeepSeparateEntries)
     BlockData buf;
     llc.fetch(0x1000, buf.data());
     llc.fetch(0x2000, buf.data());
-    EXPECT_EQ(llc.inner().dataCount(), 2u);
-    EXPECT_FALSE(llc.inner().sameDataEntry(0x1000, 0x2000));
+    EXPECT_EQ(llc.dataCount(), 2u);
+    EXPECT_FALSE(llc.sameDataEntry(0x1000, 0x2000));
 }
 
 TEST(ApproxDedupLlc, ServedErrorIsBoundedByOneGridStep)
@@ -383,7 +385,7 @@ TEST(ApproxDedupLlc, ServedErrorIsBoundedByOneGridStep)
     // Where exact dedup is lossless, threshold-match dedup serves the
     // representative's data; the bound is one quantization step.
     MainMemory mem;
-    ApproxDedupLlc llc(mem, smallApproxDedup(), nullptr);
+    DoppelgangerCache llc(mem, smallApproxDedup(), nullptr);
     const BlockData a = floatBlock(0.5f);
     const BlockData b = floatBlock(0.502f);
     mem.poke(0x1000, a.data(), blockBytes);
@@ -391,7 +393,7 @@ TEST(ApproxDedupLlc, ServedErrorIsBoundedByOneGridStep)
     BlockData buf;
     llc.fetch(0x1000, buf.data());
     llc.fetch(0x2000, buf.data());
-    ASSERT_TRUE(llc.inner().sameDataEntry(0x1000, 0x2000));
+    ASSERT_TRUE(llc.sameDataEntry(0x1000, 0x2000));
 
     llc.fetch(0x2000, buf.data());
     const double step =
@@ -410,7 +412,7 @@ TEST(ApproxDedupLlc, MetadataFaultStressStaysStructurallySound)
     // engine's built-in detect-and-repair (the PR 1 path the injector
     // drives) must keep the structure walkable and invariant-clean.
     MainMemory mem;
-    ApproxDedupLlc llc(mem, smallApproxDedup(), nullptr);
+    DoppelgangerCache llc(mem, smallApproxDedup(), nullptr);
     FaultConfig fc;
     fc.seed = 1234;
     fc.tagMetaRate = 2e-3;
