@@ -48,7 +48,7 @@ echo "ci: kill-and-resume smoke test passed"
 # Campaign-service smoke test (DESIGN.md §16): run a doppd daemon with
 # two worker processes, submit the fault campaign as a batch, SIGKILL
 # one worker mid-sweep, let the lease protocol reclaim its in-flight
-# claims, and require the daemon's results CSV to be byte-identical to
+# claim, and require the daemon's results CSV to be byte-identical to
 # an uninterrupted serial in-process run of the same batch file.
 DAEMON_DIR="$SMOKE_DIR/daemon"
 DAEMON_SPOOL="$DAEMON_DIR/root"

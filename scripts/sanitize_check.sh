@@ -42,7 +42,7 @@ DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
     "$@"
 
 # Re-run the campaign-resilience suite with a 4-wide pool: the
-# journal appenders, the watchdog's monitor thread and the retry path
+# journal appenders, the per-attempt deadline timers and the retry path
 # all cross threads, exactly where a data race or a lifetime bug in
 # the checkpoint/resume machinery would hide.
 DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \

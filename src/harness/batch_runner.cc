@@ -322,8 +322,6 @@ runAttempts(const RunConfig &cfg, const std::string &fingerprint,
         std::atomic<bool> abort{false};
         RunConfig attemptCfg = cfg; // re-seeded identically
         attemptCfg.abortFlag = &abort;
-        if (opt.abortPollAccesses)
-            attemptCfg.abortPollAccesses = opt.abortPollAccesses;
         try {
             const Deadline deadline(opt.runTimeoutMs, abort);
             r = runWorkload(attemptCfg.workloadName, attemptCfg);

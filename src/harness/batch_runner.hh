@@ -106,15 +106,6 @@ struct BatchOptions
     u64 runTimeoutMs = 0;
 
     /**
-     * Abort-poll granularity in simulated accesses handed to each
-     * run's SimRuntime (0: keep the 4096-access default). A tighter
-     * interval shortens the latency between the watchdog setting the
-     * abort flag and the run unwinding; it never affects a completed
-     * run's results (excluded from the config fingerprint).
-     */
-    u64 abortPollAccesses = 0;
-
-    /**
      * Retries per run after a retryable failure (timeout or an
      * exception; "cancelled" and empty-workloadName configs never
      * retry). Attempt n sleeps retryBackoffMs << (n-1) plus up to 50%
@@ -168,13 +159,13 @@ struct AttemptCounts
 };
 
 /**
- * The attempt loop every executor shares: the batch runner's workers
- * and the campaign service's (DESIGN.md §11, §16). Runs @p cfg under
- * @p opt's cancel flag, per-attempt watchdog (runTimeoutMs,
- * abortPollAccesses) and retries (maxRetries, retryBackoffMs; jitter
- * drawn from @p fingerprint, which is configFingerprint(cfg), and the
- * attempt number). Returns the
- * last attempt's result: "cancelled" if the flag was raised before
+ * The attempt loop every run goes through: the batch runner's workers
+ * and the campaign service's worker loop (DESIGN.md §11, §16). Runs @p cfg under
+ * @p opt's cancel flag, per-attempt watchdog (runTimeoutMs, polled
+ * every cfg.abortPollAccesses) and retries (maxRetries,
+ * retryBackoffMs; jitter drawn from @p fingerprint, which is
+ * configFingerprint(cfg), and the attempt number). Returns the last
+ * attempt's result: "cancelled" if the flag was raised before
  * the first attempt or during a backoff, "timeout" for a watchdog
  * abort, what() of any other exception. Never throws; fatal() in a
  * run stays fatal.

@@ -6,13 +6,10 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -90,63 +87,6 @@ knownWorkload(const std::string &name)
             return true;
     }
     return false;
-}
-
-/** Append @p key and the JSON form of one visited field to @p out. */
-template <typename T>
-void
-appendMember(std::string &out, const char *key, const T &field)
-{
-    out += '"';
-    out += key;
-    out += "\":";
-    if constexpr (std::is_same_v<T, std::string>)
-        out += '"' + jsonEscape(field) + '"';
-    else
-        out += configFieldText(field);
-}
-
-/** Largest valid value of each enum the visitors yield (an enum
- * missing here fails to compile: it cannot return MemPartitionKind). */
-template <typename E>
-constexpr E
-lastEnumValue()
-{
-    if constexpr (std::is_same_v<E, MapHashMode>)
-        return MapHashMode::RangeOnly;
-    else if constexpr (std::is_same_v<E, ReplPolicy>)
-        return ReplPolicy::RANDOM;
-    else
-        return MemPartitionKind::Nvm;
-}
-
-/** Read member @p key of @p obj into one visited field. @return false
- * when the member is missing, mistyped, or out of the field's range. */
-template <typename T>
-bool
-readMember(const JsonValue &obj, const char *key, T &field)
-{
-    const JsonValue *v = obj.find(key);
-    if constexpr (std::is_same_v<T, std::string>) {
-        if (!v || v->kind != JsonValue::Kind::String)
-            return false;
-        field = v->text;
-        return true;
-    } else if constexpr (std::is_floating_point_v<T>) {
-        return v && v->asDouble(field);
-    } else {
-        u64 n = 0;
-        if (!v || !v->asU64(n))
-            return false;
-        if constexpr (std::is_enum_v<T>) {
-            if (n > static_cast<u64>(lastEnumValue<T>()))
-                return false;
-        } else if (n > std::numeric_limits<T>::max()) {
-            return false;
-        }
-        field = static_cast<T>(n);
-        return true;
-    }
 }
 
 using KeyList = std::vector<const char *>;
@@ -543,181 +483,28 @@ scrubCampaignEnv()
     ::unsetenv("DOPP_SLICE_HASH");
 }
 
-struct WorkerJob
-{
-    std::string fp;
-    RunConfig cfg;
-};
-
-/** Shared state between the scan loop, the executors and the
- * heartbeat thread of one worker process. */
+/** What the worker loop shares with its heartbeat thread. */
 struct WorkerState
 {
     std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<WorkerJob> queue;
-    std::unordered_set<std::string> inFlight; ///< queued or running
-    std::unordered_set<std::string> running;  ///< leases to renew
+    std::condition_variable wake; ///< ends a heartbeat wait at exit
+    std::string running;          ///< the lease to renew ("" if idle)
     CampaignWorkerOutcome outcome;
-    bool done = false; ///< no more jobs will arrive; executors exit
+    bool exiting = false;
 
-    std::atomic<bool> stop{false}; ///< finish current runs and exit
+    std::atomic<bool> stop{false}; ///< finish the attempt and exit
 };
-
-/** Everything the executors need that outlives a single scan. */
-struct WorkerContext
-{
-    WorkerContext(const SpoolPaths &paths,
-                  const CampaignServiceOptions &opts,
-                  const std::atomic<bool> &stop)
-        : claims(paths.claimsDir(),
-                 opts.workerId.empty()
-                     ? "w0-" + std::to_string(::getpid())
-                     : opts.workerId,
-                 opts.leaseMs),
-          journal(paths.journalPath()), finalizeTail(paths.journalPath()),
-          stopPath(paths.stopPath()), externalStop(opts.externalStop)
-    {
-        // A stop cancels a job before its first attempt or during a
-        // backoff; a run already in flight finishes.
-        attempts.cancel = &stop;
-        attempts.maxRetries = opts.maxFailures - 1;
-    }
-
-    ClaimStore claims;
-    RunJournal journal;
-
-    /** Finalize-side journal view, refreshed *under the claim flock*
-     * right before an append — the authoritative duplicate check. */
-    std::mutex finalizeMutex;
-    JournalTail finalizeTail;
-    std::unordered_set<std::string> finalized;
-
-    /** runAttempts options shared by every executor of the worker. */
-    BatchOptions attempts;
-
-    /** Whether control/stop or the external flag asks us to stop. */
-    bool
-    stopRequested() const
-    {
-        return pathExists(stopPath) ||
-               (externalStop && externalStop->load());
-    }
-
-    std::string stopPath;
-    const std::atomic<bool> *externalStop;
-};
-
-/** One claim -> attempts -> finalize (or release) cycle. */
-void
-executeJob(WorkerContext &ctx, WorkerState &state,
-           const WorkerJob &job)
-{
-    const ClaimResult claim = ctx.claims.tryClaim(job.fp);
-    if (claim == ClaimResult::Busy) {
-        // Someone else holds a live lease. Drop the job — and take
-        // it out of inFlight, or the scan loop would never requeue
-        // it and an expired foreign lease could wait forever.
-        std::lock_guard<std::mutex> lock(state.mutex);
-        state.inFlight.erase(job.fp);
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        if (claim == ClaimResult::Reclaimed)
-            ++state.outcome.reclaims;
-        state.running.insert(job.fp);
-    }
-
-    AttemptCounts counts;
-    const RunResult result =
-        runAttempts(job.cfg, job.fp, ctx.attempts, counts);
-
-    // A success, or a failure after every attempt, is the
-    // fingerprint's one record. A stop cut the attempts short
-    // otherwise: record nothing and let the next life retry.
-    const bool settled =
-        !result.failed || counts.executed > ctx.attempts.maxRetries;
-    if (settled) {
-        if (result.failed) {
-            warn("campaign worker %s: '%s' permanently failed: %s",
-                 ctx.claims.workerId().c_str(), job.fp.c_str(),
-                 result.error.c_str());
-        }
-        bool appended = false;
-        const bool owned = ctx.claims.finalize(job.fp, [&] {
-            // Under the claim flock: anything already journaled for
-            // this fingerprint (a finished claim we reclaimed after
-            // its completion, a prior life of this batch) wins — the
-            // re-run was redundant but harmless, the *record* stays
-            // exactly-once.
-            std::lock_guard<std::mutex> lock(ctx.finalizeMutex);
-            ctx.finalizeTail.refresh(ctx.finalized);
-            if (!ctx.finalized.count(job.fp)) {
-                ctx.journal.append(job.fp, result);
-                ctx.finalized.insert(job.fp);
-                appended = true;
-            }
-        });
-        std::lock_guard<std::mutex> lock(state.mutex);
-        if (!owned)
-            ++state.outcome.claimsLost;
-        else if (!appended)
-            ++state.outcome.duplicatesAvoided;
-        else if (!result.failed)
-            ++state.outcome.runsCompleted;
-    } else {
-        ctx.claims.release(job.fp);
-    }
-
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.outcome.runsFailed += counts.executed - (result.failed ? 0 : 1);
-    state.running.erase(job.fp);
-    state.inFlight.erase(job.fp);
-    state.cv.notify_all();
-}
-
-void
-executorLoop(WorkerContext &ctx, WorkerState &state)
-{
-    for (;;) {
-        WorkerJob job;
-        {
-            std::unique_lock<std::mutex> lock(state.mutex);
-            state.cv.wait(lock, [&] {
-                return state.done || state.stop.load() ||
-                       !state.queue.empty();
-            });
-            // A stop request takes effect here at once, not at the
-            // next scan. It leaves queued jobs unrun and unclaimed.
-            if (ctx.stopRequested())
-                state.stop.store(true);
-            if (state.stop.load() || state.queue.empty())
-                return;
-            job = std::move(state.queue.front());
-            state.queue.pop_front();
-        }
-        executeJob(ctx, state, job);
-    }
-}
 
 std::string
-workerStatusJson(const std::string &id, const WorkerState &state,
-                 size_t completed)
+workerStatusJson(const std::string &id, const WorkerState &state)
 {
     std::string out = "{\"worker\":\"" + jsonEscape(id) + '"';
     out += ",\"pid\":" + jsonFmtU64(static_cast<u64>(::getpid()));
     out += ",\"updatedAtMs\":" + jsonFmtU64(monotonicMs());
-    out += ",\"completed\":" + jsonFmtU64(completed);
+    out += ",\"completed\":" + jsonFmtU64(state.outcome.runsCompleted);
     out += ",\"running\":[";
-    bool first = true;
-    for (const std::string &fp : state.running) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + jsonEscape(fp) + '"';
-    }
+    if (!state.running.empty())
+        out += '"' + jsonEscape(state.running) + '"';
     out += "]}\n";
     return out;
 }
@@ -733,22 +520,28 @@ batchStatusJson(const BatchStatus &s)
     return out;
 }
 
+/** A fingerprint with no journal record and its config (both owned
+ * by an ingested batch). */
+struct PendingRun
+{
+    const std::string *fp;
+    const RunConfig *cfg;
+};
+
 /**
  * One pass over the ingested batches: writes each status/<batch>.json
- * from the journal @p records and, the first time a batch is
- * complete, its results/<batch>.csv. With @p queue_to (whose mutex
- * the caller holds), queues every fingerprint that has no record and
- * is not in flight yet.
- * @return whether some fingerprint still has no record.
+ * from the journal @p records when it differs from the one this
+ * worker wrote last (@p statusWritten) and, when a batch turns
+ * complete, its results/<batch>.csv.
+ * @return every fingerprint that has no record yet, in batch order.
  */
-bool
+std::vector<PendingRun>
 refreshBatches(const SpoolPaths &paths, const std::string &id,
                const std::map<std::string, CampaignBatch> &batches,
                const std::unordered_map<std::string, RunResult> &records,
-               std::set<std::string> &resultsWritten,
-               WorkerState *queue_to)
+               std::map<std::string, std::string> &statusWritten)
 {
-    bool anyPending = false;
+    std::vector<PendingRun> pending;
     for (const auto &[name, batch] : batches) {
         BatchStatus st;
         st.name = name;
@@ -758,21 +551,20 @@ refreshBatches(const SpoolPaths &paths, const std::string &id,
             // completes it, a failure fails it for good.
             const std::string &fp = batch.fingerprints[i];
             const auto rec = records.find(fp);
-            if (rec != records.end()) {
+            if (rec == records.end())
+                pending.push_back({&fp, &batch.configs[i]});
+            else
                 ++(rec->second.failed ? st.failed : st.completed);
-                continue;
-            }
-            anyPending = true;
-            if (queue_to && !queue_to->inFlight.count(fp)) {
-                queue_to->inFlight.insert(fp);
-                queue_to->queue.push_back({fp, batch.configs[i]});
-            }
         }
         st.state = st.completed + st.failed < st.total
                        ? "running"
                        : (st.failed ? "failed" : "complete");
-        atomicWriteFile(paths.batchStatusPath(name), batchStatusJson(st));
-        if (st.state == "complete" && !resultsWritten.count(name)) {
+        std::string json = batchStatusJson(st);
+        if (json == statusWritten[name])
+            continue;
+        atomicWriteFile(paths.batchStatusPath(name), json);
+        statusWritten[name] = std::move(json);
+        if (st.state == "complete") {
             // Reconstruct in batch order from the journal —
             // byte-identical to a serial run by the bit-exact
             // round-trip (see the header comment).
@@ -781,12 +573,11 @@ refreshBatches(const SpoolPaths &paths, const std::string &id,
             for (const std::string &fp : batch.fingerprints)
                 results.push_back(records.at(fp));
             writeResultsCsv(paths.batchResultsPath(name), results);
-            resultsWritten.insert(name);
             inform("campaign worker %s: batch '%s' complete", id.c_str(),
                    name.c_str());
         }
     }
-    return anyPending;
+    return pending;
 }
 
 } // namespace
@@ -800,76 +591,72 @@ runCampaignWorker(const CampaignServiceOptions &opts)
 
     if (opts.maxFailures == 0)
         fatal("campaign worker: maxFailures must be at least 1");
+    const std::string id = opts.workerId.empty()
+                               ? "w0-" + std::to_string(::getpid())
+                               : opts.workerId;
+    ClaimStore claims(paths.claimsDir(), id, opts.leaseMs);
+    RunJournal journal(paths.journalPath());
     WorkerState state;
-    WorkerContext ctx(paths, opts, state.stop);
-    const std::string id = ctx.claims.workerId();
+    // A stop cancels a run before its first attempt or during a
+    // backoff; an attempt in flight finishes.
+    BatchOptions attempts;
+    attempts.cancel = &state.stop;
+    attempts.maxRetries = opts.maxFailures - 1;
     const u64 startedMs = monotonicMs();
 
-    const unsigned jobs = opts.jobs ? opts.jobs : 1;
-    std::vector<std::thread> executors;
-    executors.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i)
-        executors.emplace_back(executorLoop, std::ref(ctx),
-                               std::ref(state));
+    // Raise the stop flag on control/stop, the external flag or the
+    // runtime cap. Both threads poll it.
+    auto pollStop = [&] {
+        const bool overdue = opts.maxRuntimeMs &&
+                             monotonicMs() - startedMs > opts.maxRuntimeMs;
+        if (overdue && !state.stop.load()) {
+            warn("campaign worker %s: max runtime exceeded, stopping",
+                 id.c_str());
+        }
+        if (overdue || pathExists(paths.stopPath()) ||
+            (opts.externalStop && opts.externalStop->load())) {
+            state.stop.store(true);
+        }
+        return state.stop.load();
+    };
 
-    // Heartbeat: renew the leases of everything running here and
-    // refresh workers/<id>.json. Losing a renewal race is normal
-    // (lease expired under load, a peer reclaimed) — the run keeps
-    // going; finalize's ownership check settles who owns the record.
-    // It waits on heartbeatWake between beats, so the worker's exit
-    // never waits out a period.
-    std::mutex heartbeatMutex;
-    std::condition_variable heartbeatWake;
-    bool heartbeatStop = false;
+    // Heartbeat: poll the stop (the loop may be busy in a retry
+    // backoff), renew the lease in flight and refresh
+    // workers/<id>.json. Losing a renewal race is normal (lease
+    // expired under load, a peer reclaimed) — the run keeps going;
+    // finalize's ownership check settles who owns the record. It waits
+    // on state.wake between beats, so the worker's exit never waits
+    // out a period, and writes the status file once more on the way
+    // out.
     std::thread heartbeat([&] {
+        std::unique_lock<std::mutex> lock(state.mutex);
         for (;;) {
-            std::vector<std::string> running;
-            size_t completed = 0;
-            {
-                std::lock_guard<std::mutex> lock(state.mutex);
-                running.assign(state.running.begin(),
-                               state.running.end());
-                completed = state.outcome.runsCompleted;
-                atomicWriteFile(
-                    paths.workerStatusPath(id),
-                    workerStatusJson(id, state, completed));
-            }
-            for (const std::string &fp : running)
-                ctx.claims.renew(fp);
-            std::unique_lock<std::mutex> lock(heartbeatMutex);
-            if (heartbeatWake.wait_for(
-                    lock, std::chrono::milliseconds(opts.heartbeatMs),
-                    [&] { return heartbeatStop; }))
+            pollStop();
+            if (!state.running.empty())
+                claims.renew(state.running);
+            atomicWriteFile(paths.workerStatusPath(id),
+                            workerStatusJson(id, state));
+            if (state.exiting)
                 return;
+            state.wake.wait_for(lock,
+                                std::chrono::milliseconds(opts.heartbeatMs),
+                                [&] { return state.exiting; });
         }
     });
 
-    // Scan loop: ingest batches, follow the journal, keep the queue
-    // and the per-batch status files current.
     std::map<std::string, CampaignBatch> batches;
     std::set<std::string> rejectedBatches;
-    std::set<std::string> resultsWritten;
-    JournalTail scanTail(paths.journalPath());
+    std::map<std::string, std::string> statusWritten;
+    JournalTail tail(paths.journalPath());
     std::unordered_set<std::string> journaled;
     std::unordered_map<std::string, RunResult> records;
     bool draining = opts.exitWhenIdle;
 
     for (;;) {
-        if (ctx.stopRequested())
-            state.stop.store(true);
-        if (pathExists(paths.drainPath()))
-            draining = true;
-        if (opts.maxRuntimeMs &&
-            monotonicMs() - startedMs > opts.maxRuntimeMs) {
-            warn("campaign worker %s: max runtime exceeded, stopping",
-                 id.c_str());
-            state.stop.store(true);
-        }
-        if (state.stop.load())
-            break;
-
-        scanTail.refresh(journaled, &records);
-
+        // Follow the journal, ingest new batches and bring the status
+        // files up to date — also on the pass that ends the loop, so
+        // they count the last run.
+        tail.refresh(journaled, &records);
         for (const std::string &file : listDir(paths.spoolDir())) {
             std::string name;
             if (!batchNameOf(file, name) || batches.count(name) ||
@@ -894,58 +681,91 @@ runCampaignWorker(const CampaignServiceOptions &opts)
                    id.c_str(), name.c_str(), batch.configs.size());
             batches.emplace(name, std::move(batch));
         }
+        const std::vector<PendingRun> pending =
+            refreshBatches(paths, id, batches, records, statusWritten);
 
-        bool anyPending;
+        if (pathExists(paths.drainPath()))
+            draining = true;
+        // Draining: nothing left anywhere and no new work accepted.
+        if (pollStop() || (draining && pending.empty()))
+            break;
+
+        // Claim the first fingerprint no live lease holds; a Busy one
+        // is left for a later pass.
+        const PendingRun *next = nullptr;
+        ClaimResult claim = ClaimResult::Busy;
+        for (const PendingRun &p : pending) {
+            claim = claims.tryClaim(*p.fp);
+            if (claim != ClaimResult::Busy) {
+                next = &p;
+                break;
+            }
+        }
+        if (!next) {
+            sleepMs(opts.scanMs);
+            continue;
+        }
+
+        const std::string &fp = *next->fp;
         {
             std::lock_guard<std::mutex> lock(state.mutex);
-            anyPending = refreshBatches(paths, id, batches, records,
-                                        resultsWritten, &state);
-            if (!state.queue.empty())
-                state.cv.notify_all();
+            state.running = fp;
+            if (claim == ClaimResult::Reclaimed)
+                ++state.outcome.reclaims;
+        }
+        AttemptCounts counts;
+        const RunResult result =
+            runAttempts(*next->cfg, fp, attempts, counts);
+        {
+            // No renewal follows, so none can race the finalize or
+            // release below.
+            std::lock_guard<std::mutex> lock(state.mutex);
+            state.running.clear();
+            state.outcome.runsFailed +=
+                counts.executed - (result.failed ? 0 : 1);
         }
 
-        if (draining && !anyPending) {
-            // Nothing left anywhere and no new work accepted: done.
-            bool idle;
-            {
-                std::lock_guard<std::mutex> lock(state.mutex);
-                idle = state.inFlight.empty();
+        // A success, or a failure after every attempt, is the
+        // fingerprint's one record. A stop cut the attempts short
+        // otherwise: record nothing and let the next life retry.
+        if (result.failed && counts.executed <= attempts.maxRetries) {
+            claims.release(fp);
+            continue;
+        }
+        if (result.failed) {
+            warn("campaign worker %s: '%s' permanently failed: %s",
+                 id.c_str(), fp.c_str(), result.error.c_str());
+        }
+        bool appended = false;
+        const bool owned = claims.finalize(fp, [&] {
+            // Under the claim flock: anything already journaled for
+            // this fingerprint (a finished claim we reclaimed after
+            // its completion, a prior life of this batch) wins — the
+            // re-run was redundant but harmless, the *record* stays
+            // exactly-once.
+            tail.refresh(journaled, &records);
+            if (!journaled.count(fp)) {
+                journal.append(fp, result);
+                appended = true;
             }
-            if (idle)
-                break;
-        }
-        sleepMs(opts.scanMs);
+        });
+        std::lock_guard<std::mutex> lock(state.mutex);
+        if (!owned)
+            ++state.outcome.claimsLost;
+        else if (!appended)
+            ++state.outcome.duplicatesAvoided;
+        else if (!result.failed)
+            ++state.outcome.runsCompleted;
     }
 
     {
         std::lock_guard<std::mutex> lock(state.mutex);
-        state.done = true;
+        state.exiting = true;
     }
-    state.cv.notify_all();
-    for (std::thread &t : executors)
-        t.join();
-    {
-        std::lock_guard<std::mutex> lock(heartbeatMutex);
-        heartbeatStop = true;
-    }
-    heartbeatWake.notify_all();
+    state.wake.notify_all();
     heartbeat.join();
-
-    // The runs that finished after the last scan (a stop ends the scan
-    // loop with runs in flight): count them, and write the results of
-    // a batch they completed.
-    scanTail.refresh(journaled, &records);
-    refreshBatches(paths, id, batches, records, resultsWritten, nullptr);
-
-    CampaignWorkerOutcome outcome;
-    {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        outcome = state.outcome;
-    }
+    CampaignWorkerOutcome outcome = state.outcome;
     outcome.stopRequested = state.stop.load();
-    atomicWriteFile(paths.workerStatusPath(id),
-                    workerStatusJson(id, state,
-                                     outcome.runsCompleted));
     return outcome;
 }
 

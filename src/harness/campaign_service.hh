@@ -26,13 +26,16 @@
  *   results/<batch>.csv   written once when a batch completes
  *   control/stop|drain    client requests (empty files)
  *
- * Execution: a worker runs each claimed config through the batch
- * runner's attempt loop (runAttempts, batch_runner.hh) with up to
- * maxFailures attempts, retrying in place while the heartbeat keeps
- * the lease. A success or the last failed attempt is journaled; a
- * batch with a failed record finishes as "failed". A stop leaves
- * queued configs unrun and records nothing for a config whose
- * attempts it cut short.
+ * Execution: a worker is one loop plus a heartbeat thread. Each pass
+ * follows the journal, refreshes the status files, claims the first
+ * fingerprint without a record that no live lease holds, and runs it
+ * through the batch runner's attempt loop (runAttempts,
+ * batch_runner.hh) with up to maxFailures attempts, retrying in place
+ * while the heartbeat keeps the lease. A success or the last failed
+ * attempt is journaled; a batch with a failed record finishes as
+ * "failed". Parallelism is worker processes only. A stop lets the
+ * attempt in flight finish, leaves everything else unrun and records
+ * nothing for a config whose attempts it cut short.
  *
  * Claim/lease protocol — the crash-tolerance core. A worker takes a
  * config by writing {fp, worker, pid, expiresAtMs} into claims/<fp>
@@ -215,7 +218,7 @@ class ClaimStore
     /** Try to take @p fp: acquires an unclaimed or lease-expired
      * claim, refuses a live foreign one. Uses a *non-blocking* flock —
      * a contended lock reports Busy rather than stalling the
-     * executor. */
+     * worker, which moves on to the next fingerprint. */
     ClaimResult tryClaim(const std::string &fp);
 
     /** Extend the lease of @p fp if the claim is still ours.
@@ -263,9 +266,6 @@ struct CampaignServiceOptions
      * worker never collides with its dead predecessor's claims. */
     std::string workerId;
 
-    /** Executor threads per worker process. */
-    unsigned jobs = 1;
-
     /** Daemon only: worker *processes* to fork. 0 runs a single
      * worker in-process (no fork) — the mode tests exercise. */
     unsigned workers = 0;
@@ -312,11 +312,13 @@ struct CampaignWorkerOutcome
 };
 
 /**
- * Run one worker (scan loop + @c jobs executor threads + heartbeat
- * thread) until stop/drain. On stop, returns once the runs in flight
- * finish, leaving queued configs unrun; SIGKILL is the *designed-for*
- * exit path — everything the worker held is reclaimed by its peers
- * via the lease protocol. Fatal when maxFailures is 0.
+ * Run one worker until stop/drain: a loop that claims and runs one
+ * config per pass, plus a heartbeat thread that renews the lease in
+ * flight and turns control/stop or @c externalStop into the stop flag
+ * (which also cuts a retry backoff short). On stop, returns once the
+ * attempt in flight finishes; SIGKILL is the *designed-for* exit path
+ * — the claim the worker held is reclaimed by its peers via the lease
+ * protocol. Fatal when maxFailures is 0.
  */
 CampaignWorkerOutcome
 runCampaignWorker(const CampaignServiceOptions &opts);

@@ -232,6 +232,27 @@ visitPartitionFields(Part &p, Visitor &&v)
     v("standbyPowerMw", p.standbyPowerMw);
 }
 
+/** The DoppConfig fields a journal record carries
+ * (RunResult::doppConfig): @p v(key, field) for each, in record
+ * order. The journal's writer, key check and reader all visit it. */
+template <typename Dc, typename Visitor>
+void
+visitDoppConfigFields(Dc &d, Visitor &&v)
+{
+    static_assert(std::is_same_v<std::remove_const_t<Dc>, DoppConfig>);
+    v("tagEntries", d.tagEntries);
+    v("tagWays", d.tagWays);
+    v("dataEntries", d.dataEntries);
+    v("dataWays", d.dataWays);
+    v("mapBits", d.mapBits);
+    v("hashMode", d.hashMode);
+    v("hitLatency", d.hitLatency);
+    v("unified", d.unified);
+    v("hashDataSetIndex", d.hashDataSetIndex);
+    v("dataPolicy", d.dataPolicy);
+    v("tagCountAwareData", d.tagCountAwareData);
+}
+
 /** Everything measured in one run. */
 struct RunResult
 {

@@ -95,21 +95,14 @@ journalRecordJson(const std::string &fingerprint,
     out += result.failed ? "true" : "false";
     out += ",\"error\":\"";
     out += jsonEscape(result.error);
-    out += "\",\"dopp\":{";
-    const DoppConfig &d = result.doppConfig;
-    out += "\"tagEntries\":" + jsonFmtU64(d.tagEntries);
-    out += ",\"tagWays\":" + jsonFmtU64(d.tagWays);
-    out += ",\"dataEntries\":" + jsonFmtU64(d.dataEntries);
-    out += ",\"dataWays\":" + jsonFmtU64(d.dataWays);
-    out += ",\"mapBits\":" + jsonFmtU64(d.mapBits);
-    out += ",\"hashMode\":" + jsonFmtU64(static_cast<u64>(d.hashMode));
-    out += ",\"hitLatency\":" + jsonFmtU64(d.hitLatency);
-    out += ",\"unified\":" + jsonFmtU64(d.unified ? 1 : 0);
-    out += ",\"hashDataSetIndex\":" +
-        jsonFmtU64(d.hashDataSetIndex ? 1 : 0);
-    out += ",\"dataPolicy\":" + jsonFmtU64(static_cast<u64>(d.dataPolicy));
-    out += ",\"tagCountAwareData\":" +
-        jsonFmtU64(d.tagCountAwareData ? 1 : 0);
+    out += "\",\"dopp\":";
+    char sep = '{';
+    visitDoppConfigFields(result.doppConfig,
+                          [&](const char *key, const auto &field) {
+                              out += sep;
+                              sep = ',';
+                              appendMember(out, key, field);
+                          });
     out += "},\"output\":[";
     for (size_t i = 0; i < result.output.size(); ++i) {
         if (i)
@@ -187,31 +180,25 @@ parseJournalRecord(const std::string &line, std::string &fingerprint,
     r.failed = failed->boolean;
     r.error = error->text;
 
-    if (!jsonKnownKeysOnly(*dopp,
-                       {"tagEntries", "tagWays", "dataEntries",
-                        "dataWays", "mapBits", "hashMode",
-                        "hitLatency", "unified", "hashDataSetIndex",
-                        "dataPolicy", "tagCountAwareData"},
-                       why)) {
+    static const std::vector<const char *> doppKeys = [] {
+        std::vector<const char *> keys;
+        const DoppConfig defaults;
+        visitDoppConfigFields(defaults,
+                              [&keys](const char *key, const auto &) {
+                                  keys.push_back(key);
+                              });
+        return keys;
+    }();
+    if (!jsonKnownKeysOnly(*dopp, doppKeys, why))
+        return false;
+    bool doppOk = true;
+    visitDoppConfigFields(r.doppConfig, [&](const char *key, auto &field) {
+        doppOk = doppOk && readMember(*dopp, key, field);
+    });
+    if (!doppOk) {
+        why = "missing, mistyped or out-of-range dopp field";
         return false;
     }
-    auto doppU64 = [&dopp](const char *key, u64 fallback) {
-        const JsonValue *f = dopp->find(key);
-        u64 value = 0;
-        return f && f->asU64(value) ? value : fallback;
-    };
-    DoppConfig &dc = r.doppConfig;
-    dc.tagEntries = static_cast<u32>(doppU64("tagEntries", 0));
-    dc.tagWays = static_cast<u32>(doppU64("tagWays", 0));
-    dc.dataEntries = static_cast<u32>(doppU64("dataEntries", 0));
-    dc.dataWays = static_cast<u32>(doppU64("dataWays", 0));
-    dc.mapBits = static_cast<unsigned>(doppU64("mapBits", 0));
-    dc.hashMode = static_cast<MapHashMode>(doppU64("hashMode", 0));
-    dc.hitLatency = doppU64("hitLatency", 0);
-    dc.unified = doppU64("unified", 0) != 0;
-    dc.hashDataSetIndex = doppU64("hashDataSetIndex", 1) != 0;
-    dc.dataPolicy = static_cast<ReplPolicy>(doppU64("dataPolicy", 0));
-    dc.tagCountAwareData = doppU64("tagCountAwareData", 0) != 0;
 
     r.output.reserve(output->array.size());
     for (const JsonValue &e : output->array) {

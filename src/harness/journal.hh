@@ -32,8 +32,10 @@
 #ifndef DOPP_HARNESS_JOURNAL_HH
 #define DOPP_HARNESS_JOURNAL_HH
 
+#include <limits>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -57,6 +59,65 @@ configFieldText(const T &x)
         return jsonFmtDouble(x);
     else
         return jsonFmtU64(static_cast<u64>(x));
+}
+
+/** Append @p key and the JSON form of one visited field to @p out:
+ * the member form of the journal record's "dopp" block and of the
+ * campaign codec (harness/campaign_service.hh). */
+template <typename T>
+void
+appendMember(std::string &out, const char *key, const T &field)
+{
+    out += '"';
+    out += key;
+    out += "\":";
+    if constexpr (std::is_same_v<T, std::string>)
+        out += '"' + jsonEscape(field) + '"';
+    else
+        out += configFieldText(field);
+}
+
+/** Largest valid value of each enum the visitors yield (an enum
+ * missing here fails to compile: it cannot return MemPartitionKind). */
+template <typename E>
+constexpr E
+lastEnumValue()
+{
+    if constexpr (std::is_same_v<E, MapHashMode>)
+        return MapHashMode::RangeOnly;
+    else if constexpr (std::is_same_v<E, ReplPolicy>)
+        return ReplPolicy::RANDOM;
+    else
+        return MemPartitionKind::Nvm;
+}
+
+/** Read member @p key of @p obj into one visited field. @return false
+ * when the member is missing, mistyped, or out of the field's range. */
+template <typename T>
+bool
+readMember(const JsonValue &obj, const char *key, T &field)
+{
+    const JsonValue *v = obj.find(key);
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (!v || v->kind != JsonValue::Kind::String)
+            return false;
+        field = v->text;
+        return true;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        return v && v->asDouble(field);
+    } else {
+        u64 n = 0;
+        if (!v || !v->asU64(n))
+            return false;
+        if constexpr (std::is_enum_v<T>) {
+            if (n > static_cast<u64>(lastEnumValue<T>()))
+                return false;
+        } else if (n > std::numeric_limits<T>::max()) {
+            return false;
+        }
+        field = static_cast<T>(n);
+        return true;
+    }
 }
 
 /**

@@ -5,38 +5,45 @@
 namespace dopp
 {
 
+namespace
+{
+
+/** Every workload and its factory, in Table 2 order. */
+struct WorkloadEntry
+{
+    const char *name;
+    std::unique_ptr<Workload> (*make)(const WorkloadConfig &);
+};
+
+constexpr WorkloadEntry workloadTable[] = {
+    {"blackscholes", makeBlackscholes}, {"canneal", makeCanneal},
+    {"ferret", makeFerret},             {"fluidanimate", makeFluidanimate},
+    {"inversek2j", makeInversek2j},     {"jmeint", makeJmeint},
+    {"jpeg", makeJpeg},                 {"kmeans", makeKmeans},
+    {"swaptions", makeSwaptions},
+};
+
+} // namespace
+
 const std::vector<std::string> &
 workloadNames()
 {
-    static const std::vector<std::string> names = {
-        "blackscholes", "canneal",  "ferret",
-        "fluidanimate", "inversek2j", "jmeint",
-        "jpeg",         "kmeans",   "swaptions",
-    };
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const WorkloadEntry &w : workloadTable)
+            out.push_back(w.name);
+        return out;
+    }();
     return names;
 }
 
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const WorkloadConfig &config)
 {
-    if (name == "blackscholes")
-        return makeBlackscholes(config);
-    if (name == "canneal")
-        return makeCanneal(config);
-    if (name == "ferret")
-        return makeFerret(config);
-    if (name == "fluidanimate")
-        return makeFluidanimate(config);
-    if (name == "inversek2j")
-        return makeInversek2j(config);
-    if (name == "jmeint")
-        return makeJmeint(config);
-    if (name == "jpeg")
-        return makeJpeg(config);
-    if (name == "kmeans")
-        return makeKmeans(config);
-    if (name == "swaptions")
-        return makeSwaptions(config);
+    for (const WorkloadEntry &w : workloadTable) {
+        if (name == w.name)
+            return w.make(config);
+    }
     fatal("unknown workload '%s'", name.c_str());
 }
 

@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -99,17 +98,12 @@ struct Stack
                 const ApproxRegion *region = g ? r->find(addr) : nullptr;
                 if (!region)
                     return;
-                const unsigned elem = bit / elemBits(region->type);
-                const double after = blockElement(block, region->type, elem);
-                block[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-                const double before =
-                    blockElement(block, region->type, elem);
-                block[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-                double err = std::abs(after - before) /
-                    std::max(region->span(), 1e-30);
-                if (!std::isfinite(err) || err > 1.0)
-                    err = 1.0;
-                g->observeError(err);
+                // Scored as runWorkload does: the flip is already
+                // applied, so flipping a copy back gives |after − before|.
+                BlockData copy;
+                std::memcpy(copy.data(), block, blockBytes);
+                g->observeError(flipBitError(copy.data(), bit,
+                                             region->type, region->span()));
             };
         }
         if (guard && cfg.memTier.enabled() && cfg.qor.migrateFactor > 0.0) {

@@ -115,7 +115,6 @@ testWorkerOptions(const std::string &root)
 {
     CampaignServiceOptions opts;
     opts.spoolRoot = root;
-    opts.jobs = 1;
     opts.leaseMs = 400;
     opts.heartbeatMs = 100;
     opts.scanMs = 50;
@@ -738,6 +737,47 @@ TEST(CampaignWorker, RejectsMalformedBatchWithoutCrashing)
     EXPECT_EQ(goodSt.state, "complete");
 }
 
+TEST(CampaignWorker, BusyClaimIsRunAfterItsLeaseExpires)
+{
+    TempDir dir;
+    SpoolPaths paths{dir.path};
+    ensureSpoolLayout(paths);
+    const std::vector<RunConfig> configs = smallCampaign(3);
+    writeBatchFile(paths.batchPath("b1"), configs);
+
+    // A live foreign claim on the middle fingerprint: the worker must
+    // pass it over, finish the rest, and take it once the lease ends.
+    const std::string busyFp = configFingerprint(configs[1]);
+    ClaimStore foreign(paths.claimsDir(), "foreign", 1500);
+    ASSERT_EQ(foreign.tryClaim(busyFp), ClaimResult::Acquired);
+
+    const CampaignWorkerOutcome outcome =
+        runCampaignWorker(testWorkerOptions(dir.path));
+    EXPECT_EQ(outcome.runsCompleted, configs.size());
+    EXPECT_EQ(outcome.reclaims, 1u);
+
+    // One record per fingerprint, the busy one last.
+    const auto records = journalRecords(paths);
+    ASSERT_EQ(records.size(), configs.size());
+    EXPECT_EQ(records.back().first, busyFp);
+    std::unordered_set<std::string> fps;
+    for (const auto &[fp, r] : records)
+        EXPECT_TRUE(fps.insert(fp).second) << "duplicate record for " << fp;
+
+    BatchStatus st;
+    ASSERT_TRUE(readBatchStatus(paths, "b1", st));
+    EXPECT_EQ(st.state, "complete");
+    std::vector<RunResult> serial;
+    for (const RunConfig &cfg : configs)
+        serial.push_back(runWorkload(cfg));
+    TempDir serialDir;
+    const std::string serialCsv = serialDir.path + "/serial.csv";
+    writeResultsCsv(serialCsv, serial);
+    EXPECT_EQ(readFile(paths.batchResultsPath("b1")),
+              readFile(serialCsv));
+    EXPECT_TRUE(listDir(paths.claimsDir()).empty());
+}
+
 // ---------------------------------------------------------------------
 // Failed configs and stop
 // ---------------------------------------------------------------------
@@ -928,6 +968,57 @@ TEST(CampaignStop, LongHeartbeatDoesNotDelayExit)
             .count();
     EXPECT_EQ(outcome.runsCompleted, 1u);
     EXPECT_LT(elapsedMs, 30000);
+}
+
+TEST(CampaignStop, StopDuringARetryBackoffEndsTheWorker)
+{
+    // An organization that always throws and counts its attempts.
+    static std::atomic<int> attemptsSeen{0};
+    static bool registered = false;
+    if (!registered) {
+        registered = true;
+        registerLlc("test-throws-counted",
+                    [](MainMemory &, const ApproxRegistry &,
+                       const RunConfig &, StatRegistry &,
+                       const std::string &) -> LlcBuilt {
+                        ++attemptsSeen;
+                        throw std::runtime_error("builder always throws");
+                    });
+    }
+    TempDir dir;
+    SpoolPaths paths{dir.path};
+    ensureSpoolLayout(paths);
+    const std::vector<RunConfig> configs = {
+        tinyConfig("kmeans", "test-throws-counted", 0.01)};
+    writeBatchFile(paths.batchPath("b1"), configs);
+    const std::string claim = paths.claimsDir() + "/" +
+                              sanitizeFingerprint(
+                                  configFingerprint(configs[0]));
+
+    // Eight attempts sleep about 12.7 s of backoff between them.
+    std::atomic<bool> stop{false};
+    CampaignServiceOptions opts = testWorkerOptions(dir.path);
+    opts.maxFailures = 8;
+    opts.externalStop = &stop;
+    CampaignWorkerOutcome outcome;
+    std::thread worker([&] { outcome = runCampaignWorker(opts); });
+
+    for (int i = 0; i < 12000 && attemptsSeen.load() == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto start = std::chrono::steady_clock::now();
+    stop = true;
+    worker.join();
+    const auto elapsedMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    ASSERT_GT(attemptsSeen.load(), 0) << "worker never ran the config";
+
+    EXPECT_TRUE(outcome.stopRequested);
+    EXPECT_LT(elapsedMs, 2000);
+    EXPECT_LT(attemptsSeen.load(), 8);
+    EXPECT_TRUE(journalRecords(paths).empty());
+    EXPECT_FALSE(pathExists(claim));
 }
 
 // ---------------------------------------------------------------------

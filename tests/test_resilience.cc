@@ -445,6 +445,51 @@ TEST(Journal, UnknownSchemaIsDiscarded)
     EXPECT_EQ(j.records.count(fp), 1u);
 }
 
+TEST(Journal, DoppBlockIsStrict)
+{
+    const RunConfig cfg = tinyConfig("kmeans", "split-doppelganger");
+    const std::string fp = configFingerprint(cfg);
+    RunResult r = runWorkload(cfg);
+    // Every journaled DoppConfig field off its default survives a
+    // round trip byte for byte.
+    DoppConfig &d = r.doppConfig;
+    d.tagEntries = 1000;
+    d.tagWays = 5;
+    d.dataEntries = 300;
+    d.dataWays = 3;
+    d.mapBits = 9;
+    d.hashMode = MapHashMode::RangeOnly;
+    d.hitLatency = 11;
+    d.unified = true;
+    d.hashDataSetIndex = false;
+    d.dataPolicy = ReplPolicy::RANDOM;
+    d.tagCountAwareData = true;
+    const std::string good = journalRecordJson(fp, r);
+    std::string fpBack, why;
+    RunResult back;
+    ASSERT_TRUE(parseJournalRecord(good, fpBack, back, why)) << why;
+    EXPECT_EQ(journalRecordJson(fpBack, back), good);
+
+    // A missing, mistyped or out-of-range dopp field discards the
+    // record instead of reading as a default.
+    auto edited = [&good](const std::string &from, const std::string &to) {
+        std::string line = good;
+        const size_t at = line.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return at == std::string::npos ? line
+                                        : line.replace(at, from.size(), to);
+    };
+    for (const std::string &line :
+         {edited("\"tagWays\":5,", ""),
+          edited("\"mapBits\":9", "\"mapBits\":\"9\""),
+          edited("\"unified\":1", "\"unified\":2"),
+          edited("\"hashMode\":2", "\"hashMode\":9"),
+          edited("\"tagEntries\":1000", "\"tagEntries\":4294967296")}) {
+        EXPECT_FALSE(parseJournalRecord(line, fpBack, back, why)) << line;
+        EXPECT_NE(why.find("dopp field"), std::string::npos) << why;
+    }
+}
+
 TEST(Journal, DuplicateFingerprintKeepsLastRecord)
 {
     const RunConfig cfg = tinyConfig("kmeans", "baseline");
@@ -907,30 +952,30 @@ TEST(Resilience, BatchAbortPollIntervalIsPlumbedToRuns)
 {
     // With a 1 ms deadline the watchdog raises the flag almost
     // immediately; a run that would finish well under the default
-    // 4096-access poll granularity still aborts when the batch
-    // tightens the poll to every 16 accesses, and the same run
-    // completes when the poll interval is loosened beyond the run's
-    // access count (the flag is simply never observed).
+    // 4096-access poll granularity still aborts when its config
+    // tightens the poll to every 16 accesses (the batch's attempt loop
+    // keeps the config's interval), and a run completes when the poll
+    // interval is loosened beyond its access count (the flag is
+    // simply never observed).
     RunConfig cfg = tinyConfig("kmeans", "baseline", 0.5);
+    cfg.abortPollAccesses = 16;
 
     StatRegistry tightReg;
     BatchOptions tight;
     tight.jobs = 1;
     tight.runTimeoutMs = 1;
-    tight.abortPollAccesses = 16;
     tight.stats = &tightReg;
     const std::vector<RunResult> aborted = runBatch({cfg}, tight);
     ASSERT_TRUE(aborted[0].failed);
     EXPECT_EQ(aborted[0].error, "timeout");
     EXPECT_EQ(tightReg.snapshot().counter("batch.runsTimedOut"), 1u);
 
+    RunConfig small = tinyConfig("kmeans", "baseline", 0.02);
+    small.abortPollAccesses = u64{1} << 40; // far past the run's end
     BatchOptions loose;
     loose.jobs = 1;
     loose.runTimeoutMs = 1;
-    loose.abortPollAccesses = u64{1} << 40; // far past the run's end
-    const std::vector<RunResult> finished =
-        runBatch({tinyConfig("kmeans", "baseline", 0.02)},
-                 loose);
+    const std::vector<RunResult> finished = runBatch({small}, loose);
     EXPECT_FALSE(finished[0].failed) << finished[0].error;
 }
 

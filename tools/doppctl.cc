@@ -16,8 +16,9 @@
  *       write the results CSV — the clean reference the CI smoke
  *       diffs the daemon's CSV against (they must be byte-identical)
  *   doppctl drain --spool DIR     finish pending work, then exit
- *   doppctl stop --spool DIR      finish in-flight runs, then exit;
- *                                 queued configs stay unrun
+ *   doppctl stop --spool DIR      each worker finishes its run in
+ *                                 flight, then exits; the rest stays
+ *                                 unrun
  *
  * wait exits 1 for a "failed" batch: some config's attempts all
  * failed, and its journal record says why.
@@ -28,6 +29,7 @@
 #include <limits>
 #include <string>
 
+#include "harness/batch_runner.hh"
 #include "harness/campaign_service.hh"
 #include "harness/results_io.hh"
 #include "util/env.hh"
@@ -116,20 +118,19 @@ main(int argc, char **argv)
         if (!loadCampaignBatch(a.file, "serial", batch, why))
             fatal("batch '%s' invalid: %s", a.file.c_str(),
                   why.c_str());
-        std::vector<RunResult> results;
-        results.reserve(batch.configs.size());
-        for (size_t i = 0; i < batch.configs.size(); ++i) {
-            inform("serial run %zu/%zu: %s", i + 1,
-                   batch.configs.size(),
-                   batch.fingerprints[i].c_str());
-            results.push_back(runWorkload(batch.configs[i]));
-            if (results.back().failed) {
-                fatal("config '%s' failed: %s",
-                      batch.fingerprints[i].c_str(),
-                      results.back().error.c_str());
-            }
-        }
-        writeResultsCsv(a.out, results);
+        // The batch runner's attempt loop on this thread, in file
+        // order: no retries, so a failed run is fatal at once.
+        BatchOptions opt;
+        opt.jobs = 1;
+        opt.onProgress = [&batch](const BatchProgress &p) {
+            const std::string &fp = batch.fingerprints[p.index];
+            if (p.result.failed)
+                fatal("config '%s' failed: %s", fp.c_str(),
+                      p.result.error.c_str());
+            inform("serial run %zu/%zu: %s", p.completed, p.total,
+                   fp.c_str());
+        };
+        writeResultsCsv(a.out, runBatch(batch.configs, opt));
         inform("wrote %s", a.out.c_str());
         return 0;
     }

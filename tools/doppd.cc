@@ -2,20 +2,22 @@
  * @file
  * doppd — the campaign sweep daemon (DESIGN.md §16).
  *
- *   doppd --spool DIR [--workers N] [--jobs N] [--lease-ms N]
+ *   doppd --spool DIR [--workers N] [--lease-ms N]
  *         [--heartbeat-ms N] [--scan-ms N] [--max-failures N]
  *         [--oneshot] [--max-runtime-ms N]
  *
  * Watches DIR/spool for JSONL batches (doppctl submit), schedules
  * their configs across N worker processes coordinating through the
  * shared journal's claim/lease protocol, and writes status and
- * results files for doppctl to poll. Each config gets up to
+ * results files for doppctl to poll. A worker runs one config at a
+ * time, so N is the sweep's parallelism. Each config gets up to
  * --max-failures attempts (default 2, at least 1) in the worker that
  * claimed it, through the batch runner's attempt loop; a success or
  * the last failure is its one journal record. SIGTERM/SIGINT and
- * doppctl stop are graceful: runs in flight finish and are journaled,
- * queued configs stay unrun. SIGKILLing a *worker* is safe — its
- * in-flight claims are reclaimed by the surviving workers after lease
+ * doppctl stop are graceful: each worker's attempt in flight finishes
+ * and is journaled (a retry backoff is cut short and records
+ * nothing), the rest stays unrun. SIGKILLing a *worker* is safe — its
+ * in-flight claim is reclaimed by the surviving workers after lease
  * expiry, and the daemon respawns a replacement.
  *
  * --workers 0 (the default) runs a single worker in-process: handy
@@ -42,8 +44,8 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: doppd --spool DIR [--workers N] [--jobs N]\n"
-        "             [--lease-ms N] [--heartbeat-ms N] [--scan-ms N]\n"
+        "usage: doppd --spool DIR [--workers N] [--lease-ms N]\n"
+        "             [--heartbeat-ms N] [--scan-ms N]\n"
         "             [--max-failures N] [--oneshot]\n"
         "             [--max-runtime-ms N]\n");
     std::exit(2);
@@ -76,8 +78,6 @@ main(int argc, char **argv)
             opts.spoolRoot = value();
         else if (arg == "--workers")
             opts.workers = flagValue<unsigned>("--workers", value());
-        else if (arg == "--jobs")
-            opts.jobs = flagValue<unsigned>("--jobs", value());
         else if (arg == "--lease-ms")
             opts.leaseMs = flagValue<u64>("--lease-ms", value());
         else if (arg == "--heartbeat-ms")
