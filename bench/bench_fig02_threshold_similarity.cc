@@ -18,44 +18,33 @@ using namespace dopp::bench;
 int
 main()
 {
-    const std::vector<std::pair<std::string, double>> thresholds = {
-        {"0%", 0.0},     {"0.01%", 0.0001}, {"0.1%", 0.001},
-        {"1%", 0.01},    {"10%", 0.10},
-    };
+    const std::vector<std::string> labels = {"0%", "0.01%", "0.1%", "1%",
+                                             "10%"};
+    const std::vector<std::string> analyses = {
+        "threshold0", "threshold1e-4", "threshold1e-3", "threshold1e-2",
+        "threshold1e-1"};
     const auto &names = workloadNames();
-    const size_t cap = snapshotCap();
 
-    std::vector<std::vector<SnapshotAverager>> avg(
-        names.size(), std::vector<SnapshotAverager>(thresholds.size()));
     std::vector<RunConfig> configs;
-    for (size_t w = 0; w < names.size(); ++w) {
-        RunConfig cfg = defaultConfig(names[w]);
-        cfg.snapshotPeriod = snapshotPeriod();
-        auto *a = &avg[w];
-        cfg.onSnapshot = [a, cap, &thresholds](const Snapshot &snap) {
-            const Snapshot thin = thinSnapshot(snap, cap);
-            for (size_t i = 0; i < thresholds.size(); ++i)
-                (*a)[i].sample(thresholdSavings(thin,
-                                                thresholds[i].second));
-        };
-        configs.push_back(std::move(cfg));
-    }
-    runCampaign(configs);
+    for (const std::string &name : names)
+        configs.push_back(snapshotConfig(name, analyses));
+    const std::vector<RunResult> results = runCampaign(configs);
 
     TextTable table;
     {
         std::vector<std::string> head = {"benchmark"};
-        for (const auto &[label, t] : thresholds)
+        for (const std::string &label : labels)
             head.push_back("T=" + label);
         table.header(std::move(head));
     }
 
-    std::vector<double> sums(thresholds.size(), 0.0);
+    std::vector<double> sums(analyses.size(), 0.0);
     for (size_t w = 0; w < names.size(); ++w) {
         std::vector<std::string> row = {names[w]};
-        for (size_t i = 0; i < thresholds.size(); ++i) {
-            row.push_back(pct(avg[w][i].mean()));
-            sums[i] += avg[w][i].mean();
+        for (size_t i = 0; i < analyses.size(); ++i) {
+            const double mean = snapshotMean(results[w], analyses[i]);
+            row.push_back(pct(mean));
+            sums[i] += mean;
         }
         table.row(std::move(row));
     }

@@ -9,8 +9,6 @@
  * averages: 65.2% (12-bit) and 37.9% (14-bit).
  */
 
-#include <array>
-
 #include "common.hh"
 
 using namespace dopp;
@@ -19,36 +17,25 @@ using namespace dopp::bench;
 int
 main()
 {
-    const std::array<unsigned, 3> mapBits = {12, 13, 14};
+    const std::vector<std::string> analyses = {"map12", "map13", "map14"};
     const auto &names = workloadNames();
-    const size_t cap = snapshotCap();
 
-    // One averager set per workload; each is written only by the one
-    // worker thread executing that workload's config.
-    std::vector<std::array<SnapshotAverager, 3>> avg(names.size());
     std::vector<RunConfig> configs;
-    for (size_t w = 0; w < names.size(); ++w) {
-        RunConfig cfg = defaultConfig(names[w]);
-        cfg.snapshotPeriod = snapshotPeriod();
-        auto *a = &avg[w];
-        cfg.onSnapshot = [a, cap, mapBits](const Snapshot &snap) {
-            const Snapshot thin = thinSnapshot(snap, cap);
-            for (size_t i = 0; i < mapBits.size(); ++i)
-                (*a)[i].sample(mapSavings(thin, mapBits[i]));
-        };
-        configs.push_back(std::move(cfg));
-    }
-    runCampaign(configs);
+    for (const std::string &name : names)
+        configs.push_back(snapshotConfig(name, analyses));
+    const std::vector<RunResult> results = runCampaign(configs);
 
     TextTable table;
     table.header({"benchmark", "12-bit map", "13-bit map", "14-bit map"});
 
     double sums[3] = {};
     for (size_t w = 0; w < names.size(); ++w) {
-        table.row({names[w], pct(avg[w][0].mean()),
-                   pct(avg[w][1].mean()), pct(avg[w][2].mean())});
-        for (int i = 0; i < 3; ++i)
-            sums[i] += avg[w][i].mean();
+        double mean[3];
+        for (size_t i = 0; i < 3; ++i) {
+            mean[i] = snapshotMean(results[w], analyses[i]);
+            sums[i] += mean[i];
+        }
+        table.row({names[w], pct(mean[0]), pct(mean[1]), pct(mean[2])});
     }
 
     const double n = static_cast<double>(names.size());

@@ -14,8 +14,6 @@
  * new organizations on the same axis).
  */
 
-#include <array>
-
 #include "common.hh"
 
 using namespace dopp;
@@ -24,41 +22,29 @@ using namespace dopp::bench;
 int
 main()
 {
+    const std::vector<std::string> analyses = {
+        "bdi", "dedup", "map14", "doppBdi14", "gdish", "approxDedup14"};
     const auto &names = workloadNames();
-    const size_t cap = snapshotCap();
 
-    constexpr size_t kCols = 6;
-    std::vector<std::array<SnapshotAverager, kCols>> avg(names.size());
     std::vector<RunConfig> configs;
-    for (size_t w = 0; w < names.size(); ++w) {
-        RunConfig cfg = defaultConfig(names[w]);
-        cfg.snapshotPeriod = snapshotPeriod();
-        auto *a = &avg[w];
-        cfg.onSnapshot = [a, cap](const Snapshot &snap) {
-            const Snapshot thin = thinSnapshot(snap, cap);
-            (*a)[0].sample(bdiSavings(thin));
-            (*a)[1].sample(dedupSavings(thin));
-            (*a)[2].sample(mapSavings(thin, 14));
-            (*a)[3].sample(doppBdiSavings(thin, 14));
-            (*a)[4].sample(gdishSavings(thin));
-            (*a)[5].sample(approxDedupSavings(thin, 14));
-        };
-        configs.push_back(std::move(cfg));
-    }
-    runCampaign(configs);
+    for (const std::string &name : names)
+        configs.push_back(snapshotConfig(name, analyses));
+    const std::vector<RunResult> results = runCampaign(configs);
 
     TextTable table;
     table.header({"benchmark", "BdI", "exact dedup", "14-bit Dopp",
                   "14-bit Dopp + BdI", "GDISH", "14-bit approx dedup"});
 
+    constexpr size_t kCols = 6;
     double sums[kCols] = {};
     for (size_t w = 0; w < names.size(); ++w) {
-        table.row({names[w], pct(avg[w][0].mean()),
-                   pct(avg[w][1].mean()), pct(avg[w][2].mean()),
-                   pct(avg[w][3].mean()), pct(avg[w][4].mean()),
-                   pct(avg[w][5].mean())});
-        for (size_t i = 0; i < kCols; ++i)
-            sums[i] += avg[w][i].mean();
+        std::vector<std::string> row = {names[w]};
+        for (size_t i = 0; i < kCols; ++i) {
+            const double mean = snapshotMean(results[w], analyses[i]);
+            row.push_back(pct(mean));
+            sums[i] += mean;
+        }
+        table.row(std::move(row));
     }
 
     const double n = static_cast<double>(names.size());

@@ -23,24 +23,17 @@ main()
         {"swaptions", 0.015},
     };
 
-    std::vector<SnapshotAverager> avg(paper.size());
     std::vector<RunConfig> configs;
-    for (size_t w = 0; w < paper.size(); ++w) {
-        RunConfig cfg = defaultConfig(paper[w].first);
-        cfg.snapshotPeriod = snapshotPeriod();
-        auto *a = &avg[w];
-        cfg.onSnapshot = [a](const Snapshot &snap) {
-            a->sample(approxFraction(snap));
-        };
-        configs.push_back(std::move(cfg));
-    }
-    runCampaign(configs);
+    for (const auto &[name, value] : paper)
+        configs.push_back(snapshotConfig(name, {"approxFraction"}));
+    const std::vector<RunResult> results = runCampaign(configs);
 
     TextTable table;
     table.header({"benchmark", "approx LLC blocks (measured)",
                   "paper (Table 2)"});
     for (size_t w = 0; w < paper.size(); ++w)
-        table.row({paper[w].first, pct(avg[w].mean()),
+        table.row({paper[w].first,
+                   pct(snapshotMean(results[w], "approxFraction")),
                    pct(paper[w].second)});
 
     table.print("Table 2: approximate fraction of LLC blocks");

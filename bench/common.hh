@@ -8,7 +8,6 @@
  *   DOPP_JOBS             concurrent runs (default: hardware threads)
  *   DOPP_WORKLOAD_SCALE   input-size multiplier (default 1.0)
  *   DOPP_SNAPSHOT_PERIOD  accesses between LLC snapshots (default 400k)
- *   DOPP_SNAPSHOT_CAP     max blocks analysed per snapshot (default 6k)
  *   DOPP_JOURNAL          checkpoint journal path; set it to make the
  *                         sweep resumable (kill it, rerun the same
  *                         command, completed runs are skipped)
@@ -48,7 +47,6 @@
 
 #include <unistd.h>
 
-#include "analysis/similarity.hh"
 #include "harness/batch_runner.hh"
 #include "harness/campaign_service.hh"
 #include "harness/experiment.hh"
@@ -64,28 +62,6 @@ inline u64
 snapshotPeriod()
 {
     return envU64("DOPP_SNAPSHOT_PERIOD", 400000);
-}
-
-inline size_t
-snapshotCap()
-{
-    return static_cast<size_t>(envU64("DOPP_SNAPSHOT_CAP", 6000));
-}
-
-/** Deterministically thin @p snap to at most @p cap blocks. */
-inline Snapshot
-thinSnapshot(const Snapshot &snap, size_t cap)
-{
-    if (snap.size() <= cap)
-        return snap;
-    Snapshot out;
-    out.reserve(cap);
-    const double stride =
-        static_cast<double>(snap.size()) / static_cast<double>(cap);
-    for (size_t i = 0; i < cap; ++i)
-        out.push_back(snap[static_cast<size_t>(
-            static_cast<double>(i) * stride)]);
-    return out;
 }
 
 /** @p r's runtime ("run.runtimeCycles") relative to @p base's. */
@@ -116,6 +92,26 @@ defaultConfig(const std::string &workload,
     return cfg;
 }
 
+/** defaultConfig on the baseline LLC, running @p analyses
+ * (findSnapshotAnalysis) on a snapshot every snapshotPeriod()
+ * accesses and at the end of the run. */
+inline RunConfig
+snapshotConfig(const std::string &workload,
+               std::vector<std::string> analyses)
+{
+    RunConfig cfg = defaultConfig(workload);
+    cfg.snapshotPeriod = snapshotPeriod();
+    cfg.snapshotAnalyses = std::move(analyses);
+    return cfg;
+}
+
+/** Analysis @p name of @p r averaged over the run's snapshots. */
+inline double
+snapshotMean(const RunResult &r, const std::string &name)
+{
+    return r.stats.value("snapshot." + name + ".mean");
+}
+
 /**
  * Run @p configs through the resilient batch runner (DOPP_JOBS-way
  * parallel) with a live progress line per finished run, and return
@@ -125,9 +121,9 @@ defaultConfig(const std::string &workload,
  * set the campaign checkpoints every completed run into that JSONL
  * journal and skips fingerprint-matching completed runs on rerun;
  * SIGINT/SIGTERM stop the sweep gracefully (in-flight runs finish,
- * the journal is flushed) and print the resume recipe. Configs that
- * carry observation hooks (onSnapshot/tracePath) always re-execute —
- * a journal cannot replay their side effects. DOPP_RUN_TIMEOUT_MS
+ * the journal is flushed) and print the resume recipe. A config that
+ * records a trace (tracePath) always re-executes — a journal cannot
+ * replay that side effect. DOPP_RUN_TIMEOUT_MS
  * arms a per-run watchdog and DOPP_MAX_RETRIES bounds retries.
  *
  * Any failed run is fatal: bench sweeps have no use for partial

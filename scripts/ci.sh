@@ -45,6 +45,21 @@ env "${SMOKE_ENV[@]}" DOPP_JOURNAL="$SMOKE_DIR/journal.jsonl" \
 diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/resumed.txt"
 echo "ci: kill-and-resume smoke test passed"
 
+# Snapshot analyses are run stats: a second Table 2 sweep under the
+# same journal resumes all nine configs and prints the same bytes.
+TABLE2_ENV=(DOPP_WORKLOAD_SCALE=0.05 DOPP_JOURNAL="$SMOKE_DIR/table2.jsonl")
+env "${TABLE2_ENV[@]}" "$BUILD_DIR/bench/bench_table2_approx_footprint" \
+    > "$SMOKE_DIR/table2_first.txt" 2> /dev/null
+env "${TABLE2_ENV[@]}" "$BUILD_DIR/bench/bench_table2_approx_footprint" \
+    > "$SMOKE_DIR/table2_second.txt" 2> "$SMOKE_DIR/table2_second.err"
+RESUMED="$(grep -c '(journal)' "$SMOKE_DIR/table2_second.err" || true)"
+[ "$RESUMED" -eq 9 ] || {
+    echo "ci: bench_table2 resumed $RESUMED of 9 configs" >&2
+    exit 1
+}
+diff "$SMOKE_DIR/table2_first.txt" "$SMOKE_DIR/table2_second.txt"
+echo "ci: bench_table2 resumed all 9 configs from its journal"
+
 # Campaign-service smoke test (DESIGN.md §16): run a doppd daemon with
 # two worker processes, submit the fault campaign as a batch, SIGKILL
 # one worker mid-sweep, let the lease protocol reclaim its in-flight
@@ -106,19 +121,23 @@ diff "$DAEMON_DIR/serial.csv" "$DAEMON_DIR/daemon.csv" || {
 }
 # The spool client (awaitCampaignResults): the same daemon runs a
 # figure bench's sweep for it, and the bench's report must match the
-# in-process run byte for byte.
-env DOPP_WORKLOAD_SCALE=0.05 "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$DAEMON_DIR/fig12_inprocess.txt" 2> /dev/null
-env DOPP_WORKLOAD_SCALE=0.05 DOPP_SPOOL="$DAEMON_SPOOL" \
-    DOPP_SPOOL_BATCH=fig12 DOPP_SPOOL_TIMEOUT_MS=180000 \
-    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$DAEMON_DIR/fig12_spool.txt" 2> /dev/null
-diff "$DAEMON_DIR/fig12_inprocess.txt" "$DAEMON_DIR/fig12_spool.txt" || {
-    echo "ci: bench_fig12 as a spool client diverged from its" \
-         "in-process run" >&2
-    exit 1
-}
-echo "ci: bench_fig12 as a spool client matched its in-process run"
+# in-process run byte for byte. fig08 reads its columns from snapshot
+# analysis stats.
+for FIG in fig12_offchip_traffic fig08_compression_comparison; do
+    env DOPP_WORKLOAD_SCALE=0.05 "$BUILD_DIR/bench/bench_$FIG" \
+        > "$DAEMON_DIR/${FIG}_inprocess.txt" 2> /dev/null
+    env DOPP_WORKLOAD_SCALE=0.05 DOPP_SPOOL="$DAEMON_SPOOL" \
+        DOPP_SPOOL_BATCH="$FIG" DOPP_SPOOL_TIMEOUT_MS=180000 \
+        "$BUILD_DIR/bench/bench_$FIG" \
+        > "$DAEMON_DIR/${FIG}_spool.txt" 2> /dev/null
+    diff "$DAEMON_DIR/${FIG}_inprocess.txt" \
+        "$DAEMON_DIR/${FIG}_spool.txt" || {
+        echo "ci: bench_$FIG as a spool client diverged from its" \
+             "in-process run" >&2
+        exit 1
+    }
+    echo "ci: bench_$FIG as a spool client matched its in-process run"
+done
 "$BUILD_DIR/tools/doppctl" stop --spool "$DAEMON_SPOOL"
 wait "$DOPPD_PID" || {
     echo "ci: doppd exited non-zero" >&2

@@ -286,4 +286,51 @@ approxFraction(const Snapshot &snap)
     return static_cast<double>(approx) / static_cast<double>(snap.size());
 }
 
+Snapshot
+thinSnapshot(const Snapshot &snap, size_t cap)
+{
+    if (snap.size() <= cap)
+        return snap;
+    Snapshot out;
+    out.reserve(cap);
+    const double stride =
+        static_cast<double>(snap.size()) / static_cast<double>(cap);
+    for (size_t i = 0; i < cap; ++i)
+        out.push_back(snap[static_cast<size_t>(
+            static_cast<double>(i) * stride)]);
+    return out;
+}
+
+const SnapshotAnalysis *
+findSnapshotAnalysis(const std::string &name)
+{
+    using S = const Snapshot &;
+    static const SnapshotAnalysis table[] = {
+        {"approxFraction", [](S s) { return approxFraction(s); }, false},
+        {"threshold0", [](S s) { return thresholdSavings(s, 0.0); }, true},
+        {"threshold1e-4", [](S s) { return thresholdSavings(s, 0.0001); },
+         true},
+        {"threshold1e-3", [](S s) { return thresholdSavings(s, 0.001); },
+         true},
+        {"threshold1e-2", [](S s) { return thresholdSavings(s, 0.01); },
+         true},
+        {"threshold1e-1", [](S s) { return thresholdSavings(s, 0.10); },
+         true},
+        {"map12", [](S s) { return mapSavings(s, 12); }, true},
+        {"map13", [](S s) { return mapSavings(s, 13); }, true},
+        {"map14", [](S s) { return mapSavings(s, 14); }, true},
+        {"bdi", [](S s) { return bdiSavings(s); }, true},
+        {"dedup", [](S s) { return dedupSavings(s); }, true},
+        {"doppBdi14", [](S s) { return doppBdiSavings(s, 14); }, true},
+        {"gdish", [](S s) { return gdishSavings(s); }, true},
+        {"approxDedup14", [](S s) { return approxDedupSavings(s, 14); },
+         true},
+    };
+    for (const SnapshotAnalysis &a : table) {
+        if (name == a.name)
+            return &a;
+    }
+    return nullptr;
+}
+
 } // namespace dopp

@@ -14,11 +14,16 @@
  *  - dedupSavings:     exact byte-identical deduplication (Fig 8)
  *  - bdiSavings:       B∆I intra-block compression (Fig 8)
  *  - doppBdiSavings:   map clustering + B∆I on the survivors (Fig 8)
+ *
+ * runWorkload runs the analyses a config names in
+ * RunConfig::snapshotAnalyses (findSnapshotAnalysis) and keeps each as
+ * a run stat.
  */
 
 #ifndef DOPP_ANALYSIS_SIMILARITY_HH
 #define DOPP_ANALYSIS_SIMILARITY_HH
 
+#include <string>
 #include <vector>
 
 #include "core/map_function.hh"
@@ -101,34 +106,30 @@ double approxDedupSavings(const Snapshot &snap, unsigned map_bits);
 /** Table 2: fraction of resident blocks that are approximate. */
 double approxFraction(const Snapshot &snap);
 
+/** Most blocks a thinned analysis examines per snapshot. */
+constexpr size_t snapshotThinCap = 6000;
+
+/** Deterministically thin @p snap to at most @p cap evenly strided
+ * blocks (a copy of @p snap when it already fits). */
+Snapshot thinSnapshot(const Snapshot &snap, size_t cap);
+
 /**
- * Averages per-snapshot metrics across periodic snapshots of a run,
- * reproducing the paper's "average fraction of blocks residing in the
- * LLC" methodology.
+ * One named snapshot analysis (RunConfig::snapshotAnalyses). A run
+ * samples it on every LLC snapshot into the Distribution
+ * "snapshot.<name>", whose mean is the paper's average over
+ * snapshots.
  */
-class SnapshotAverager
+struct SnapshotAnalysis
 {
-  public:
-    /** Record one snapshot's worth of metrics. */
-    void
-    sample(double value)
-    {
-        sum += value;
-        ++n;
-    }
-
-    double
-    mean() const
-    {
-        return n ? sum / static_cast<double>(n) : 0.0;
-    }
-
-    u64 count() const { return n; }
-
-  private:
-    double sum = 0.0;
-    u64 n = 0;
+    const char *name; ///< no dots: it is a stat name
+    double (*measure)(const Snapshot &);
+    bool thinned; ///< runs on thinSnapshot(snap, snapshotThinCap)
 };
+
+/** The closed table of analyses: approxFraction (Table 2), the five
+ * Fig 2 thresholds, map12..map14 (Fig 7) and Fig 8's bdi, dedup,
+ * doppBdi14, gdish and approxDedup14. nullptr for an unknown name. */
+const SnapshotAnalysis *findSnapshotAnalysis(const std::string &name);
 
 } // namespace dopp
 

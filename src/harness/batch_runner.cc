@@ -362,9 +362,9 @@ runBatchResumable(const std::vector<RunConfig> &configs,
     BatchState st(configs, options, outcome.results);
     st.journal = &journal;
 
-    // Resume pass: reuse every completed record whose config carries
-    // no observation hooks; report them first, in submission order,
-    // from the calling thread.
+    // Resume pass: reuse every completed record whose config records
+    // no trace; report them first, in submission order, from the
+    // calling thread.
     for (size_t i = 0; i < configs.size(); ++i) {
         const auto it = loaded.records.find(st.fingerprints[i]);
         if (it == loaded.records.end() || it->second.failed ||

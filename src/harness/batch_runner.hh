@@ -162,7 +162,7 @@ struct AttemptCounts
  * The attempt loop every run goes through: the batch runner's workers
  * and the campaign service's worker loop (DESIGN.md §11, §16). Runs @p cfg under
  * @p opt's cancel flag, per-attempt watchdog (runTimeoutMs, polled
- * every cfg.abortPollAccesses) and retries (maxRetries,
+ * every 4096 accesses) and retries (maxRetries,
  * retryBackoffMs; jitter drawn from @p fingerprint, which is
  * configFingerprint(cfg), and the attempt number). Returns the last
  * attempt's result: "cancelled" if the flag was raised before
@@ -188,7 +188,7 @@ std::vector<RunResult> runBatch(const std::vector<RunConfig> &configs,
  *
  * Before executing anything, the journal is loaded and every config
  * whose fingerprint matches a completed (non-failed) record — and
- * which carries no observation hooks (configResumable) — is resumed:
+ * which records no trace (configResumable) — is resumed:
  * its recorded result is emitted through onProgress (resumed=true,
  * from the calling thread) and placed in the outcome without
  * re-execution. The remainder executes on the pool; each success is

@@ -97,7 +97,8 @@ std::vector<std::pair<std::string, KeyList>>
 lineSchema()
 {
     std::vector<std::pair<std::string, KeyList>> schema{
-        {"", {"v", "fp", "workload", "organization", "memTier", "slice"}}};
+        {"", {"v", "fp", "workload", "organization", "memTier", "slice",
+              "snapshot"}}};
     const RunConfig defaults;
     visitConfigFields(defaults, [&schema](const char *section,
                                           const char *key, const auto &) {
@@ -128,8 +129,8 @@ std::string
 campaignConfigJson(const RunConfig &cfg)
 {
     if (!configResumable(cfg)) {
-        fatal("config '%s' carries observation hooks the journal "
-              "cannot replay; it cannot be spooled to a daemon",
+        fatal("config '%s' records a trace the journal cannot "
+              "replay; it cannot be spooled to a daemon",
               cfg.workloadName.c_str());
     }
     if (cfg.workloadName.empty())
@@ -182,7 +183,19 @@ campaignConfigJson(const RunConfig &cfg)
     out += "],\"slice\":{\"count\":" + jsonFmtU64(sc.count);
     out += ",\"hash\":\"" + jsonEscape(sliceHashName(sc.hash)) + '"';
     out += ",\"mapSpace\":\"" +
-           jsonEscape(mapSpaceModeName(sc.mapSpace)) + "\"}}\n";
+           jsonEscape(mapSpaceModeName(sc.mapSpace)) + "\"}";
+    if (!cfg.snapshotAnalyses.empty()) {
+        out += ",\"snapshot\":{\"period\":" +
+               jsonFmtU64(cfg.snapshotPeriod) + ",\"analyses\":";
+        char sep = '[';
+        for (const std::string &name : cfg.snapshotAnalyses) {
+            out += sep;
+            sep = ',';
+            out += '"' + jsonEscape(name) + '"';
+        }
+        out += "]}";
+    }
+    out += "}\n";
     return out;
 }
 
@@ -276,6 +289,25 @@ parseCampaignConfig(const std::string &line, RunConfig &cfg,
         return fail("unknown slice hash '" + c.sliceHash + "'");
     if (std::string e = llcLayoutError(sc, c); !e.empty())
         return fail(std::move(e));
+
+    // Optional: present only for a config with snapshot analyses.
+    if (const JsonValue *snap = root.find("snapshot")) {
+        const JsonValue *names = snap->find("analyses");
+        if (!names)
+            return fail("malformed snapshot section");
+        if (!jsonKnownKeysOnly(*snap, {"period", "analyses"}, why))
+            return false;
+        if (!readMember(*snap, "period", c.snapshotPeriod) ||
+            names->kind != JsonValue::Kind::Array || names->array.empty())
+            return fail("malformed snapshot section");
+        for (const JsonValue &n : names->array) {
+            if (n.kind != JsonValue::Kind::String)
+                return fail("malformed snapshot section");
+            c.snapshotAnalyses.push_back(n.text);
+        }
+        if (std::string e = snapshotAnalysesError(c); !e.empty())
+            return fail(std::move(e));
+    }
 
     // The decisive cross-check: the fingerprint recomputed from the
     // parsed fields must match the one the submitter stored. A

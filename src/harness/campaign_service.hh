@@ -131,9 +131,11 @@ void ensureSpoolLayout(const SpoolPaths &paths);
  * fingerprint itself as a cross-check. Slice knobs are serialized
  * *resolved* (resolvedSliceConfig), so a submitting client's
  * DOPP_SLICES environment is baked into the batch instead of being
- * re-interpreted — differently — by the worker. Fatal for configs the
- * journal cannot replay (observation hooks; see configResumable) and
- * for workload/organization names no worker could build.
+ * re-interpreted — differently — by the worker. The snapshot period
+ * and analyses travel in a "snapshot" object only when the analysis
+ * list is non-empty. Fatal for a config the journal cannot replay (a
+ * trace capture; see configResumable) and for workload/organization
+ * names no worker could build.
  */
 std::string campaignConfigJson(const RunConfig &cfg);
 
@@ -142,7 +144,8 @@ std::string campaignConfigJson(const RunConfig &cfg);
  * @p fingerprint and returns true; on any malformation — including a
  * stored fingerprint that does not match the one recomputed from the
  * parsed fields (schema or environment skew between client and
- * worker), an unknown workload, or an unregistered organization —
+ * worker), an unknown workload or snapshot analysis, or an
+ * unregistered organization —
  * fills @p why and returns false. A worker never crashes on a bad
  * config line; the whole batch is rejected loudly instead.
  */

@@ -108,6 +108,20 @@ llcLayoutError(const SliceConfig &s, const RunConfig &cfg)
     return "";
 }
 
+std::string
+snapshotAnalysesError(const RunConfig &cfg)
+{
+    const std::vector<std::string> &names = cfg.snapshotAnalyses;
+    for (size_t i = 0; i < names.size(); ++i) {
+        if (!findSnapshotAnalysis(names[i]))
+            return "unknown snapshot analysis '" + names[i] + "'";
+        if (std::find(names.begin(), names.begin() + i, names[i]) !=
+            names.begin() + i)
+            return "snapshot analysis '" + names[i] + "' listed twice";
+    }
+    return "";
+}
+
 SliceConfig
 resolvedSliceConfig(const RunConfig &cfg)
 {
@@ -224,9 +238,11 @@ maybeAppendStatsJson(const RunResult &r)
 RunResult
 runWorkload(const std::string &workload_name, const RunConfig &cfg)
 {
-    // A bad slice layout or LLC geometry is fatal before anything is
-    // built (buildLlc resolves it again).
+    // A bad slice layout, LLC geometry or analysis list is fatal
+    // before anything is built (buildLlc resolves the layout again).
     resolvedSliceConfig(cfg);
+    if (const std::string e = snapshotAnalysesError(cfg); !e.empty())
+        fatal("%s", e.c_str());
 
     // One registry per run: every layer below registers its counters
     // here, and the end-of-run snapshot becomes RunResult::stats.
@@ -320,8 +336,6 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
     MemorySystem system(hc, *llc, memory, &statReg, "hierarchy");
     SimRuntime rt(system, memory, registry);
     rt.abortFlag = cfg.abortFlag; // watchdog unwind point
-    if (cfg.abortPollAccesses)
-        rt.setAbortPollInterval(cfg.abortPollAccesses);
 
     // Run-level derived stats, computed at snapshot time. Sliced runs
     // carry one Doppelgänger engine per slice; occupancy is the
@@ -346,11 +360,25 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
         },
         "end-of-run occupancy: tags per valid data entry");
 
-    if (cfg.snapshotPeriod && cfg.onSnapshot) {
-        rt.setPeriodicHook(cfg.snapshotPeriod, [&]() {
-            cfg.onSnapshot(captureSnapshot(*llc, registry));
-        });
+    // Snapshot analyses (paper Sec 2 and 5.1): each samples every LLC
+    // snapshot into its own Distribution, whose mean is the average
+    // over snapshots.
+    std::vector<std::pair<const SnapshotAnalysis *, Distribution *>>
+        analyses;
+    StatGroup snapGroup = statReg.group("snapshot");
+    for (const std::string &name : cfg.snapshotAnalyses) {
+        analyses.emplace_back(
+            findSnapshotAnalysis(name),
+            &snapGroup.distribution(name, "per-snapshot " + name));
     }
+    auto takeSnapshot = [&] {
+        const Snapshot snap = captureSnapshot(*llc, registry);
+        const Snapshot thin = thinSnapshot(snap, snapshotThinCap);
+        for (const auto &[a, dist] : analyses)
+            dist->sample(a->measure(a->thinned ? thin : snap));
+    };
+    if (cfg.snapshotPeriod && !analyses.empty())
+        rt.setPeriodicHook(cfg.snapshotPeriod, takeSnapshot);
 
     std::unique_ptr<TraceWriter> tracer;
     if (!cfg.tracePath.empty()) {
@@ -373,8 +401,8 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
         tracer->close();
 
     // Guarantee at least one snapshot per run, whatever the period.
-    if (cfg.snapshotPeriod && cfg.onSnapshot)
-        cfg.onSnapshot(captureSnapshot(*llc, registry));
+    if (!analyses.empty())
+        takeSnapshot();
 
     RunResult r;
     r.workload = workload_name;

@@ -2,17 +2,17 @@
  * @file
  * Experiment harness: builds the Table 1 system around a chosen LLC
  * organization, runs one benchmark on it, and collects everything the
- * evaluation needs (output, the run's stat snapshot, periodic LLC
- * snapshots for the characterization figures).
+ * evaluation needs (output, the run's stat snapshot, including the
+ * periodic LLC snapshot analyses of the characterization figures).
  */
 
 #ifndef DOPP_HARNESS_EXPERIMENT_HH
 #define DOPP_HARNESS_EXPERIMENT_HH
 
 #include <atomic>
-#include <functional>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "analysis/similarity.hh"
 #include "core/doppelganger_cache.hh"
@@ -120,10 +120,20 @@ struct RunConfig
      * (sim/trace.hh) for later replay. */
     std::string tracePath;
 
-    /** If non-zero, capture an LLC snapshot every N accesses and hand
-     * it to onSnapshot. */
+    /**
+     * @name Snapshot analyses (paper Sec 2 and 5.1)
+     * Each analysis named here (findSnapshotAnalysis,
+     * analysis/similarity.hh) is run on an LLC snapshot taken every
+     * snapshotPeriod accesses (0: none during the run) and once more
+     * at the end, and sampled into the Distribution
+     * "snapshot.<name>" of RunResult::stats. An empty list takes no
+     * snapshot and registers no stat; only then is snapshotPeriod
+     * left out of the config fingerprint.
+     */
+    /// @{
     u64 snapshotPeriod = 0;
-    std::function<void(const Snapshot &)> onSnapshot;
+    std::vector<std::string> snapshotAnalyses;
+    /// @}
 
     /** Baseline LLC geometry (Table 1). */
     u64 baselineBytes = 2 * 1024 * 1024;
@@ -148,19 +158,10 @@ struct RunConfig
     MemTierConfig memTier;
 
     /**
-     * Abort-poll granularity in accesses handed to SimRuntime
-     * (0 = keep the 4096-access default). Purely an observation-
-     * latency knob for the watchdog: like abortFlag it never affects
-     * a completed run's results and is excluded from the config
-     * fingerprint (harness/journal.hh).
-     */
-    u64 abortPollAccesses = 0;
-
-    /**
      * Cooperative abort flag handed to SimRuntime (the batch runner's
      * per-run watchdog sets it on timeout). Never affects a completed
      * run's results — it is excluded from the config fingerprint
-     * (harness/journal.hh) like the observation hooks above.
+     * (harness/journal.hh) like tracePath.
      */
     const std::atomic<bool> *abortFlag = nullptr;
 };
@@ -175,10 +176,9 @@ struct RunConfig
  *
  * The rule: a field that can change a completed run's RunResult goes
  * here (partition fields in visitPartitionFields); an observation-only
- * field (tracePath, snapshotPeriod, onSnapshot, abortFlag,
- * abortPollAccesses) does not. The workload name, organization,
- * partition list and slice layout are resolved values the consumers
- * encode by hand.
+ * field (tracePath, abortFlag) does not. The workload name,
+ * organization, partition list, slice layout and snapshot analyses
+ * are values the consumers encode by hand.
  */
 template <typename Cfg, typename Visitor>
 void
@@ -327,6 +327,14 @@ struct SliceConfig
  * @return the error text, or an empty string when the layout is valid.
  */
 std::string llcLayoutError(const SliceConfig &s, const RunConfig &cfg);
+
+/**
+ * Check @p cfg's snapshot analyses: each must name an entry of
+ * findSnapshotAnalysis's table, at most once. Non-fatal, like
+ * llcLayoutError.
+ * @return the error text, or an empty string when the list is valid.
+ */
+std::string snapshotAnalysesError(const RunConfig &cfg);
 
 /**
  * Resolve @p cfg's slice knobs: explicit > environment (DOPP_SLICES /

@@ -60,6 +60,15 @@ configFingerprint(const RunConfig &cfg)
     add("sliceCount", jsonFmtU64(sc.count));
     add("sliceHash", sliceHashName(sc.hash));
     add("mapSpaceMode", mapSpaceModeName(sc.mapSpace));
+    // Snapshot analyses add stats, so they key the run; a config
+    // without them keeps the key it had before they existed.
+    if (!cfg.snapshotAnalyses.empty()) {
+        add("snapshotPeriod", jsonFmtU64(cfg.snapshotPeriod));
+        std::string names;
+        for (const std::string &name : cfg.snapshotAnalyses)
+            names += (names.empty() ? "" : ",") + name;
+        add("snapshotAnalyses", names);
+    }
 
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
@@ -70,7 +79,7 @@ configFingerprint(const RunConfig &cfg)
 bool
 configResumable(const RunConfig &cfg)
 {
-    return !cfg.onSnapshot && cfg.tracePath.empty();
+    return cfg.tracePath.empty();
 }
 
 // ---------------------------------------------------------------------

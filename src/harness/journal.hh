@@ -123,17 +123,19 @@ readMember(const JsonValue &obj, const char *key, T &field)
 /**
  * Deterministic fingerprint of every result-affecting field of
  * @p cfg: workload name, organization, every visitConfigFields and
- * visitPartitionFields field (harness/experiment.hh) and the resolved
- * slice layout. The observation-only fields are excluded on purpose:
- * they never change a RunResult (configs carrying hooks are
- * re-executed on resume rather than reused; see runBatchResumable).
+ * visitPartitionFields field (harness/experiment.hh), the resolved
+ * slice layout and, when the list is non-empty, the snapshot period
+ * and analyses. The observation-only fields (tracePath, abortFlag)
+ * are excluded on purpose: they never change a RunResult (a config
+ * that records a trace is re-executed on resume rather than reused;
+ * see runBatchResumable).
  * Format: "<workload>/<organization>@<16 hex>".
  */
 std::string configFingerprint(const RunConfig &cfg);
 
 /** Whether a journal record for @p cfg may be *reused* on resume:
- * false for configs carrying observation hooks (onSnapshot, trace
- * capture), whose side effects a journal cannot replay. */
+ * false for a config that records a trace (tracePath), a side effect
+ * a journal cannot replay. */
 bool configResumable(const RunConfig &cfg);
 
 /** One journal record serialized as a single JSON line (with the

@@ -196,6 +196,11 @@ JsonParser::parseValue(JsonValue &out)
     skipWs();
     if (p >= end)
         return false;
+    // Bound the recursion: a line of nested brackets would otherwise
+    // exhaust the stack before it failed to parse.
+    constexpr unsigned maxDepth = 64;
+    if ((*p == '{' || *p == '[') && ++depth > maxDepth)
+        return false;
     switch (*p) {
       case '{': {
           ++p;
@@ -203,6 +208,7 @@ JsonParser::parseValue(JsonValue &out)
           skipWs();
           if (p < end && *p == '}') {
               ++p;
+              --depth;
               return true;
           }
           for (;;) {
@@ -225,6 +231,7 @@ JsonParser::parseValue(JsonValue &out)
               }
               if (p < end && *p == '}') {
                   ++p;
+                  --depth;
                   return true;
               }
               return false;
@@ -236,6 +243,7 @@ JsonParser::parseValue(JsonValue &out)
           skipWs();
           if (p < end && *p == ']') {
               ++p;
+              --depth;
               return true;
           }
           for (;;) {
@@ -250,6 +258,7 @@ JsonParser::parseValue(JsonValue &out)
               }
               if (p < end && *p == ']') {
                   ++p;
+                  --depth;
                   return true;
               }
               return false;

@@ -64,7 +64,9 @@ struct JsonValue
 /**
  * Recursive-descent parser over one record line. parse() returns
  * false on any malformation, including trailing junk after the value
- * — a truncated or torn record must never half-parse.
+ * and objects or arrays nested more than 64 deep (the writers nest
+ * three) — a truncated or torn record must never half-parse, and a
+ * hostile one must not exhaust the stack.
  */
 class JsonParser
 {
@@ -85,6 +87,7 @@ class JsonParser
 
     const char *p;
     const char *end;
+    unsigned depth = 0; ///< open objects and arrays at p
 };
 
 /**

@@ -183,14 +183,53 @@ TEST(Analysis, CaptureSnapshotFromLlc)
     EXPECT_EQ(approx, 1u);
 }
 
-TEST(Analysis, SnapshotAverager)
+TEST(Analysis, SnapshotAnalysisTable)
 {
-    SnapshotAverager avg;
-    EXPECT_DOUBLE_EQ(avg.mean(), 0.0);
-    avg.sample(0.2);
-    avg.sample(0.4);
-    EXPECT_DOUBLE_EQ(avg.mean(), 0.3);
-    EXPECT_EQ(avg.count(), 2u);
+    // The closed table: every name the figure benches use, none with
+    // a dot (they are stat names), and only approxFraction unthinned.
+    const char *const names[] = {
+        "approxFraction", "threshold0",    "threshold1e-4",
+        "threshold1e-3",  "threshold1e-2", "threshold1e-1",
+        "map12",          "map13",         "map14",
+        "bdi",            "dedup",         "doppBdi14",
+        "gdish",          "approxDedup14"};
+    for (const char *name : names) {
+        const SnapshotAnalysis *a = findSnapshotAnalysis(name);
+        ASSERT_NE(a, nullptr) << name;
+        EXPECT_STREQ(a->name, name);
+        EXPECT_EQ(std::string(name).find('.'), std::string::npos);
+        EXPECT_EQ(a->thinned, std::string(name) != "approxFraction");
+    }
+    EXPECT_EQ(findSnapshotAnalysis("map15"), nullptr);
+    EXPECT_EQ(findSnapshotAnalysis(""), nullptr);
+
+    // Each entry is its analysis at the listed parameter.
+    Snapshot snap;
+    for (int i = 0; i < 40; ++i) {
+        snap.push_back(
+            f32Block(0x40 * i, {0.01f * static_cast<float>(i % 7)}));
+    }
+    EXPECT_EQ(findSnapshotAnalysis("map13")->measure(snap),
+              mapSavings(snap, 13));
+    EXPECT_EQ(findSnapshotAnalysis("threshold1e-2")->measure(snap),
+              thresholdSavings(snap, 0.01));
+    EXPECT_EQ(findSnapshotAnalysis("approxDedup14")->measure(snap),
+              approxDedupSavings(snap, 14));
+}
+
+TEST(Analysis, ThinSnapshotStridesEvenly)
+{
+    Snapshot snap(10);
+    for (size_t i = 0; i < snap.size(); ++i)
+        snap[i].addr = i;
+    EXPECT_EQ(thinSnapshot(snap, 10).size(), 10u);
+    const Snapshot thin = thinSnapshot(snap, 4);
+    ASSERT_EQ(thin.size(), 4u);
+    // Stride 2.5: indices 0, 2, 5, 7.
+    EXPECT_EQ(thin[0].addr, 0u);
+    EXPECT_EQ(thin[1].addr, 2u);
+    EXPECT_EQ(thin[2].addr, 5u);
+    EXPECT_EQ(thin[3].addr, 7u);
 }
 
 TEST(Analysis, EmptySnapshotsSafe)

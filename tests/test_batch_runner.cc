@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
-#include <stdexcept>
 #include <string>
 
 #include <unistd.h>
@@ -20,22 +19,13 @@
 #include "harness/results_io.hh"
 #include "util/random.hh"
 
+#include "test_support.hh"
+
 namespace dopp
 {
 
 namespace
 {
-
-RunConfig
-tinyConfig(const std::string &workload, const std::string &org,
-           double scale = 0.03)
-{
-    RunConfig cfg;
-    cfg.workloadName = workload;
-    cfg.llcName = org;
-    cfg.workload.scale = scale;
-    return cfg;
-}
 
 /**
  * The mixed batch of the equivalence suite: every LLC organization,
@@ -164,14 +154,10 @@ TEST(BatchRunner, ConcurrentSelfDeterminism)
 
 TEST(BatchRunner, ThrowingRunFailsWithoutKillingPool)
 {
+    registerTestOrganizations();
     std::vector<RunConfig> configs;
     configs.push_back(tinyConfig("kmeans", "baseline"));
-    RunConfig bad = tinyConfig("kmeans", "split-doppelganger");
-    bad.snapshotPeriod = 1000; // at least one snapshot is guaranteed
-    bad.onSnapshot = [](const Snapshot &) {
-        throw std::runtime_error("snapshot hook exploded");
-    };
-    configs.push_back(std::move(bad));
+    configs.push_back(tinyConfig("kmeans", "test-throws-always"));
     configs.push_back(tinyConfig("jpeg", "uniDoppelganger"));
 
     BatchOptions opt;
@@ -181,9 +167,9 @@ TEST(BatchRunner, ThrowingRunFailsWithoutKillingPool)
     EXPECT_FALSE(results[0].failed);
     EXPECT_GT(results[0].stats.counter("run.runtimeCycles"), 0u);
     EXPECT_TRUE(results[1].failed);
-    EXPECT_EQ(results[1].error, "snapshot hook exploded");
+    EXPECT_EQ(results[1].error, "builder always throws");
     EXPECT_EQ(results[1].workload, "kmeans");
-    EXPECT_EQ(results[1].organization, "split-doppelganger");
+    EXPECT_EQ(results[1].organization, "test-throws-always");
     EXPECT_FALSE(results[2].failed);
     EXPECT_GT(results[2].stats.counter("run.runtimeCycles"), 0u);
 }
@@ -219,22 +205,18 @@ TEST(BatchRunner, CancelledBeforeStartCancelsEverything)
 TEST(BatchRunner, MidBatchCancellationSkipsQueuedRuns)
 {
     // Serial pool: the first run trips the cancel flag from inside its
-    // snapshot hook, so every queued run after it must be cancelled —
+    // LLC builder, so every queued run after it must be cancelled —
     // deterministically, since jobs=1 executes in submission order.
-    std::atomic<bool> cancel{false};
+    registerTestOrganizations();
+    testCancelFlag = false;
     std::vector<RunConfig> configs;
-    RunConfig first = tinyConfig("kmeans", "baseline");
-    first.snapshotPeriod = 1000;
-    first.onSnapshot = [&cancel](const Snapshot &) {
-        cancel.store(true, std::memory_order_release);
-    };
-    configs.push_back(std::move(first));
+    configs.push_back(tinyConfig("kmeans", "test-cancels"));
     for (int i = 0; i < 5; ++i)
         configs.push_back(tinyConfig("kmeans", "baseline"));
 
     BatchOptions opt;
     opt.jobs = 1;
-    opt.cancel = &cancel;
+    opt.cancel = &testCancelFlag;
     const std::vector<RunResult> results = runBatch(configs, opt);
     ASSERT_EQ(results.size(), 6u);
     EXPECT_FALSE(results[0].failed); // in-flight run completes
@@ -246,20 +228,16 @@ TEST(BatchRunner, MidBatchCancellationSkipsQueuedRuns)
 
 TEST(BatchRunner, ThreadedCancellationPartitionsCleanly)
 {
-    std::atomic<bool> cancel{false};
+    registerTestOrganizations();
+    testCancelFlag = false;
     std::vector<RunConfig> configs;
-    RunConfig first = tinyConfig("kmeans", "baseline");
-    first.snapshotPeriod = 1000;
-    first.onSnapshot = [&cancel](const Snapshot &) {
-        cancel.store(true, std::memory_order_release);
-    };
-    configs.push_back(std::move(first));
+    configs.push_back(tinyConfig("kmeans", "test-cancels"));
     for (int i = 0; i < 19; ++i)
         configs.push_back(tinyConfig("kmeans", "baseline"));
 
     BatchOptions opt;
     opt.jobs = 2;
-    opt.cancel = &cancel;
+    opt.cancel = &testCancelFlag;
     const std::vector<RunResult> results = runBatch(configs, opt);
     size_t ok = 0;
     for (const RunResult &r : results) {

@@ -34,22 +34,13 @@
 #include "harness/results_io.hh"
 #include "util/fileio.hh"
 
+#include "test_support.hh"
+
 namespace dopp
 {
 
 namespace
 {
-
-RunConfig
-tinyConfig(const std::string &workload, const std::string &org,
-           double scale = 0.03)
-{
-    RunConfig cfg;
-    cfg.workloadName = workload;
-    cfg.llcName = org;
-    cfg.workload.scale = scale;
-    return cfg;
-}
 
 /** A fresh temp *directory* deleted recursively on destruction. */
 struct TempDir
@@ -141,41 +132,6 @@ journalRecords(const SpoolPaths &paths)
     return out;
 }
 
-std::atomic<bool> throwsOnceFired{false};
-
-/**
- * Test organizations wrapping "baseline": "test-throws-always" throws
- * from its builder on every run, "test-throws-once" on its first run
- * only, and "test-slow" builds after a 150 ms sleep.
- */
-void
-registerTestOrganizations()
-{
-    static bool registered = false;
-    if (registered)
-        return;
-    registered = true;
-    auto wrap = [](auto before) {
-        return [before](MainMemory &memory, const ApproxRegistry &reg,
-                        const RunConfig &cfg, StatRegistry &stats,
-                        const std::string &) {
-            before();
-            return buildLlc("baseline", memory, reg, cfg, stats);
-        };
-    };
-    registerLlc("test-throws-always", wrap([] {
-                    throw std::runtime_error("builder always throws");
-                }));
-    registerLlc("test-throws-once", wrap([] {
-                    if (!throwsOnceFired.exchange(true))
-                        throw std::runtime_error("builder threw once");
-                }));
-    registerLlc("test-slow", wrap([] {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(150));
-                }));
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -212,6 +168,8 @@ TEST(CampaignCodec, RoundTripPreservesFingerprint)
     cfg.sliceCount = 4;
     cfg.sliceHash = "sandybridge";
     cfg.mapSpaceMode = MapSpaceMode::PerSlice;
+    cfg.snapshotPeriod = 5000;
+    cfg.snapshotAnalyses = {"map14", "threshold1e-4", "approxFraction"};
 
     const std::string line = campaignConfigJson(cfg);
     RunConfig parsed;
@@ -229,6 +187,8 @@ TEST(CampaignCodec, RoundTripPreservesFingerprint)
     EXPECT_EQ(parsed.memTier.partitions[0].writeLatency, 900u);
     EXPECT_EQ(parsed.sliceCount, 4u);
     EXPECT_EQ(parsed.mapSpaceMode, MapSpaceMode::PerSlice);
+    EXPECT_EQ(parsed.snapshotPeriod, 5000u);
+    EXPECT_EQ(parsed.snapshotAnalyses, cfg.snapshotAnalyses);
 
     // And re-serialization is byte-stable (the codec is canonical).
     EXPECT_EQ(campaignConfigJson(parsed), line);
@@ -473,10 +433,31 @@ TEST(CampaignCodec, EveryVisitedFieldMovesFingerprintAndRoundTrips)
 TEST(CampaignCodec, RefusesUnspoolableConfigs)
 {
     RunConfig cfg = tinyConfig("kmeans", "baseline");
-    cfg.snapshotPeriod = 1000;
-    cfg.onSnapshot = [](const Snapshot &) {};
+    cfg.tracePath = "/tmp/never-written.dopptrc";
     EXPECT_EXIT(campaignConfigJson(cfg),
-                ::testing::ExitedWithCode(1), "observation hooks");
+                ::testing::ExitedWithCode(1), "records a trace");
+}
+
+TEST(CampaignCodec, RejectsBadSnapshotAnalyses)
+{
+    RunConfig cfg = tinyConfig("kmeans", "baseline");
+    cfg.snapshotPeriod = 5000;
+    cfg.snapshotAnalyses = {"map14"};
+    const std::string line = campaignConfigJson(cfg);
+    auto rejects = [&line](const std::string &from, const std::string &to,
+                           const std::string &reason) {
+        std::string bad = line;
+        bad.replace(bad.find(from), from.size(), to);
+        RunConfig parsed;
+        std::string fp, why;
+        EXPECT_FALSE(parseCampaignConfig(bad, parsed, fp, why)) << bad;
+        EXPECT_NE(why.find(reason), std::string::npos) << why;
+    };
+    rejects("\"map14\"", "\"map15\"", "unknown snapshot analysis 'map15'");
+    rejects("\"map14\"", "\"map14\",\"map14\"", "listed twice");
+    rejects("[\"map14\"]", "[]", "malformed snapshot section");
+    rejects("[\"map14\"]", "[14]", "malformed snapshot section");
+    rejects("\"period\"", "\"every\"", "unknown schema column 'every'");
 }
 
 TEST(CampaignCodec, BatchLoadIsAllOrNothing)
@@ -492,6 +473,21 @@ TEST(CampaignCodec, BatchLoadIsAllOrNothing)
     std::string why;
     EXPECT_FALSE(loadCampaignBatch(path, "b", batch, why));
     EXPECT_NE(why.find("line 2"), std::string::npos);
+}
+
+TEST(CampaignCodec, DeeplyNestedBatchLineIsRejected)
+{
+    TempDir dir;
+    const std::string path = dir.path + "/batch.jsonl";
+    std::string text =
+        campaignConfigJson(tinyConfig("kmeans", "baseline"));
+    text += std::string(100000, '[') + "\n";
+    atomicWriteFile(path, text);
+
+    CampaignBatch batch;
+    std::string why;
+    EXPECT_FALSE(loadCampaignBatch(path, "b", batch, why));
+    EXPECT_NE(why.find("line 2"), std::string::npos) << why;
 }
 
 TEST(CampaignCodec, SanitizeFingerprint)

@@ -160,16 +160,32 @@ TEST(Harness, SnapshotHookDelivers)
 {
     RunConfig cfg = tinyRun("baseline");
     cfg.workload.scale = 0.2;
+    const u64 bareStats = runWorkload("jpeg", cfg).stats.size();
+
+    // A period without analyses takes no snapshot and adds no stat.
     cfg.snapshotPeriod = 5000;
-    unsigned snaps = 0;
-    u64 blocks = 0;
-    cfg.onSnapshot = [&](const Snapshot &s) {
-        ++snaps;
-        blocks += s.size();
-    };
-    runWorkload("jpeg", cfg);
-    EXPECT_GT(snaps, 0u);
-    EXPECT_GT(blocks, 0u);
+    EXPECT_EQ(runWorkload("jpeg", cfg).stats.size(), bareStats);
+
+    cfg.snapshotAnalyses = {"approxFraction", "map14"};
+    const RunResult r = runWorkload("jpeg", cfg);
+    EXPECT_EQ(r.stats.size(), bareStats + 2 * 4); // count/mean/min/max
+    // Periodic snapshots plus the one at the end of the run.
+    EXPECT_GT(r.stats.counter("snapshot.approxFraction.count"), 1u);
+    EXPECT_EQ(r.stats.counter("snapshot.map14.count"),
+              r.stats.counter("snapshot.approxFraction.count"));
+    EXPECT_GT(r.stats.value("snapshot.approxFraction.mean"), 0.0);
+    EXPECT_LE(r.stats.value("snapshot.approxFraction.max"), 1.0);
+}
+
+TEST(HarnessDeathTest, BadSnapshotAnalysisIsFatal)
+{
+    RunConfig cfg = tinyRun("baseline");
+    cfg.snapshotAnalyses = {"map14", "map14"};
+    EXPECT_EXIT(runWorkload("kmeans", cfg), ::testing::ExitedWithCode(1),
+                "snapshot analysis 'map14' listed twice");
+    cfg.snapshotAnalyses = {"threshold0.01"};
+    EXPECT_EXIT(runWorkload("kmeans", cfg), ::testing::ExitedWithCode(1),
+                "unknown snapshot analysis 'threshold0.01'");
 }
 
 TEST(Harness, ScaleFromEnvDefaultsToOne)

@@ -12,13 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -29,22 +27,13 @@
 #include "harness/results_io.hh"
 #include "util/fileio.hh"
 
+#include "test_support.hh"
+
 namespace dopp
 {
 
 namespace
 {
-
-RunConfig
-tinyConfig(const std::string &workload, const std::string &org,
-           double scale = 0.03)
-{
-    RunConfig cfg;
-    cfg.workloadName = workload;
-    cfg.llcName = org;
-    cfg.workload.scale = scale;
-    return cfg;
-}
 
 /** A fresh temp path that is deleted when the holder dies. */
 struct TempPath
@@ -133,18 +122,34 @@ TEST(Journal, FingerprintIsDeterministicAndDiscriminating)
     c.llcName = "uniDoppelganger";
     EXPECT_NE(configFingerprint(c), fp);
 
-    // Observation hooks and the abort flag never affect results, so
-    // they must not move the fingerprint (hook-carrying configs are
+    // Trace capture and the abort flag never affect results, so they
+    // must not move the fingerprint (a trace-recording config is
     // re-executed by policy, not by fingerprint mismatch).
     c = base;
-    c.snapshotPeriod = 1000;
-    c.onSnapshot = [](const Snapshot &) {};
     c.tracePath = "/tmp/some-trace";
     std::atomic<bool> flag{false};
     c.abortFlag = &flag;
     EXPECT_EQ(configFingerprint(c), fp);
     EXPECT_FALSE(configResumable(c));
     EXPECT_TRUE(configResumable(base));
+
+    // A snapshot period alone takes no snapshot; analyses add stats,
+    // so the list, its order and then the period key the run.
+    c = base;
+    c.snapshotPeriod = 1000;
+    EXPECT_EQ(configFingerprint(c), fp);
+    c.snapshotAnalyses = {"map14"};
+    const std::string fpSnap = configFingerprint(c);
+    EXPECT_NE(fpSnap, fp);
+    EXPECT_TRUE(configResumable(c));
+    c.snapshotPeriod = 2000;
+    EXPECT_NE(configFingerprint(c), fpSnap);
+    c.snapshotPeriod = 1000;
+    c.snapshotAnalyses = {"map14", "bdi"};
+    const std::string fpTwo = configFingerprint(c);
+    EXPECT_NE(fpTwo, fpSnap);
+    c.snapshotAnalyses = {"bdi", "map14"};
+    EXPECT_NE(configFingerprint(c), fpTwo);
 }
 
 TEST(Journal, FingerprintDistinguishesMemoryTierFields)
@@ -206,11 +211,6 @@ TEST(Journal, FingerprintDistinguishesMemoryTierFields)
     c = base;
     c.qor.migrateDwell = 99;
     EXPECT_NE(configFingerprint(c), fp);
-
-    // The abort-poll granularity is observation-only: excluded.
-    c = base;
-    c.abortPollAccesses = 64;
-    EXPECT_EQ(configFingerprint(c), fp);
 }
 
 TEST(Journal, FingerprintDistinguishesSliceFields)
@@ -417,6 +417,25 @@ TEST(Journal, TruncatedLastLineIsDiscarded)
     EXPECT_EQ(j.recordsDiscarded, 1u);
     ASSERT_EQ(j.records.size(), 1u);
     EXPECT_EQ(j.records.count(configFingerprint(cfg)), 1u);
+}
+
+TEST(Journal, DeeplyNestedLineIsDiscarded)
+{
+    const RunConfig cfg = tinyConfig("kmeans", "baseline");
+    const std::string fp = configFingerprint(cfg);
+    const std::string good = journalRecordJson(fp, runWorkload(cfg));
+
+    // Far past the parser's depth cap: discarded, not a stack overflow.
+    TempPath tmp;
+    {
+        std::ofstream out(tmp.path, std::ios::binary);
+        out << good << std::string(100000, '[') << '\n'
+            << std::string(100000, '{') << '\n' << good;
+    }
+    const LoadedJournal j = loadJournal(tmp.path);
+    EXPECT_EQ(j.recordsLoaded, 2u);
+    EXPECT_EQ(j.recordsDiscarded, 2u);
+    EXPECT_EQ(j.records.count(fp), 1u);
 }
 
 TEST(Journal, UnknownSchemaIsDiscarded)
@@ -671,32 +690,42 @@ TEST(Resilience, CorruptedJournalRecordsReRun)
     }
 }
 
-TEST(Resilience, HookConfigsReExecuteButStillJournal)
+TEST(Resilience, SnapshotConfigsResumeTraceConfigsReExecute)
 {
-    // Figure benches build their output from snapshot hooks, which a
-    // journal cannot replay: hook-carrying configs must re-execute on
-    // every campaign. Their records are still written, so the same
-    // config *without* hooks can resume from them.
-    RunConfig hooked = tinyConfig("kmeans", "split-doppelganger");
-    hooked.snapshotPeriod = 1000;
-    std::atomic<u64> snapshots{0};
-    hooked.onSnapshot = [&](const Snapshot &) { ++snapshots; };
+    // The figure benches' snapshot analyses are run stats, so their
+    // configs resume from the journal with every snapshot.* value.
+    // A trace capture is a side effect a journal cannot replay: that
+    // config re-executes on every campaign, yet its record is still
+    // written, so the same config without the trace resumes from it.
+    RunConfig snap = tinyConfig("kmeans", "split-doppelganger");
+    snap.snapshotPeriod = 1000;
+    snap.snapshotAnalyses = {"approxFraction", "map14", "gdish"};
 
     TempPath journal;
     BatchOptions opt;
     opt.jobs = 1;
     const BatchOutcome first =
-        runBatchResumable({hooked}, journal.path, opt);
+        runBatchResumable({snap}, journal.path, opt);
     EXPECT_EQ(first.runsExecuted, 1u);
-    const u64 firstSnapshots = snapshots.load();
-    EXPECT_GT(firstSnapshots, 0u);
+    const StatSnapshot &stats = first.results[0].stats;
+    EXPECT_GT(stats.counter("snapshot.map14.count"), 1u);
 
     const BatchOutcome second =
-        runBatchResumable({hooked}, journal.path, opt);
-    EXPECT_EQ(second.runsResumed, 0u);
-    EXPECT_EQ(second.runsExecuted, 1u);
-    EXPECT_EQ(snapshots.load(), 2 * firstSnapshots) <<
-        "hook did not re-fire on resume";
+        runBatchResumable({snap}, journal.path, opt);
+    EXPECT_EQ(second.runsResumed, 1u);
+    EXPECT_EQ(second.runsExecuted, 0u);
+    EXPECT_EQ(second.results[0].stats, stats);
+
+    TempPath trace;
+    RunConfig traced = tinyConfig("kmeans", "split-doppelganger");
+    traced.tracePath = trace.path;
+    const BatchOutcome recorded =
+        runBatchResumable({traced}, journal.path, opt);
+    EXPECT_EQ(recorded.runsExecuted, 1u);
+    const BatchOutcome again =
+        runBatchResumable({traced}, journal.path, opt);
+    EXPECT_EQ(again.runsResumed, 0u);
+    EXPECT_EQ(again.runsExecuted, 1u);
 
     RunConfig bare = tinyConfig("kmeans", "split-doppelganger");
     const BatchOutcome third =
@@ -704,7 +733,7 @@ TEST(Resilience, HookConfigsReExecuteButStillJournal)
     EXPECT_EQ(third.runsResumed, 1u);
     EXPECT_EQ(third.runsExecuted, 0u);
     EXPECT_EQ(runResultCsvRow(third.results[0]),
-              runResultCsvRow(first.results[0]));
+              runResultCsvRow(recorded.results[0]));
 }
 
 TEST(Resilience, CancelledRunsAreReportedAndNotJournaled)
@@ -738,22 +767,15 @@ TEST(Resilience, CancelledRunsAreReportedAndNotJournaled)
 
 TEST(Resilience, WatchdogTimesOutWedgedRunWithoutKillingPool)
 {
-    // The wedged run sleeps 600 ms of wall time in its first snapshot
-    // hook, so it always overruns the 500 ms deadline regardless of
-    // how fast (or how loaded) the host is; the abort lands at the
-    // next cooperative poll after the hook returns.  The pool-mate is
-    // a ~10 ms run with a 50x margin against the shared deadline, so
-    // it must complete undisturbed even on a heavily loaded machine.
+    // The wedged run sleeps 600 ms of wall time in its LLC builder,
+    // so it always overruns the 500 ms deadline regardless of how
+    // fast (or how loaded) the host is; the abort lands at the first
+    // cooperative poll of the run.  The pool-mate is a ~10 ms run
+    // with a 50x margin against the shared deadline, so it must
+    // complete undisturbed even on a heavily loaded machine.
+    registerTestOrganizations();
     std::vector<RunConfig> configs;
-    configs.push_back(tinyConfig("kmeans", "baseline", 0.05));
-    configs[0].snapshotPeriod = 64;
-    bool slept = false;
-    configs[0].onSnapshot = [&slept](const Snapshot &) {
-        if (!slept) {
-            slept = true;
-            std::this_thread::sleep_for(std::chrono::milliseconds(600));
-        }
-    };
+    configs.push_back(tinyConfig("kmeans", "test-wedged", 0.05));
     configs.push_back(tinyConfig("kmeans", "baseline", 0.01));
 
     StatRegistry reg;
@@ -800,15 +822,11 @@ TEST(Resilience, TimeoutRetriesWithBackoffThenFails)
 
 TEST(Resilience, TransientFailureRetriesToSuccess)
 {
-    // A hook that throws exactly once models a transient failure; the
-    // retry re-executes from the identical config and succeeds.
-    std::atomic<u64> attempts{0};
-    RunConfig flaky = tinyConfig("kmeans", "baseline");
-    flaky.snapshotPeriod = 1000;
-    flaky.onSnapshot = [&](const Snapshot &) {
-        if (attempts.fetch_add(1) == 0)
-            throw std::runtime_error("transient I/O hiccup");
-    };
+    // A builder that throws exactly once models a transient failure;
+    // the retry re-executes from the identical config and succeeds.
+    registerTestOrganizations();
+    throwsOnceFired = false;
+    const RunConfig flaky = tinyConfig("kmeans", "test-throws-once");
 
     StatRegistry reg;
     BatchOptions opt;
@@ -946,37 +964,6 @@ TEST(Resilience, SlicedCampaignResumesBitIdentically)
     TempPath resumedCsv;
     writeResultsCsv(resumedCsv.path, full.results);
     EXPECT_EQ(readFile(resumedCsv.path), referenceBytes);
-}
-
-TEST(Resilience, BatchAbortPollIntervalIsPlumbedToRuns)
-{
-    // With a 1 ms deadline the watchdog raises the flag almost
-    // immediately; a run that would finish well under the default
-    // 4096-access poll granularity still aborts when its config
-    // tightens the poll to every 16 accesses (the batch's attempt loop
-    // keeps the config's interval), and a run completes when the poll
-    // interval is loosened beyond its access count (the flag is
-    // simply never observed).
-    RunConfig cfg = tinyConfig("kmeans", "baseline", 0.5);
-    cfg.abortPollAccesses = 16;
-
-    StatRegistry tightReg;
-    BatchOptions tight;
-    tight.jobs = 1;
-    tight.runTimeoutMs = 1;
-    tight.stats = &tightReg;
-    const std::vector<RunResult> aborted = runBatch({cfg}, tight);
-    ASSERT_TRUE(aborted[0].failed);
-    EXPECT_EQ(aborted[0].error, "timeout");
-    EXPECT_EQ(tightReg.snapshot().counter("batch.runsTimedOut"), 1u);
-
-    RunConfig small = tinyConfig("kmeans", "baseline", 0.02);
-    small.abortPollAccesses = u64{1} << 40; // far past the run's end
-    BatchOptions loose;
-    loose.jobs = 1;
-    loose.runTimeoutMs = 1;
-    const std::vector<RunResult> finished = runBatch({small}, loose);
-    EXPECT_FALSE(finished[0].failed) << finished[0].error;
 }
 
 TEST(Resilience, JournalBytesCounterTracksAppends)
