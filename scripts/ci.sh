@@ -184,7 +184,7 @@ echo "ci: bench_perf smoke + schema check passed"
 # the kernels' outputs, the tiered faulted stack included (§19).
 # BlockRun holds block-run accesses (SimArray::getRun/setRun) to the
 # per-element loop on every stack, hooks and abort included (§19).
-DIFF_SUITES='HotpathDiff|TagPool|NewOrgs|RefEngineEndToEnd|HierarchyDiff|MemArena|GdishDictModel|CompressedOrgPins|Bdi|DoppInvariants|BlockSubstitutionError|WorkloadPins|BlockRun'
+DIFF_SUITES='HotpathDiff|TagPool|NewOrgs|RefEngineEndToEnd|HierarchyDiff|MemArena|GdishDictModel|CompressedOrgPins|Bdi|DoppInvariants|BlockSubstitutionError|WorkloadPins|BlockRun|TracePins'
 DOPP_JOBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -j "$(nproc)" -R "$DIFF_SUITES"
 DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \

@@ -292,28 +292,34 @@ DoppelgangerCache::insertBlock(Addr addr, const u8 *bytes)
     const u64 map = mapFor(addr, bytes);
     ++ctr->mapGens;
     ++ctr->mtagArray.reads;
+    linkByMap(tidx, addr, bytes, map);
+}
 
+void
+DoppelgangerCache::linkByMap(i32 tidx, Addr addr, const u8 *bytes,
+                             u64 map)
+{
     const u64 m0 = prof ? hotpathNowNs() : 0;
     const i32 existing = findDataByMap(map);
     if (prof)
         prof->mtagProbeNs += hotpathNowNs() - m0;
     if (existing >= 0) {
-        // A similar block exists: share its entry, drop the fetched
-        // data (Sec 3.3 "Similar Data Block Exists"). Future reads
+        // A similar block exists: share its entry and drop @p bytes
+        // (Sec 3.3 "Similar Data Block Exists", Sec 3.4). Future reads
         // serve the doppelgänger — report the substitution error.
-        const u64 l1 = prof ? hotpathNowNs() : 0;
+        const u64 l0 = prof ? hotpathNowNs() : 0;
         linkHead(tidx, existing);
         tagMapV[static_cast<size_t>(tidx)] = map;
         dataDir.touch(static_cast<u32>(existing) / cfg.dataWays,
                       static_cast<u32>(existing) % cfg.dataWays);
         if (prof)
-            prof->listMaintNs += hotpathNowNs() - l1;
+            prof->listMaintNs += hotpathNowNs() - l0;
         observeSubstitution(addr, bytes, existing);
         return;
     }
 
     // No similar block: allocate (evicting a victim and all its tags).
-    const u64 l1 = prof ? hotpathNowNs() : 0;
+    const u64 l0 = prof ? hotpathNowNs() : 0;
     const u32 dset = dataSetOfMap(map);
     const i32 didx = allocateDataEntry(dset);
     dataDir.setValid(didx, true);
@@ -321,7 +327,7 @@ DoppelgangerCache::insertBlock(Addr addr, const u8 *bytes)
     dataDir.setKey(didx, map);
     dataHeadV[static_cast<size_t>(didx)] = -1;
     if (prof)
-        prof->listMaintNs += hotpathNowNs() - l1;
+        prof->listMaintNs += hotpathNowNs() - l0;
     const u64 d0 = prof ? hotpathNowNs() : 0;
     std::memcpy(blocks[static_cast<size_t>(didx)].data(), bytes,
                 blockBytes);
@@ -443,44 +449,10 @@ DoppelgangerCache::writeback(Addr addr, const u8 *bytes)
     if (prof)
         prof->listMaintNs += hotpathNowNs() - l0;
 
-    const u64 m1 = prof ? hotpathNowNs() : 0;
-    const i32 existing = findDataByMap(newMap);
-    if (prof)
-        prof->mtagProbeNs += hotpathNowNs() - m1;
-    if (existing >= 0) {
-        // A block with the new map exists: the written values are
-        // effectively ignored; this write made the block similar to
-        // one already cached (Sec 3.4).
-        linkHead(tidx, existing);
-        tagMapV[static_cast<size_t>(tidx)] = newMap;
-        tagDir.setFlag(tidx, TagDirty, true);
-        dataDir.touch(static_cast<u32>(existing) / cfg.dataWays,
-                      static_cast<u32>(existing) % cfg.dataWays);
-        observeSubstitution(addr, bytes, existing);
-        return;
-    }
-
-    const u64 l1 = prof ? hotpathNowNs() : 0;
-    const u32 dset = dataSetOfMap(newMap);
-    const i32 didx = allocateDataEntry(dset);
-    dataDir.setValid(didx, true);
-    dataDir.setFlag(didx, DataPrecise, false);
-    dataDir.setKey(didx, newMap);
-    dataHeadV[static_cast<size_t>(didx)] = -1;
-    if (prof)
-        prof->listMaintNs += hotpathNowNs() - l1;
-    const u64 d0 = prof ? hotpathNowNs() : 0;
-    std::memcpy(blocks[static_cast<size_t>(didx)].data(), bytes,
-                blockBytes);
-    if (prof)
-        prof->dataArrayNs += hotpathNowNs() - d0;
-    dataDir.touchInsert(dset, static_cast<u32>(didx) % cfg.dataWays);
-    linkHead(tidx, didx);
-    tagMapV[static_cast<size_t>(tidx)] = newMap;
+    // Re-place the tag by its new map: a block with that map already
+    // cached absorbs the write (Sec 3.4), otherwise it gets an entry.
     tagDir.setFlag(tidx, TagDirty, true);
-    ++ctr->mtagArray.writes;
-    ++ctr->dataArray.writes;
-    observeClean();
+    linkByMap(tidx, addr, bytes, newMap);
 }
 
 bool

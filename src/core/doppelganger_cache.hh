@@ -177,6 +177,15 @@ class DoppelgangerCache : public DoppEngine
     /** Handle the off-critical-path part of a fetch miss (Sec 3.3). */
     void insertBlock(Addr addr, const u8 *bytes);
 
+    /**
+     * The one placement rule for an approximate block (Sec 3.3 on an
+     * insert, Sec 3.4 on a write that changes the map): link the
+     * unlinked tag @p tidx to the data entry whose map is @p map,
+     * reporting the substitution of @p bytes, or allocate that entry
+     * (evicting as needed) and store @p bytes in it.
+     */
+    void linkByMap(i32 tidx, Addr addr, const u8 *bytes, u64 map);
+
     /** Monomorphized block iteration; forEachBlock wraps this with a
      * std::function for the virtual interface, internal callers pay
      * no type-erasure hop. */

@@ -412,6 +412,11 @@ parseClaimRecord(const std::string &text, ClaimInfo &out)
         root.kind != JsonValue::Kind::Object) {
         return false;
     }
+    std::string why;
+    if (!jsonKnownKeysOnly(root, {"fp", "worker", "pid", "expiresAtMs"},
+                           why)) {
+        return false;
+    }
     const JsonValue *fp = root.find("fp");
     const JsonValue *worker = root.find("worker");
     const JsonValue *pid = root.find("pid");

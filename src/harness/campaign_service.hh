@@ -192,7 +192,9 @@ struct ClaimInfo
     u64 expiresAtMs = 0;
 };
 
-/** Serialize / parse a claim record (one JSON object, no newline). */
+/** Serialize / parse a claim record (one JSON object, no newline).
+ * The parse fails a record with a member it does not know, as the
+ * journal and batch readers do. */
 std::string claimRecordJson(const ClaimInfo &info);
 bool parseClaimRecord(const std::string &text, ClaimInfo &out);
 

@@ -11,6 +11,7 @@
 #include <mutex>
 
 #include "harness/llc_factory.hh"
+#include "harness/results_io.hh"
 #include "sim/llc.hh"
 #include "sim/trace.hh"
 #include "sim/memory.hh"
@@ -201,10 +202,10 @@ namespace
 {
 
 /**
- * Append one JSON line for @p r to the DOPP_STATS_JSON path, if set.
- * The batch runner runs workloads from worker threads, so the append
- * is serialized process-wide; line order across runs is therefore
- * unspecified under DOPP_JOBS > 1. Each record is one O_APPEND
+ * Append runResultJson(@p r) as one line to the DOPP_STATS_JSON path,
+ * if set. The batch runner runs workloads from worker threads, so the
+ * append is serialized process-wide; line order across runs is
+ * therefore unspecified under DOPP_JOBS > 1. Each record is one O_APPEND
  * write(2) + fsync(2) (util/fileio.hh), so a crash mid-campaign loses
  * at most the record being written and never interleaves lines.
  */
@@ -215,15 +216,7 @@ maybeAppendStatsJson(const RunResult &r)
     if (!path || !*path)
         return;
 
-    std::string record;
-    record.reserve(256 + 16 * r.stats.size());
-    record += "{\"workload\":\"";
-    record += r.workload;
-    record += "\",\"organization\":\"";
-    record += r.organization;
-    record += "\",\"stats\":";
-    record += r.stats.json();
-    record += "}\n";
+    const std::string record = runResultJson(r) + '\n';
 
     static std::mutex ioMutex;
     std::lock_guard<std::mutex> lock(ioMutex);

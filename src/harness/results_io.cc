@@ -91,22 +91,6 @@ runResultJson(const RunResult &result)
     return out;
 }
 
-void
-writeResultsJson(const std::string &path,
-                 const std::vector<RunResult> &results)
-{
-    std::string out = "[\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-        out += "  ";
-        out += runResultJson(results[i]);
-        if (i + 1 < results.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "]\n";
-    atomicWriteFile(path, out); // crash-safe: temp + rename
-}
-
 double
 LoadedRunRow::value(const std::string &name) const
 {

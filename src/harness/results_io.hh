@@ -1,12 +1,12 @@
 /**
  * @file
- * Result export: write RunResults as CSV or JSON so figure data can be
- * post-processed outside the simulator (plots, spreadsheets, CI
- * dashboards). Columns are derived from the run's StatRegistry schema
- * (RunResult::stats): every counter any layer registered appears under
- * its dotted name, so a new counter shows up in the export the moment
- * it is registered — there is no separate serialization table to keep
- * in sync.
+ * Result export: write RunResults as CSV, or one as a JSON object (the
+ * DOPP_STATS_JSON line), so figure data can be post-processed outside
+ * the simulator (plots, spreadsheets, CI dashboards). Columns are
+ * derived from the run's StatRegistry schema (RunResult::stats): every
+ * counter any layer registered appears under its dotted name, so a new
+ * counter shows up in the export the moment it is registered — there
+ * is no separate serialization table to keep in sync.
  */
 
 #ifndef DOPP_HARNESS_RESULTS_IO_HH
@@ -46,10 +46,6 @@ void writeResultsCsv(const std::string &path,
 /** One RunResult as a JSON object string: workload, organization and
  * the hierarchical stats object (StatSnapshot::json()). */
 std::string runResultJson(const RunResult &result);
-
-/** Write @p results as a JSON array to @p path. */
-void writeResultsJson(const std::string &path,
-                      const std::vector<RunResult> &results);
 
 /**
  * One row of a results CSV read back for post-processing (campaign

@@ -8,8 +8,8 @@
  * pluggable (conventional / split Doppelgänger / uniDoppelgänger /
  * dedup). The hierarchy is both *functional* — every line carries its
  * 64 bytes, so approximation applied at the LLC propagates to what the
- * cores read — and *timing*: access() returns the cycles the requesting
- * core stalls.
+ * cores read — and *timing*: an access returns the cycles the
+ * requesting core stalls.
  *
  * Coherence follows the paper's Sec 3.6: a directory at the LLC tracks
  * sharers per block (full-map vector); requests for a block modified in
@@ -164,8 +164,8 @@ class CoherenceDirectory
 };
 
 /**
- * The memory system: cores call access(); the harness wires an LLC and
- * a MainMemory in.
+ * The memory system: cores call accessRun() (access() is its run of
+ * one); the harness wires an LLC and a MainMemory in.
  */
 class MemorySystem
 {
@@ -191,11 +191,8 @@ class MemorySystem
      * Perform one load or store of @p size bytes at @p addr for
      * @p core. For loads, @p data receives the bytes the core observes
      * (possibly a doppelgänger approximation); for stores, @p data
-     * supplies the bytes written.
-     *
-     * Inline fast path: an L1 load hit, or a store hit on a line this
-     * core already owns, is one L1 probe and a copy; everything else
-     * goes through accessSlow().
+     * supplies the bytes written. It is the block run of one
+     * (accessRun with count 1).
      *
      * @pre the access does not straddle a 64 B block boundary.
      * @return the number of cycles the core stalls for this access.
@@ -204,30 +201,7 @@ class MemorySystem
     access(CoreId core, Addr addr, bool is_write, unsigned size,
            void *data)
     {
-        DOPP_ASSERT(core < cfg.numCores);
-        DOPP_ASSERT(size > 0 && size <= blockBytes);
-        DOPP_ASSERT(blockAlign(addr) == blockAlign(addr + size - 1));
-
-        ++ctr.accesses;
-        ++(is_write ? ctr.stores : ctr.loads);
-
-        const Addr baddr = blockAlign(addr);
-        const unsigned off = blockOffset(addr);
-        PrivateCache &c1 = l1[core];
-        const PrivateCache::Slot s = c1.lookup(baddr);
-        if (s >= 0) {
-            ++ctr.l1Hits;
-            if (!is_write) {
-                std::memcpy(data, c1.data(s) + off, size);
-                return cfg.l1Latency;
-            }
-            if (c1.owned(s)) {
-                std::memcpy(c1.data(s) + off, data, size);
-                c1.setDirty(s, true);
-                return cfg.l1Latency;
-            }
-        }
-        return accessSlow(core, baddr, off, is_write, size, data, s);
+        return accessRun(core, addr, is_write, size, 1, data);
     }
 
     /**
@@ -235,13 +209,16 @@ class MemorySystem
      * @p addr, @p addr + size, ..., all in one block, all loads or all
      * stores; @p data holds their @p count * @p size bytes in order.
      *
-     * The first access is exactly access()'s: its miss, fill or
-     * upgrade is unchanged. The other count - 1 are the L1 hits that
-     * access() would find, since nothing runs between them: the line
-     * is resident (and owned, for stores) once the first completes.
-     * So the counters rise as count calls would leave them, the line's
-     * LRU stamp is the one count touches leave (one probe for all of
-     * them), and the bytes move in one copy (DESIGN.md §18.2).
+     * Inline fast path: when the first access is an L1 load hit, or a
+     * store hit on a line this core already owns, the whole run is
+     * one L1 probe and a copy; otherwise the first access's miss, fill
+     * or upgrade goes through accessSlow(). The other count - 1 are
+     * the L1 hits that single accesses would find, since nothing runs
+     * between them: the line is resident (and owned, for stores) once
+     * the first completes. So the counters rise as count single
+     * accesses would leave them, the line's LRU stamp is the one count
+     * touches leave (one probe for all of them), and the bytes move in
+     * one copy (DESIGN.md §18.2).
      *
      * @return the first access's latency; each of the others takes
      * l1Latency().

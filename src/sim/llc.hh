@@ -189,10 +189,11 @@ void registerLlcFormulas(StatGroup group,
  * Per-phase wall-clock breakdown of the LLC access path, accumulated
  * by organizations that support setHotPathProfile(). All figures are
  * nanoseconds of *simulator* time — they attribute where the model
- * itself spends its cycles (bench_perf's per-phase columns), not
- * modeled hardware latency. Instrumentation is only active while a
- * profile is attached; throughput runs detach it so the timing calls
- * cost one predicted-not-taken branch.
+ * itself spends its cycles (bench_perf's per-phase columns and
+ * perfbench's traced llc.*_s metrics), not modeled hardware latency.
+ * Instrumentation is only active while a profile is attached;
+ * throughput runs detach it so the timing calls cost one
+ * predicted-not-taken branch.
  */
 struct HotPathProfile
 {

@@ -120,12 +120,6 @@ class MainMemory
         return e ? routeOf(*e) : precisePart;
     }
 
-    const MemPartitionProfile &
-    partitionProfile(u32 index) const
-    {
-        return parts[index].prof;
-    }
-
     /**
      * Route the pages of an annotated approximate region to an
      * approximate partition (regions round-robin across the

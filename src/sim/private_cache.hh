@@ -57,23 +57,11 @@ class PrivateCache
         return way < 0 ? noSlot : slotOf(set, static_cast<u32>(way));
     }
 
-    /** find() that also marks a hit recently used: one probe per
-     * access on the hit path. */
+    /** find() that also marks a hit recently used, for @p uses
+     * back-to-back accesses to @p addr: one probe, and on a hit the
+     * LRU stamp @p uses touches leave. */
     Slot
-    lookup(Addr addr)
-    {
-        const u32 set = slicer.set(addr);
-        const int way = dir.findWay(set, addr);
-        if (way < 0)
-            return noSlot;
-        dir.touch(set, static_cast<u32>(way));
-        return slotOf(set, static_cast<u32>(way));
-    }
-
-    /** lookup() for @p uses back-to-back accesses to @p addr: one
-     * probe, and on a hit the LRU stamp @p uses touches leave. */
-    Slot
-    lookup(Addr addr, u64 uses)
+    lookup(Addr addr, u64 uses = 1)
     {
         const u32 set = slicer.set(addr);
         const int way = dir.findWay(set, addr);

@@ -212,18 +212,11 @@ class SetAssocDir
         return victim;
     }
 
-    /** Record a use of (@p set, @p way); LRU only (FIFO ignores it). */
-    void
-    touch(u32 set, u32 way)
-    {
-        if (policy == ReplPolicy::LRU)
-            stamps[static_cast<size_t>(set) * numWays + way] = ++clock;
-    }
-
     /** Record @p uses back-to-back uses of (@p set, @p way): the stamp
-     * and clock that @p uses touch() calls leave. LRU only. */
+     * and clock that @p uses single touches leave. LRU only (FIFO
+     * ignores it). */
     void
-    touch(u32 set, u32 way, u64 uses)
+    touch(u32 set, u32 way, u64 uses = 1)
     {
         if (policy == ReplPolicy::LRU)
             stamps[static_cast<size_t>(set) * numWays + way] =

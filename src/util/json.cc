@@ -1,6 +1,7 @@
 #include "json.hh"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -77,7 +78,13 @@ JsonValue::asDouble(double &out) const
     const char *b = raw.c_str();
     char *end = nullptr;
     out = std::strtod(b, &end);
-    return end == b + raw.size();
+    if (end != b + raw.size())
+        return false;
+    // Out of a double's range: too large reads as infinity, too small
+    // as 0 although the mantissa has a non-zero digit.
+    const bool underflow = out == 0.0 &&
+        raw.find_first_of("123456789") < raw.find_first_of("eE");
+    return !std::isinf(out) && !underflow;
 }
 
 bool
@@ -170,21 +177,37 @@ JsonParser::parseString(std::string &out)
 }
 
 bool
-JsonParser::parseNumber(JsonValue &out)
+JsonParser::digits()
 {
     const char *start = p;
-    if (p < end && (*p == '-' || *p == '+'))
+    while (p < end && *p >= '0' && *p <= '9')
         ++p;
-    bool digits = false;
-    while (p < end &&
-           ((*p >= '0' && *p <= '9') || *p == '.' || *p == 'e' ||
-            *p == 'E' || *p == '-' || *p == '+')) {
-        if (*p >= '0' && *p <= '9')
-            digits = true;
+    return p > start;
+}
+
+bool
+JsonParser::parseNumber(JsonValue &out)
+{
+    // JSON's grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+    const char *start = p;
+    if (p < end && *p == '-')
         ++p;
-    }
-    if (!digits)
+    if (p < end && *p == '0')
+        ++p;
+    else if (!digits())
         return false;
+    if (p < end && *p == '.') {
+        ++p;
+        if (!digits())
+            return false;
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        ++p;
+        if (p < end && (*p == '-' || *p == '+'))
+            ++p;
+        if (!digits())
+            return false;
+    }
     out.kind = JsonValue::Kind::Number;
     out.raw.assign(start, p);
     return true;
@@ -220,6 +243,10 @@ JsonParser::parseValue(JsonValue &out)
               if (p >= end || *p != ':')
                   return false;
               ++p;
+              // A repeated key is malformation: which one a reader
+              // took would be a guess.
+              if (out.find(key))
+                  return false;
               JsonValue v;
               if (!parseValue(v))
                   return false;

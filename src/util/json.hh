@@ -57,16 +57,20 @@ struct JsonValue
     /** Exact u64 read of a Number token. */
     bool asU64(u64 &out) const;
 
-    /** strtod read of a Number token (shortest-round-trip exact). */
+    /** strtod read of a Number token (shortest-round-trip exact).
+     * Fails a value outside a double's range (it would read as
+     * infinity or 0). */
     bool asDouble(double &out) const;
 };
 
 /**
  * Recursive-descent parser over one record line. parse() returns
- * false on any malformation, including trailing junk after the value
- * and objects or arrays nested more than 64 deep (the writers nest
- * three) — a truncated or torn record must never half-parse, and a
- * hostile one must not exhaust the stack.
+ * false on any malformation, including trailing junk after the value,
+ * an object that repeats a key, a number outside JSON's grammar (a
+ * leading zero or '+', a bare '.' or exponent) and objects or arrays
+ * nested more than 64 deep (the writers nest three) — a truncated or
+ * torn record must never half-parse, and a hostile one must not
+ * exhaust the stack.
  */
 class JsonParser
 {
@@ -82,6 +86,9 @@ class JsonParser
     void skipWs();
     bool literal(const char *lit);
     bool parseString(std::string &out);
+    /** Consume a run of decimal digits. @return whether it is
+     * non-empty. */
+    bool digits();
     bool parseNumber(JsonValue &out);
     bool parseValue(JsonValue &out);
 

@@ -1,6 +1,5 @@
 #include "logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -9,10 +8,6 @@ namespace dopp
 
 namespace
 {
-
-// Atomic so batch-runner worker threads can consult it while the main
-// thread configures verbosity.
-std::atomic<bool> verboseFlag{true};
 
 void
 vreport(const char *prefix, const char *fmt, va_list ap)
@@ -56,24 +51,10 @@ warn(const char *fmt, ...)
 void
 inform(const char *fmt, ...)
 {
-    if (!verboseFlag)
-        return;
     va_list ap;
     va_start(ap, fmt);
     vreport("info", fmt, ap);
     va_end(ap);
-}
-
-void
-setVerbose(bool verbose)
-{
-    verboseFlag = verbose;
-}
-
-bool
-verboseEnabled()
-{
-    return verboseFlag;
 }
 
 } // namespace dopp

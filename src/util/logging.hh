@@ -31,12 +31,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Print an informational message to stderr; execution continues. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Enable/disable inform() output (warnings always print). */
-void setVerbose(bool verbose);
-
-/** @return whether inform() output is currently enabled. */
-bool verboseEnabled();
-
 } // namespace dopp
 
 /** Assert-like check that survives NDEBUG builds; panics on failure. */

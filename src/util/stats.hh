@@ -107,72 +107,6 @@ class RunningStat
     double maxVal = -std::numeric_limits<double>::infinity();
 };
 
-/**
- * Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
- * first/last bucket.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, unsigned buckets)
-        : lo(lo), hi(hi), counts(buckets, 0)
-    {
-    }
-
-    /** Add one sample. */
-    void
-    sample(double x)
-    {
-        double t = (x - lo) / (hi - lo);
-        t = std::clamp(t, 0.0, 1.0);
-        auto idx = static_cast<size_t>(t * static_cast<double>(
-            counts.size()));
-        if (idx >= counts.size())
-            idx = counts.size() - 1;
-        ++counts[idx];
-        ++total;
-    }
-
-    /** Count in bucket @p i. */
-    u64 bucket(size_t i) const { return counts.at(i); }
-
-    /** Number of buckets. */
-    size_t buckets() const { return counts.size(); }
-
-    /** Total samples. */
-    u64 samples() const { return total; }
-
-  private:
-    double lo;
-    double hi;
-    std::vector<u64> counts;
-    u64 total = 0;
-};
-
-/** Geometric mean of a vector of positive values (1.0 if empty). */
-inline double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 1.0;
-    double acc = 0.0;
-    for (double x : xs)
-        acc += std::log(x);
-    return std::exp(acc / static_cast<double>(xs.size()));
-}
-
-/** Arithmetic mean (0.0 if empty). */
-inline double
-amean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double x : xs)
-        acc += x;
-    return acc / static_cast<double>(xs.size());
-}
-
 // ---------------------------------------------------------------------
 // StatRegistry
 // ---------------------------------------------------------------------

@@ -13,11 +13,13 @@
  * Block runs: a loop of consecutive same-array loads or stores with no
  * other access between them is one SimArray::getRun/setRun. The
  * runtime cuts it at block boundaries (and where the abort poll or the
- * periodic hook is due) and sends each piece through
- * MemorySystem::accessRun: the first access of a piece takes the
- * normal path, the rest are the L1 hits they must be, for one L1 probe
- * per block. Every access keeps its place, its cycles, its counters
- * and its accessHook call (DESIGN.md §19).
+ * periodic hook is due) and sends each piece through one per-access
+ * step, accessBlock, and so through MemorySystem::accessRun: the
+ * first access of a piece takes the normal path, the rest are the L1
+ * hits they must be, for one L1 probe per block. A single load or
+ * store is the run of one, through the same step. Every access keeps
+ * its place, its cycles, its counters and its accessHook call
+ * (DESIGN.md §19).
  *
  * Parallelism: the paper runs 4-thread PARSEC/AxBench benchmarks on a
  * 4-core CMP. We execute deterministically, attributing loop chunks to
@@ -141,18 +143,14 @@ class SimRuntime
 
     CoreId core() const { return currentCore; }
 
-    /** Simulated load of a T at @p addr, through the hierarchy. */
+    /** Simulated load of a T at @p addr, through the hierarchy: a
+     * block run of one. */
     template <typename T>
     T
     load(Addr addr)
     {
         T value{};
-        const Tick lat =
-            sys.access(currentCore, addr, false, sizeof(T), &value);
-        cycles[currentCore] += charge(lat) + workPerAccess;
-        if (accessHook)
-            accessHook(addr, false, sizeof(T), 0);
-        tickHook();
+        accessBlock(addr, 1, false, &value);
         return value;
     }
 
@@ -161,15 +159,7 @@ class SimRuntime
     void
     store(Addr addr, T value)
     {
-        const Tick lat =
-            sys.access(currentCore, addr, true, sizeof(T), &value);
-        cycles[currentCore] += charge(lat) + workPerAccess;
-        if (accessHook) {
-            u64 payload = 0;
-            std::memcpy(&payload, &value, sizeof(T));
-            accessHook(addr, true, sizeof(T), payload);
-        }
-        tickHook();
+        accessBlock(addr, 1, true, &value);
     }
 
     /**
@@ -341,12 +331,41 @@ class SimRuntime
     }
 
     /**
+     * The one per-access step: @p k consecutive T accesses at @p addr,
+     * all in one block, through MemorySystem::accessRun. The first is
+     * charged its latency, the rest an L1 hit each; then accessHook
+     * sees each element in order, and the abort poll and periodic
+     * hook count all @p k. load/store pass a literal 1; forced inline,
+     * so that 1 folds into constant copy sizes at every element
+     * access (left to the inliner, miss-bound lost about 2% of its
+     * accesses_per_s).
+     */
+    template <typename T>
+    [[gnu::always_inline]] void
+    accessBlock(Addr addr, unsigned k, bool is_write, T *data)
+    {
+        const Tick lat =
+            sys.accessRun(currentCore, addr, is_write, sizeof(T), k, data);
+        cycles[currentCore] += charge(lat) + workPerAccess +
+            (k - 1) * (charge(sys.l1Latency()) + workPerAccess);
+        if (accessHook) {
+            for (unsigned j = 0; j < k; ++j) {
+                u64 payload = 0;
+                if (is_write)
+                    std::memcpy(&payload, &data[j], sizeof(T));
+                accessHook(addr + j * sizeof(T), is_write, sizeof(T),
+                           payload);
+            }
+        }
+        tickHook(k);
+    }
+
+    /**
      * loadRun/storeRun: cut [@p addr, + @p count elements) into runs,
      * each inside one block and ending no later than the next access
      * at which the abort flag is polled or the periodic hook fires (so
      * both see the count and state per-element accesses leave), and
-     * send each through MemorySystem::accessRun. The first access of a
-     * run is charged its latency, the rest an L1 hit each.
+     * send each through accessBlock.
      */
     template <typename T>
     void
@@ -362,21 +381,7 @@ class SimRuntime
             if (periodicHook && hookPeriod)
                 n = std::min(n, hookPeriod - accessCount % hookPeriod);
             const unsigned k = static_cast<unsigned>(n);
-
-            const Tick lat = sys.accessRun(currentCore, addr, is_write,
-                                           sizeof(T), k, data);
-            cycles[currentCore] += charge(lat) + workPerAccess +
-                (k - 1) * (charge(sys.l1Latency()) + workPerAccess);
-            if (accessHook) {
-                for (unsigned j = 0; j < k; ++j) {
-                    u64 payload = 0;
-                    if (is_write)
-                        std::memcpy(&payload, &data[j], sizeof(T));
-                    accessHook(addr + j * sizeof(T), is_write, sizeof(T),
-                               payload);
-                }
-            }
-            tickHook(k);
+            accessBlock(addr, k, is_write, data);
             addr += k * sizeof(T);
             data += k;
             count -= k;
@@ -387,7 +392,7 @@ class SimRuntime
      * when the last of them reaches their interval (accessRuns never
      * lets a run step over one). */
     void
-    tickHook(u64 n = 1)
+    tickHook(u64 n)
     {
         accessCount += n;
         if (abortFlag && (accessCount & abortPollMask) == 0 &&
@@ -468,12 +473,7 @@ class SimArray
     }
 
     /** Traffic-free initialization write. */
-    void
-    poke(u64 i, T v)
-    {
-        DOPP_ASSERT(i < n);
-        rt->memory().poke(base + i * sizeof(T), &v, sizeof(T));
-    }
+    void poke(u64 i, T v) { pokeRun(i, 1, &v); }
 
     /** Traffic-free initialization of elements [@p i, @p i + @p count)
      * from @p in. */

@@ -613,6 +613,26 @@ TEST(ClaimStore, FinalizeRemovesClaimFile)
     EXPECT_EQ(a.tryClaim("fp1"), ClaimResult::Acquired);
 }
 
+TEST(ClaimStore, ClaimRecordWithAnUnknownKeyIsRefused)
+{
+    ClaimInfo info;
+    info.fp = "fp1";
+    info.worker = "workerA";
+    info.pid = 42;
+    info.expiresAtMs = 1000;
+    const std::string text = claimRecordJson(info);
+    ClaimInfo back;
+    ASSERT_TRUE(parseClaimRecord(text, back));
+    EXPECT_EQ(back.fp, "fp1");
+    EXPECT_EQ(back.worker, "workerA");
+    EXPECT_EQ(back.pid, 42u);
+    EXPECT_EQ(back.expiresAtMs, 1000u);
+
+    std::string extra = text;
+    extra.insert(extra.size() - 1, ",\"lease\":5");
+    EXPECT_FALSE(parseClaimRecord(extra, back));
+}
+
 // ---------------------------------------------------------------------
 // Incremental journal tail
 // ---------------------------------------------------------------------

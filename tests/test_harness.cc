@@ -249,20 +249,6 @@ TEST(ResultsIo, JsonIsWellFormedEnough)
     EXPECT_EQ(std::count(json.begin(), json.end(), '"') % 2, 0);
 }
 
-TEST(ResultsIo, WriteJsonFile)
-{
-    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
-    const std::string path = "/tmp/dopp-results-test.json";
-    writeResultsJson(path, {r});
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string all = ss.str();
-    EXPECT_EQ(all.front(), '[');
-    std::remove(path.c_str());
-}
-
 namespace
 {
 

@@ -14,6 +14,8 @@
 
 #include "harness/experiment.hh"
 #include "sim/trace.hh"
+#include "util/fileio.hh"
+#include "util/hash.hh"
 
 namespace dopp
 {
@@ -315,6 +317,38 @@ TEST(Trace, RecordLayoutIsStable)
     // The on-disk format is a contract: 24-byte records.
     EXPECT_EQ(sizeof(TraceRecord), 24u);
     EXPECT_EQ(std::string(traceMagic, 8), "DOPPTRC1");
+}
+
+TEST(TracePins, RecordedStreamIsPinned)
+{
+    // The FNV-1a digest of a recorded trace file pins the access
+    // stream itself: the order, address, size, core and direction of
+    // every access and the payload of every store, on split
+    // Doppelgänger at scale 0.05. canneal issues element loads and
+    // stores, jpeg mostly block runs (DESIGN.md §19); both must record
+    // one record per element, in program order.
+    struct Pin
+    {
+        const char *workload;
+        u64 digest;
+    };
+    constexpr Pin pins[] = {
+        {"canneal", 0x03de0c1c0242d9faULL},
+        {"jpeg", 0x2e2a1fd9c28f53fdULL},
+    };
+    ScratchDir dir("dopp-tracepins");
+    for (const Pin &pin : pins) {
+        RunConfig cfg;
+        cfg.llcName = "split-doppelganger";
+        cfg.workload.scale = 0.05;
+        cfg.tracePath = dir.path() + "/" + pin.workload + ".dopptrc";
+        runWorkload(pin.workload, cfg);
+        std::string bytes;
+        ASSERT_TRUE(readFileIfExists(cfg.tracePath, bytes));
+        const u64 digest = fnv1a64(bytes);
+        EXPECT_EQ(digest, pin.digest)
+            << pin.workload << ": digest 0x" << std::hex << digest;
+    }
 }
 
 namespace

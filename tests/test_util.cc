@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <set>
 
@@ -13,6 +14,7 @@
 
 #include "util/bitfield.hh"
 #include "util/env.hh"
+#include "util/json.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
@@ -219,31 +221,68 @@ TEST(RunningStat, Reset)
     EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsAndClamping)
+// ---------------------------------------------------------------------
+// Record reader strictness (util/json.hh).
+// ---------------------------------------------------------------------
+
+namespace
 {
-    Histogram h(0.0, 10.0, 10);
-    h.sample(0.5);   // bucket 0
-    h.sample(9.5);   // bucket 9
-    h.sample(-5.0);  // clamps to bucket 0
-    h.sample(50.0);  // clamps to bucket 9
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(9), 2u);
-    EXPECT_EQ(h.samples(), 4u);
-    EXPECT_EQ(h.buckets(), 10u);
+
+bool
+parses(const std::string &text)
+{
+    JsonValue v;
+    return JsonParser(text).parse(v);
 }
 
-TEST(Stats, Geomean)
+} // namespace
+
+TEST(Json, RepeatedKeyFailsTheObject)
 {
-    EXPECT_DOUBLE_EQ(geomean({}), 1.0);
-    EXPECT_DOUBLE_EQ(geomean({4.0}), 4.0);
-    EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
-    EXPECT_NEAR(geomean({2.0, 2.0, 2.0}), 2.0, 1e-12);
+    EXPECT_TRUE(parses(R"({"mapBits":14,"dataFraction":0.5})"));
+    EXPECT_FALSE(parses(R"({"mapBits":14,"mapBits":14})"));
+    EXPECT_FALSE(parses(R"({"a":{"mapBits":14,"mapBits":12}})"));
+    // Keys are per object: the same key in two objects is fine.
+    EXPECT_TRUE(parses(R"([{"n":"a","u":1},{"n":"b","u":2}])"));
 }
 
-TEST(Stats, Amean)
+TEST(Json, NumbersFollowJsonGrammar)
 {
-    EXPECT_DOUBLE_EQ(amean({}), 0.0);
-    EXPECT_DOUBLE_EQ(amean({1.0, 2.0, 3.0}), 2.0);
+    for (const char *ok : {"0", "-0", "7", "-12", "0.5", "1.25e-3",
+                           "1E+9", "6e0", "18446744073709551615"}) {
+        EXPECT_TRUE(parses(std::string("{\"u\":") + ok + "}")) << ok;
+    }
+    for (const char *bad : {"00", "0256", "-01", "+1", "-", ".5", "1.",
+                            "1.e3", "1e", "1e+", "--1", "1-2", "0x10"}) {
+        EXPECT_FALSE(parses(std::string("{\"u\":") + bad + "}")) << bad;
+    }
+
+    // asDouble fails a value a double cannot hold.
+    const auto number = [](const std::string &raw) {
+        JsonValue v;
+        v.kind = JsonValue::Kind::Number;
+        v.raw = raw;
+        return v;
+    };
+    double x = 0.0;
+    EXPECT_FALSE(number("1e-400").asDouble(x));
+    EXPECT_FALSE(number("-2e999").asDouble(x));
+    EXPECT_TRUE(number("0e-400").asDouble(x));
+    EXPECT_EQ(x, 0.0);
+
+    // Every finite value the writer emits reads back bit-exactly.
+    for (const double d :
+         {0.0, -0.0, 1.0, -1.5, 0.1, 1e-5, 123456789.125, DBL_MAX,
+          -DBL_MAX, DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+          DBL_MIN / 3.0}) {
+        const std::string text = jsonFmtDouble(d);
+        JsonValue v;
+        ASSERT_TRUE(JsonParser(text).parse(v)) << text;
+        double back = 0.0;
+        ASSERT_TRUE(v.asDouble(back)) << text;
+        EXPECT_EQ(std::signbit(back), std::signbit(d)) << text;
+        EXPECT_EQ(back, d) << text;
+    }
 }
 
 // ---------------------------------------------------------------------
